@@ -13,11 +13,21 @@ and elementary-function applications):
 
 A purely rational expression that is identically zero therefore
 canonicalizes to the zero constant, while quotients such as
-(y1^2 - 1)/(y1 - 1) stay quotients.  Zero-testing falls back on seeded
-random sampling for everything the canonical form cannot decide.
+(y1^2 - 1)/(y1 - 1) stay quotients.  The canonical numerator of a purely
+rational expression is nonzero exactly when its value is, so zero-testing
+decides such expressions both ways; seeded random sampling decides only
+expressions with function atoms, and supplies witness points.
 
-All values are immutable and the operations are pure; cached canonical
-forms are attached transparently and are safe to share across threads.
+Each node caches what is derived from it: its canonical quotient, the sort
+key of an atom, and a memo of its partials (``diff``) and rational
+multiples (``scale``), so a repeated partial returns the same node.  Nodes
+built by canonicalization are marked, and ``canonicalize`` returns a marked
+node as it is.  The memo lives as long as its node; no module-level cache
+holds state.
+
+All values are immutable and the operations are pure; the caches are
+attached transparently and are safe to share across threads.  Threads that
+race on one memo entry compute equal values, and the last one stored wins.
 """
 from __future__ import annotations
 
@@ -254,9 +264,15 @@ class _RF(NamedTuple):
 
 
 def _atom_key(atom: ScalarExpr) -> tuple:
-    if isinstance(atom, Var):
-        return (0,) + var_key(atom.ref)
-    return (1, atom.name, expr_key(atom.arg))
+    try:
+        return atom._atom_key
+    except AttributeError:
+        if isinstance(atom, Var):
+            key = (0,) + var_key(atom.ref)
+        else:
+            key = (1, atom.name, expr_key(atom.arg))
+        object.__setattr__(atom, "_atom_key", key)
+        return key
 
 
 def _mono_key(mono: Mono) -> tuple:
@@ -510,7 +526,16 @@ def _render(rf: _RF) -> ScalarExpr:
     else:
         out = Div(_render_poly(rf.num), _render_poly(rf.den))
     object.__setattr__(out, "_rfc", rf)
+    object.__setattr__(out, "_canonical", True)
     return out
+
+
+def _memo(e: ScalarExpr) -> dict:
+    """The per-node memo of derived canonical nodes, created on first use."""
+    try:
+        return e._memo
+    except AttributeError:
+        return e.__dict__.setdefault("_memo", {})
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +545,8 @@ def _render(rf: _RF) -> ScalarExpr:
 
 def canonicalize(e: ScalarExpr) -> ScalarExpr:
     """Canonical representative; idempotent and value-preserving."""
+    if "_canonical" in e.__dict__:
+        return e
     return _render(_to_rf(e))
 
 
@@ -585,7 +612,21 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
 
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
     """Plain coordinate partial, treating each sorted jet coordinate as independent."""
-    return _render(_rf_diff(_to_rf(e), v))
+    memo = _memo(e)
+    out = memo.get(v)
+    if out is None:
+        out = memo[v] = _render(_rf_diff(_to_rf(e), v))
+    return out
+
+
+def scale(e: ScalarExpr, c: Fraction) -> ScalarExpr:
+    """The canonical form of c * e."""
+    # shares the memo of diff: a Fraction key never equals a coordinate tuple
+    memo = _memo(e)
+    out = memo.get(c)
+    if out is None:
+        out = memo[c] = canonicalize(Rat(c) * e)
+    return out
 
 
 def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> ScalarExpr:
@@ -773,7 +814,7 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
     vars_ = sorted(variables(e), key=var_key)
     rng = random.Random(policy.seed)
     lo, hi = policy.box
-    accepted = 0
+    largest: tuple[float, dict] | None = None
     for _ in range(policy.samples):
         point = None
         for _ in range(policy.max_attempts):
@@ -786,9 +827,20 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
             break
         if point is None:
             continue
-        accepted += 1
         if abs(val) >= policy.abs_tol + policy.rel_tol * mag:
             return ZeroVerdict(NUMERIC_NONZERO, witness=point, value=val)
-    if accepted == 0:
+        if largest is None or abs(val) > abs(largest[0]):
+            largest = (val, point)
+    if _is_rational(rf):
+        # distinct Laurent monomials in independent coordinates are linearly
+        # independent functions, so a nonzero numerator is a nonzero value
+        val, point = largest or (None, None)
+        return ZeroVerdict(PROVEN_NONZERO, witness=point, value=val)
+    if largest is None:
         raise SamplingFailure("every sample point was rejected by the pole guard")
     return ZeroVerdict(NUMERIC_ZERO)
+
+
+def _is_rational(rf: _RF) -> bool:
+    """True iff every atom of the quotient is a coordinate (no function atoms)."""
+    return all(isinstance(a, Var) for p in rf for mono in p for a, _ in mono)

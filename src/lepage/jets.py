@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .charts import BaseVar, ChartContext, ChartError, FiberVar, MultiIndex, var_key
-from .expr import Rat, ScalarExpr, Var, canonicalize, diff, variables
+from .expr import ScalarExpr, Var, canonicalize, diff, scale, variables
 
 from fractions import Fraction
 from typing import Iterable
@@ -89,7 +89,7 @@ def sym_partial(
     mu = jj.multiplicity()
     if mu == 1:
         return d
-    return canonicalize(Rat(Fraction(1, mu)) * d)
+    return scale(d, Fraction(1, mu))
 
 
 def mixed_partial(

@@ -324,9 +324,6 @@ def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
     return make_form(ctx, n, entries, 1)
 
 
-_KAPPA = {1: 2, 2: 1}
-
-
 @dataclass(frozen=True)
 class FundamentalCoefficients:
     """Contact coefficients of the second-order fundamental form (n = 2).
@@ -338,8 +335,6 @@ class FundamentalCoefficients:
     Q1: dict
     Q2: dict
     R12: dict
-
-    kappa = _KAPPA
 
     def Q(self, j: int) -> dict:
         return self.Q1 if j == 1 else self.Q2

@@ -135,6 +135,18 @@ class TestSymPartial:
         sym = sym_partial(f, 1, (1, 1), Convention.SYMMETRIZED)
         assert plain == sym
 
+    def test_each_convention_keeps_its_own_result(self):
+        want_plain = canonicalize(2 * Y(1, 1, 2))
+        want_sym = canonicalize(Y(1, 1, 2))
+        for order in ((Convention.PLAIN, Convention.SYMMETRIZED),
+                      (Convention.SYMMETRIZED, Convention.PLAIN)):
+            f = canonicalize(Y(1, 1, 2) ** 2 + Y(1, 1))
+            got = {c: sym_partial(f, 1, (2, 1), c) for c in order}
+            assert got[Convention.PLAIN] == want_plain
+            assert got[Convention.SYMMETRIZED] == want_sym
+            for c in order:
+                assert sym_partial(f, 1, (1, 2), c) is got[c]
+
 
 class TestDerivativeProperties:
     def _random_corpus(self, ctx, seed=0, count=6):

@@ -45,6 +45,13 @@ class TestChecks:
         assert code == 0
         assert out.startswith("PASS")
 
+    def test_trivial_fails_on_a_tiny_coefficient(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "trivial", "--order", "1", "--lagrangian", "0.000000000001*y_1^2"
+        )
+        assert code == 1
+        assert out.startswith("FAIL euler-lagrange")
+
     def test_lepage_check_on_theta(self, capsys):
         code, out, _ = run(capsys, "check", "lepage", "--order", "2", "--lagrangian", CH)
         assert code == 0

@@ -1,4 +1,9 @@
 """Expression kernel: canonicalization, differentiation, evaluation, zero-testing."""
+import random
+import sys
+import threading
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +30,18 @@ from lepage import (
     sin,
     substitute,
 )
-from lepage.expr import PROVEN_NONZERO, PROVEN_ZERO, NUMERIC_NONZERO, NUMERIC_ZERO, is_zero_expr
+from lepage.expr import (
+    PROVEN_NONZERO,
+    PROVEN_ZERO,
+    NUMERIC_NONZERO,
+    NUMERIC_ZERO,
+    _render,
+    _rf_diff,
+    _to_rf,
+    is_zero_expr,
+    scale,
+)
+from lepage.verification import random_polynomial
 
 Y1 = Y(1, 1)
 Y2 = Y(1, 2)
@@ -55,7 +71,8 @@ class TestCanonicalize:
     def test_idempotence(self):
         e = (Y1 + Y2) ** 3 / (YY - 2) + sin(X(1)) * Y12
         once = canonicalize(e)
-        assert canonicalize(once) == once
+        assert canonicalize(once) is once
+        assert canonicalize(canonicalize(e)) == canonicalize(e)
 
     def test_identically_zero_rational_expression(self):
         # requires combining over a common denominator, but no cancellation
@@ -182,6 +199,12 @@ class TestEqualsZero:
         e = sin(X(1)) ** 2 + cos(X(1)) ** 2 - 1
         assert equals_zero(e).kind == NUMERIC_ZERO
 
+    def test_tiny_rational_is_proven_nonzero(self):
+        verdict = equals_zero(const(1, 10**12) * Y1 ** 2)
+        assert verdict.kind == PROVEN_NONZERO
+        assert verdict.witness is not None and fiber(1) in verdict.witness
+        assert not verdict.is_zero
+
     def test_sampling_failure(self):
         with pytest.raises(SamplingFailure):
             equals_zero(ln(-2 - exp(YY)))
@@ -191,6 +214,47 @@ class TestEqualsZero:
         a = equals_zero(Y1 + Y2, policy)
         b = equals_zero(Y1 + Y2, policy)
         assert a.witness == b.witness and a.value == b.value
+
+
+class TestMemo:
+    def test_base_and_fiber_partials_do_not_collide(self):
+        # BaseVar(2) == (2,) as tuples; the fiber key differs in shape
+        e = X(2) ** 2 * Y(2) + Y2 * X(1)
+        by_base = diff(e, BaseVar(2))
+        by_fiber = diff(e, FiberVar(2, MultiIndex()))
+        assert by_base == canonicalize(2 * X(2) * Y(2))
+        assert by_fiber == canonicalize(X(2) ** 2)
+        assert diff(e, BaseVar(2)) is by_base
+
+    def test_scale_and_diff_share_the_memo(self):
+        e = Y1 ** 2
+        half = scale(e, Fraction(1, 2))
+        assert half == canonicalize(const(1, 2) * Y1 ** 2)
+        assert diff(e, fiber(1)) == canonicalize(2 * Y1)
+        assert scale(e, Fraction(1, 2)) is half
+
+    def test_threads_sharing_a_node_agree(self):
+        vs = [fiber(1), fiber(2), BaseVar(1), fiber()]
+        e = canonicalize((Y1 + Y2 + X(1)) ** 4 / (YY - 3) + sin(Y1) * Y2)
+        want = {v: _render(_rf_diff(_to_rf(canonicalize(e + 0)), v)) for v in vs}
+        got = []
+
+        def work():
+            got.append({v: diff(diff(e, v), v) == diff(want[v], v) and diff(e, v) == want[v]
+                        for v in vs})
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(all(r.values()) for r in got)
 
 
 class TestSubstitute:
@@ -267,3 +331,20 @@ def test_finite_difference_matches_diff(e):
     fd = (eval_numeric(e, up) - eval_numeric(e, down)) / (2 * h)
     want = eval_numeric(diff(e, v), point)
     assert fd == pytest.approx(want, abs=1e-5 * max(1.0, abs(want)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), slot=st.integers(0, 4))
+def test_memoized_diff_matches_a_fresh_node(seed, slot):
+    pool = [v.ref for v in _POOL]
+    rng = random.Random(seed)
+    e = random_polynomial(rng, pool, terms=4, degree=3)
+    v = pool[slot]
+    first = diff(e, v)
+    # a structurally equal node with an empty memo
+    fresh = random_polynomial(random.Random(seed), pool, terms=4, degree=3)
+    assert fresh == e and fresh is not e
+    want = _render(_rf_diff(_to_rf(fresh), v))
+    assert first == want
+    assert diff(e, v) == want and diff(e, v) is first
+    assert diff(diff(e, v), v) == _render(_rf_diff(_to_rf(want), v))

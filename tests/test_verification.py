@@ -112,6 +112,25 @@ class TestOrderReducibility:
         assert report.label == "order-reducibility[5]"
         assert is_zero_expr(report.witness - const(1, 2) / Y(1, 1))
 
+    def test_repeat_run_takes_no_new_partials(self, monkeypatch):
+        import lepage.expr
+
+        calls = []
+        real = lepage.expr._rf_diff
+
+        def counting(rf, v):
+            calls.append(v)
+            return real(rf, v)
+
+        monkeypatch.setattr(lepage.expr, "_rf_diff", counting)
+        lam = camassa_holm()
+        first = order_reducible(lam)
+        assert calls
+        taken = len(calls)
+        second = order_reducible(lam)
+        assert len(calls) == taken
+        assert second == first
+
     def test_camassa_holm_plain_witness(self):
         report = order_reducible(camassa_holm(), convention=Convention.PLAIN)
         assert is_zero_expr(report.witness - 2 / Y(1, 1))
