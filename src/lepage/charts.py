@@ -87,6 +87,11 @@ class ChartContext:
             raise ChartError(
                 f"need n >= 1, m >= 1, max_order >= 0, got ({self.n}, {self.m}, {self.max_order})"
             )
+        if self.n > 9:
+            # a jet index J is spelled as its digits run together (y1_12)
+            raise ChartError(
+                f"need n <= 9, got n = {self.n}: jet indices are spelled as single digits"
+            )
 
     @property
     def base_indices(self) -> range:

@@ -18,12 +18,22 @@ rational expression is nonzero exactly when its value is, so zero-testing
 decides such expressions both ways; seeded random sampling decides only
 expressions with function atoms, and supplies witness points.
 
-Each node caches what is derived from it: its canonical quotient, the sort
-key of an atom, and a memo of its partials (``diff``) and rational
-multiples (``scale``), so a repeated partial returns the same node.  Nodes
-built by canonicalization are marked, and ``canonicalize`` returns a marked
-node as it is.  The memo lives as long as its node; no module-level cache
-holds state.
+Inside the kernel an atom is a small int: a module-level intern table maps
+each distinct atom to an id and keeps the atom and its sort key by id, so
+monomials are sorted tuples of (id, exponent) pairs and polynomial
+arithmetic compares and hashes ints.  Ids follow first use; everything that
+reaches the output is ordered by the atoms' sort keys, never by id.  The
+table lives as long as the process and only grows, by one entry per
+distinct atom; entries are added under a lock, so every atom gets exactly
+one id whichever threads meet it first.  Coefficients are ints when
+integral and Fractions otherwise, and every division is exact; constants
+leave the kernel (``Rat`` nodes, ``constant_value``) as Fractions.
+
+Each node caches what is derived from it: its canonical quotient, the id of
+an atom, and a memo of its partials (``diff``) and rational multiples
+(``scale``), so a repeated partial returns the same node.  Nodes built by
+canonicalization are marked, and ``canonicalize`` returns a marked node as
+it is.  The memo lives as long as its node.
 
 All values are immutable and the operations are pure; the caches are
 attached transparently and are safe to share across threads.  Threads that
@@ -33,7 +43,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -104,6 +115,11 @@ class ScalarExpr:
 
     def __neg__(self) -> "ScalarExpr":
         return Mul((Rat(Fraction(-1)), self))
+
+    def __getstate__(self) -> dict:
+        # the caches hold ids of this process's atom intern table, so a
+        # pickled node carries its fields only
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -245,17 +261,30 @@ def max_jet_order(e: ScalarExpr) -> int:
 # canonical engine: Laurent polynomials over atoms, single-quotient forms
 # ---------------------------------------------------------------------------
 #
-# Atom       = Var node | Fn node with canonical argument
-# Monomial   = tuple of (atom, exponent), sorted by atom key, exponents != 0
-# Poly       = dict mapping monomial -> Fraction (no zero coefficients)
-# _RF        = (num: Poly, den: Poly); den == _P_ONE_KEY for Laurent values,
+# Atom       = Var node | Fn node with canonical argument, interned to an id
+# Monomial   = tuple of (atom id, exponent), sorted by id, exponents != 0
+# Poly       = dict mapping monomial -> coefficient (no zero coefficients);
+#              a coefficient is an int when integral, else a Fraction
+# _RF        = (num: Poly, den: Poly); den == _P_ONE for Laurent values,
 #              otherwise den is monic, content-free and has >= 2 terms.
+#
+# Ids follow first use, so anything that reaches the output (term and factor
+# order, the monic leading term, the order of cross-multiplication) orders
+# atoms by their sort key in _KEYS, never by id.
 
 Mono = tuple
 Poly = dict
 
 _EMPTY_MONO: Mono = ()
-_P_ONE: Poly = {_EMPTY_MONO: Fraction(1)}
+_P_ONE: Poly = {_EMPTY_MONO: 1}
+
+# The intern table: atom -> id, id -> atom, id -> sort key.  It lives as long
+# as the process and only grows; entries are appended under the lock, the
+# lists before the dict, so a reader that finds an id finds its entries.
+_IDS: dict = {}
+_ATOMS: list = []
+_KEYS: list = []
+_INTERN_LOCK = threading.Lock()
 
 
 class _RF(NamedTuple):
@@ -263,20 +292,52 @@ class _RF(NamedTuple):
     den: Poly
 
 
-def _atom_key(atom: ScalarExpr) -> tuple:
+def _atom_id(atom: ScalarExpr) -> int:
     try:
-        return atom._atom_key
+        return atom._aid
     except AttributeError:
+        pass
+    i = _IDS.get(atom)
+    if i is None:
         if isinstance(atom, Var):
             key = (0,) + var_key(atom.ref)
         else:
             key = (1, atom.name, expr_key(atom.arg))
-        object.__setattr__(atom, "_atom_key", key)
-        return key
+        with _INTERN_LOCK:
+            i = _IDS.get(atom)
+            if i is None:
+                i = len(_ATOMS)
+                _ATOMS.append(atom)
+                _KEYS.append(key)
+                _IDS[atom] = i
+    object.__setattr__(atom, "_aid", i)
+    return i
+
+
+def _by_key(mono: Mono) -> Mono:
+    """The (id, exponent) pairs of a monomial in atom sort-key order."""
+    if len(mono) < 2:
+        return mono
+    return sorted(mono, key=lambda ie: _KEYS[ie[0]])
 
 
 def _mono_key(mono: Mono) -> tuple:
-    return tuple((_atom_key(a), e) for a, e in mono)
+    return tuple(sorted([(_KEYS[i], e) for i, e in mono]))
+
+
+def _coef(c: Number) -> Number:
+    """A coefficient as an int when integral, else as a Fraction."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _quot(a: Number, b: Number) -> Number:
+    """The exact quotient a / b of two coefficients."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coef(a / b)
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -286,12 +347,14 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         return a
     out = []
     ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        ka, kb = _atom_key(a[ia][0]), _atom_key(b[ib][0])
+    la, lb = len(a), len(b)
+    while ia < la and ib < lb:
+        ka, ea = a[ia]
+        kb, eb = b[ib]
         if ka == kb:
-            e = a[ia][1] + b[ib][1]
+            e = ea + eb
             if e:
-                out.append((a[ia][0], e))
+                out.append((ka, e))
             ia += 1
             ib += 1
         elif ka < kb:
@@ -306,22 +369,22 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 def _mono_inv(mono: Mono) -> Mono:
-    return tuple((a, -e) for a, e in mono)
+    return tuple((i, -e) for i, e in mono)
 
 
-def _p_const(c: Fraction) -> Poly:
-    return {_EMPTY_MONO: c} if c else {}
+def _p_const(c: Number) -> Poly:
+    return {_EMPTY_MONO: _coef(c)} if c else {}
 
 
-def _p_atom(atom: ScalarExpr, e: int = 1) -> Poly:
-    return {((atom, e),): Fraction(1)}
+def _p_atom(atom: ScalarExpr) -> Poly:
+    return {((_atom_id(atom), 1),): 1}
 
 
-def _p_add_into(acc: Poly, p: Poly, scale: Fraction = Fraction(1)) -> None:
+def _p_add_into(acc: Poly, p: Poly) -> None:
     for mono, c in p.items():
-        v = acc.get(mono, Fraction(0)) + c * scale
+        v = acc.get(mono, 0) + c
         if v:
-            acc[mono] = v
+            acc[mono] = v if v.__class__ is int else _coef(v)
         elif mono in acc:
             del acc[mono]
 
@@ -332,10 +395,10 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = _mono_mul(ma, mb)
-            v = out.get(mono, Fraction(0)) + ca * cb
+            mono = _mono_mul(ma, mb) if ma and mb else ma or mb
+            v = out.get(mono, 0) + ca * cb
             if v:
-                out[mono] = v
+                out[mono] = v if v.__class__ is int else _coef(v)
             elif mono in out:
                 del out[mono]
     return out
@@ -354,10 +417,8 @@ def _p_pow(a: Poly, k: int) -> Poly:
     return out
 
 
-def _p_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
+def _p_quot(a: Poly, c: Number) -> Poly:
+    return {m: _quot(v, c) for m, v in a.items()}
 
 
 def _p_mono_shift(a: Poly, mono: Mono) -> Poly:
@@ -378,39 +439,34 @@ def _rf_normalize(num: Poly, den: Poly) -> _RF:
     if len(den) == 1:
         (mono, c), = den.items()
         inv = _mono_inv(mono)
-        return _RF({_mono_mul(m, inv): v / c for m, v in num.items()}, dict(_P_ONE))
+        return _RF({_mono_mul(m, inv): _quot(v, c) for m, v in num.items()}, dict(_P_ONE))
     # factor the monomial content out of the denominator
     content: dict = {}
     first = True
     for mono in den:
         if first:
-            content = {_atom_key(a): (a, e) for a, e in mono}
+            content = dict(mono)
             first = False
         else:
-            seen = {_atom_key(a): e for a, e in mono}
-            for key in list(content):
-                a, e = content[key]
-                content[key] = (a, min(e, seen.get(key, 0)))
-            for a, e in mono:
-                key = _atom_key(a)
-                if key not in content and e < 0:
-                    content[key] = (a, e)
-    content_mono = tuple(
-        (a, e) for _, (a, e) in sorted(content.items()) if e != 0
-    )
+            seen = dict(mono)
+            for i in list(content):
+                content[i] = min(content[i], seen.get(i, 0))
+            for i, e in mono:
+                if i not in content and e < 0:
+                    content[i] = e
+    content_mono = tuple((i, e) for i, e in sorted(content.items()) if e != 0)
     if content_mono:
         inv = _mono_inv(content_mono)
         den = _p_mono_shift(den, inv)
         num = _p_mono_shift(num, inv)
     lc = den[_p_leading(den)]
     if lc != 1:
-        inv_lc = Fraction(1) / lc
-        den = _p_scale(den, inv_lc)
-        num = _p_scale(num, inv_lc)
+        den = _p_quot(den, lc)
+        num = _p_quot(num, lc)
     return _RF(num, den)
 
 
-def _rf_const(c: Fraction) -> _RF:
+def _rf_const(c: Number) -> _RF:
     return _RF(_p_const(c), dict(_P_ONE))
 
 
@@ -433,17 +489,20 @@ def _den_signature(den: Poly) -> tuple:
 
 
 def _rf_sum(items: Sequence[_RF]) -> _RF:
-    groups: dict[tuple, _RF] = {}
+    # group by denominator, then cross-multiply the groups in signature order
+    groups: dict = {}
     for rf in items:
-        sig = _den_signature(rf.den)
-        if sig in groups:
-            num = dict(groups[sig].num)
-            _p_add_into(num, rf.num)
-            groups[sig] = _RF(num, groups[sig].den)
+        den_id = None if rf.den == _P_ONE else frozenset(rf.den.items())
+        group = groups.get(den_id)
+        if group is None:
+            groups[den_id] = _RF(dict(rf.num), rf.den)
         else:
-            groups[sig] = _RF(dict(rf.num), rf.den)
-    total = _rf_const(Fraction(0))
-    for _, rf in sorted(groups.items(), key=lambda kv: kv[0]):
+            _p_add_into(group.num, rf.num)
+    ordered = list(groups.values())
+    if len(ordered) > 1:
+        ordered.sort(key=lambda rf: _den_signature(rf.den))
+    total = _rf_const(0)
+    for rf in ordered:
         total = _rf_add(total, _rf_normalize(rf.num, rf.den))
     return total
 
@@ -459,7 +518,7 @@ def _rf_div(a: _RF, b: _RF) -> _RF:
 
 
 def _rf_neg(a: _RF) -> _RF:
-    return _RF(_p_scale(a.num, Fraction(-1)), a.den)
+    return _RF({m: -v for m, v in a.num.items()}, a.den)
 
 
 def _rf_sub(a: _RF, b: _RF) -> _RF:
@@ -468,7 +527,7 @@ def _rf_sub(a: _RF, b: _RF) -> _RF:
 
 def _rf_pow(a: _RF, k: int) -> _RF:
     if k == 0:
-        return _rf_const(Fraction(1))
+        return _rf_const(1)
     if k < 0:
         if not a.num:
             raise ExprError("division by an identically zero denominator")
@@ -487,7 +546,7 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Add):
         rf = _rf_sum([_to_rf(t) for t in e.terms])
     elif isinstance(e, Mul):
-        rf = _rf_const(Fraction(1))
+        rf = _rf_const(1)
         for f in e.factors:
             rf = _rf_mul(rf, _to_rf(f))
     elif isinstance(e, Pow):
@@ -510,13 +569,13 @@ def _render_poly(p: Poly) -> ScalarExpr:
         return ZERO
     nodes = []
     for mono, c in sorted(p.items(), key=lambda kv: _mono_key(kv[0]), reverse=True):
-        factors = [atom if e == 1 else Pow(atom, e) for atom, e in mono]
+        factors = [_ATOMS[i] if e == 1 else Pow(_ATOMS[i], e) for i, e in _by_key(mono)]
         if not factors:
-            nodes.append(Rat(c))
+            nodes.append(Rat(Fraction(c)))
         elif c == 1:
             nodes.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
         else:
-            nodes.append(Mul((Rat(c), *factors)))
+            nodes.append(Mul((Rat(Fraction(c)), *factors)))
     return nodes[0] if len(nodes) == 1 else Add(tuple(nodes))
 
 
@@ -561,7 +620,7 @@ def constant_value(e: ScalarExpr) -> Fraction | None:
     if not rf.num:
         return Fraction(0)
     if _rf_is_laurent(rf) and len(rf.num) == 1 and _EMPTY_MONO in rf.num:
-        return rf.num[_EMPTY_MONO]
+        return Fraction(rf.num[_EMPTY_MONO])
     return None
 
 
@@ -576,7 +635,7 @@ def _fn_derivative(name: str, arg: ScalarExpr, arg_rf: _RF) -> _RF:
     if name == "exp":
         return _RF(_p_atom(Fn("exp", arg)), dict(_P_ONE))
     if name == "ln":
-        return _rf_div(_rf_const(Fraction(1)), arg_rf)
+        return _rf_div(_rf_const(1), arg_rf)
     raise ExprError(f"unknown function {name!r}")
 
 
@@ -584,9 +643,9 @@ def _poly_diff(p: Poly, v: JetVariable) -> _RF:
     plain: Poly = {}
     extras: list[_RF] = []
     for mono, c in p.items():
-        for pos, (atom, e) in enumerate(mono):
-            rest = mono[:pos] + ((atom, e - 1),) + mono[pos + 1:]
-            rest = tuple((a, k) for a, k in rest if k != 0)
+        for i, e in _by_key(mono):
+            atom = _ATOMS[i]
+            rest = _mono_mul(mono, ((i, -1),))
             if isinstance(atom, Var):
                 if atom.ref == v:
                     _p_add_into(plain, {rest: c * e})
@@ -595,7 +654,7 @@ def _poly_diff(p: Poly, v: JetVariable) -> _RF:
                 darg = _rf_diff(arg_rf, v)
                 if not darg.num:
                     continue
-                piece = _rf_mul(_RF({rest: c * e}, dict(_P_ONE)),
+                piece = _rf_mul(_RF({rest: _coef(c * e)}, dict(_P_ONE)),
                                 _fn_derivative(atom.name, atom.arg, arg_rf))
                 extras.append(_rf_mul(piece, darg))
     return _rf_sum([_RF(plain, dict(_P_ONE))] + extras)
@@ -646,17 +705,18 @@ def _poly_subst(p: Poly, rfs: Mapping[JetVariable, _RF]) -> _RF:
     pieces: list[_RF] = []
     for mono, c in p.items():
         term = _rf_const(c)
-        for atom, e in mono:
+        for i, e in _by_key(mono):
+            atom = _ATOMS[i]
             if isinstance(atom, Var) and atom.ref in rfs:
                 target = rfs[atom.ref]
             elif isinstance(atom, Fn):
                 new_arg = _render(_rf_subst(_to_rf(atom.arg), rfs))
                 target = _RF(_p_atom(Fn(atom.name, new_arg)), dict(_P_ONE))
             else:
-                target = _RF(_p_atom(atom), dict(_P_ONE))
+                target = _RF({((i, 1),): 1}, dict(_P_ONE))
             term = _rf_mul(term, _rf_pow(target, e))
         pieces.append(term)
-    return _rf_sum(pieces) if pieces else _rf_const(Fraction(0))
+    return _rf_sum(pieces) if pieces else _rf_const(0)
 
 
 def eval_pole_guarded(e: ScalarExpr, point: Mapping[JetVariable, float], guard: float) -> float:
@@ -776,8 +836,8 @@ def _poly_eval(p: Poly, point, guard: float) -> tuple[float, float]:
     mag = 0.0
     for mono, c in p.items():
         term = float(c)
-        for atom, e in mono:
-            av = _atom_eval(atom, point, guard)
+        for i, e in _by_key(mono):
+            av = _atom_eval(_ATOMS[i], point, guard)
             if e < 0:
                 av = _guarded(av, guard)
             try:
@@ -843,4 +903,4 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
 
 def _is_rational(rf: _RF) -> bool:
     """True iff every atom of the quotient is a coordinate (no function atoms)."""
-    return all(isinstance(a, Var) for p in rf for mono in p for a, _ in mono)
+    return all(isinstance(_ATOMS[i], Var) for p in rf for mono in p for i, _ in mono)

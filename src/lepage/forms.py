@@ -59,13 +59,13 @@ def coframe_key(el: CoframeElement) -> tuple:
     return (1, el.sigma, len(el.jj), tuple(el.jj))
 
 
-def _normal_tuple(elements: Sequence[CoframeElement]) -> tuple[tuple, int] | None:
+def _normal_tuple(elements: Sequence, key=coframe_key) -> tuple[tuple, int] | None:
     """Sort a wedge tuple, tracking the permutation sign; None on repeats."""
     items = list(elements)
     sign = 1
     for i in range(1, len(items)):
         j = i
-        while j > 0 and coframe_key(items[j]) < coframe_key(items[j - 1]):
+        while j > 0 and key(items[j]) < key(items[j - 1]):
             items[j], items[j - 1] = items[j - 1], items[j]
             sign = -sign
             j -= 1
@@ -77,18 +77,8 @@ def _normal_tuple(elements: Sequence[CoframeElement]) -> tuple[tuple, int] | Non
 
 def levi_civita(indices: Sequence[int]) -> int:
     """Sign of the permutation; 0 on repeated entries."""
-    items = list(indices)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j] < items[j - 1]:
-            items[j], items[j - 1] = items[j - 1], items[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return 0
-    return sign
+    normal = _normal_tuple(indices, key=lambda i: i)
+    return 0 if normal is None else normal[1]
 
 
 @dataclass(frozen=True)

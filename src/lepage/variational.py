@@ -161,15 +161,9 @@ def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTIO
                     if is_zero_expr(coeff):
                         continue
                     contact = Omega(sigma, label_sorted)
-                    for key, c in wedge_key_entries(contact, omegas[i - 1], coeff):
-                        entries.append((key, c))
+                    for key, c in omegas[i - 1].terms.items():
+                        entries.append(((contact,) + key, coeff * c))
     return make_form(ctx, ctx.n, entries, order)
-
-
-def wedge_key_entries(contact: Omega, omega_j: ExteriorForm, coeff: ScalarExpr):
-    """Entries of coeff * (omega-contact wedge omega_j) as raw wedge tuples."""
-    for key, c in omega_j.terms.items():
-        yield (contact,) + key, coeff * c
 
 
 def _nonvanishing_guard(lam: Lagrangian, policy: ZeroPolicy | None) -> None:

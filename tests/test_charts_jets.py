@@ -53,6 +53,12 @@ class TestChartContext:
         with pytest.raises(ChartError):
             ChartContext(2, 1, -1)
 
+    def test_base_dimension_fits_the_spelling(self):
+        # index 10 would print as y1_10, which reads as the index (1, 0)
+        assert ChartContext(9, 1, 1).n == 9
+        with pytest.raises(ChartError, match="n <= 9"):
+            ChartContext(10, 1, 1)
+
     def test_contains(self):
         ctx = ChartContext(2, 1, 2)
         assert ctx.contains(fiber(1, 2))

@@ -194,6 +194,14 @@ class TestUsageErrors:
         code, _, err = run(capsys, "el", "--order", "1", "--lagrangian", "y_12")
         assert code == 2
 
+    def test_unrepresentable_base_dimension(self, capsys):
+        code, out, err = run(
+            capsys, "el", "--n", "10", "--m", "1", "--order", "1", "--lagrangian", "y_1^2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "n <= 9" in err
+
     def test_unknown_subcommand(self, capsys):
         code = run_command(["frobnicate"])
         capsys.readouterr()

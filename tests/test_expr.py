@@ -1,4 +1,6 @@
 """Expression kernel: canonicalization, differentiation, evaluation, zero-testing."""
+import dataclasses
+import pickle
 import random
 import sys
 import threading
@@ -35,13 +37,24 @@ from lepage.expr import (
     PROVEN_ZERO,
     NUMERIC_NONZERO,
     NUMERIC_ZERO,
+    _ATOMS,
+    _IDS,
+    _KEYS,
+    Add,
+    Div,
+    Fn,
+    Mul,
+    Pow,
+    Var,
     _render,
     _rf_diff,
     _to_rf,
+    constant_value,
     is_zero_expr,
     scale,
 )
-from lepage.verification import random_polynomial
+from lepage.variational import euler_lagrange_expressions
+from lepage.verification import first_order_corpus, random_polynomial, second_order_corpus
 
 Y1 = Y(1, 1)
 Y2 = Y(1, 2)
@@ -255,6 +268,100 @@ class TestMemo:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 8 and all(all(r.values()) for r in got)
+
+
+def _subtrees(e):
+    yield e
+    if isinstance(e, Add):
+        kids = e.terms
+    elif isinstance(e, Mul):
+        kids = e.factors
+    elif isinstance(e, Pow):
+        kids = (e.base,)
+    elif isinstance(e, Div):
+        kids = (e.num, e.den)
+    elif isinstance(e, Fn):
+        kids = (e.arg,)
+    else:
+        kids = ()
+    for kid in kids:
+        yield from _subtrees(kid)
+
+
+class TestRepresentationBoundary:
+    """Integral coefficients are ints inside the kernel, Fractions outside it."""
+
+    def test_canonical_trees_hold_fractions(self):
+        values = []
+        for lam in first_order_corpus() + second_order_corpus():
+            trees = [canonicalize(lam.L), *euler_lagrange_expressions(lam)]
+            trees += [diff(lam.L, v) for v in lam.ctx.coordinates()]
+            for tree in trees:
+                values += [node.value for node in _subtrees(tree) if isinstance(node, Rat)]
+        assert all(type(v) is Fraction for v in values)
+        assert any(v.denominator == 1 and v not in (0, 1) for v in values)
+        assert any(v.denominator != 1 for v in values)
+
+    def test_constant_value_is_a_fraction(self):
+        for e, want in [
+            (X(1) - X(1), Fraction(0)),
+            (3 * Y1 / Y1, Fraction(3)),
+            (const(1, 2) + const(1, 3), Fraction(5, 6)),
+            (const(4, 2) * Y2 ** 2 / Y2 ** 2, Fraction(2)),
+        ]:
+            got = constant_value(e)
+            assert got == want and type(got) is Fraction
+
+    def test_pickled_nodes_leave_their_caches_behind(self):
+        e = canonicalize(Y1 ** 2 * sin(X(1)) + 3)
+        d = diff(e, BaseVar(1))
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e
+        assert not set(copy.__dict__) - {f.name for f in dataclasses.fields(copy)}
+        assert diff(copy, BaseVar(1)) == d
+
+    def test_threads_intern_each_atom_once(self):
+        # coordinates and function atoms no other test uses, so the threads
+        # intern them concurrently
+        def build():
+            u, w = Y(7, 1, 3), Y(8, 2)
+            return [
+                (u + w / 3) ** 3 / (u * w - 5),
+                sin(u * w + const(2, 7)) * exp(w) - ln(u ** 2 + 1) / w,
+                cos(sin(u) + w) ** -2 + Fn("exp", u - w) * u,
+            ]
+
+        vs = [FiberVar(7, MultiIndex((1, 3))), FiberVar(8, MultiIndex((2,))), BaseVar(1)]
+
+        def run(es):
+            return [(canonicalize(e), [diff(diff(e, v), v) for v in vs]) for e in es]
+
+        shared = build()
+        start = threading.Barrier(8)
+        got = []
+
+        def work():
+            start.wait(timeout=60)
+            got.append(run(shared))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        want = run(build())
+        assert len(got) == 8 and all(result == want for result in got)
+        assert len(_IDS) == len(_ATOMS) == len(_KEYS)
+        assert all(_IDS[atom] == i for i, atom in enumerate(_ATOMS))
+        atoms = {node for tree, _ in want for node in _subtrees(tree)
+                 if isinstance(node, (Var, Fn))}
+        assert atoms and all(atom in _IDS for atom in atoms)
 
 
 class TestSubstitute:

@@ -1,0 +1,41 @@
+"""Golden identity: outputs reproduce the answers recorded in ``bench/golden``.
+
+The benchmark judges its runs against these files; checking them here makes
+a changed byte of output a test failure.  The files and ``bench/workloads.py``
+are only read.
+"""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import lepage as lp
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_spec = importlib.util.spec_from_file_location("golden_workloads", BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+WIDE_CHART_SEEDS = (0, 1)
+CLI_GOLDEN = json.loads((BENCH / "golden" / "cli_session.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", WIDE_CHART_SEEDS)
+def test_wide_chart_digests(seed):
+    items = workloads.wide_chart_items(seed)
+    assert len(items) == len(workloads.LADDER)
+    for item in items:
+        lam = lp.parse_lagrangian(
+            lp.LagrangianSpec(item["n"], item["m"], item["order"], item["source"]))
+        digest = workloads.forms_digest(workloads.build_rung(lam))
+        assert digest == item["expect"]["digest"], item["id"]
+
+
+CLI_CASES = [(i, argv) for i, argv in workloads.CLI_COMMANDS if i not in workloads.KNOWN_ANSWERS]
+
+
+@pytest.mark.parametrize("item_id, argv", CLI_CASES, ids=[i for i, _ in CLI_CASES])
+def test_cli_output(item_id, argv):
+    got = workloads.run_item("cli-session", {"id": item_id}, argv)
+    assert got == CLI_GOLDEN[item_id]
