@@ -25,9 +25,16 @@ arithmetic compares and hashes ints.  Ids follow first use; everything that
 reaches the output is ordered by the atoms' sort keys, never by id.  The
 table lives as long as the process and only grows, by one entry per
 distinct atom; entries are added under a lock, so every atom gets exactly
-one id whichever threads meet it first.  Coefficients are ints when
-integral and Fractions otherwise, and every division is exact; constants
-leave the kernel (``Rat`` nodes, ``constant_value``) as Fractions.
+one id whichever threads meet it first.
+
+Inside the kernel every coefficient is an int: a quotient keeps one
+positive integer denominator beside its polynomials, and a multi-term
+denominator is scaled to integer coefficients with no common factor instead
+of being made monic.  So the cost of the arithmetic does not depend on
+whether the data's coefficients divide each other.  The monic form, with
+Fraction coefficients, is made only where a quotient is rendered or
+evaluated; constants leave the kernel (``Rat`` nodes, ``constant_value``)
+as Fractions.
 
 Each node caches what is derived from it: its canonical quotient, the id of
 an atom, and a memo of its partials (``diff``) and rational multiples
@@ -263,10 +270,19 @@ def max_jet_order(e: ScalarExpr) -> int:
 #
 # Atom       = Var node | Fn node with canonical argument, interned to an id
 # Monomial   = tuple of (atom id, exponent), sorted by id, exponents != 0
-# Poly       = dict mapping monomial -> coefficient (no zero coefficients);
-#              a coefficient is an int when integral, else a Fraction
-# _RF        = (num: Poly, den: Poly); den == _P_ONE for Laurent values,
-#              otherwise den is monic, content-free and has >= 2 terms.
+# Poly       = dict mapping monomial -> int coefficient (no zero coefficients)
+# _RF        = (num: Poly, den: Poly, d: int), the value num / (d * den).
+#              den == _P_ONE for Laurent values, otherwise den is
+#              content-free, has >= 2 terms, coefficients with gcd 1 and a
+#              positive leading coefficient: the monic denominator times a
+#              constant, so two quotients have equal denominators exactly
+#              when their monic forms do.  d > 0 shares no factor with the
+#              coefficients of num.  The monic form, num / (d * lc) over
+#              den / lc with lc the leading coefficient of den, is what is
+#              rendered and evaluated (_rf_scales).  Every operation runs
+#              the monic form's arithmetic on data scaled by a constant, so
+#              each Poly has the terms, in the same dict order, that the
+#              monic form's has.
 #
 # Ids follow first use, so anything that reaches the output (term and factor
 # order, the monic leading term, the order of cross-multiplication) orders
@@ -290,6 +306,7 @@ _INTERN_LOCK = threading.Lock()
 class _RF(NamedTuple):
     num: Poly
     den: Poly
+    d: int = 1
 
 
 def _atom_id(atom: ScalarExpr) -> int:
@@ -325,21 +342,6 @@ def _mono_key(mono: Mono) -> tuple:
     return tuple(sorted([(_KEYS[i], e) for i, e in mono]))
 
 
-def _coef(c: Number) -> Number:
-    """A coefficient as an int when integral, else as a Fraction."""
-    if c.__class__ is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _quot(a: Number, b: Number) -> Number:
-    """The exact quotient a / b of two coefficients."""
-    if a.__class__ is int and b.__class__ is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _coef(a / b)
-
-
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -372,10 +374,6 @@ def _mono_inv(mono: Mono) -> Mono:
     return tuple((i, -e) for i, e in mono)
 
 
-def _p_const(c: Number) -> Poly:
-    return {_EMPTY_MONO: _coef(c)} if c else {}
-
-
 def _p_atom(atom: ScalarExpr) -> Poly:
     return {((_atom_id(atom), 1),): 1}
 
@@ -384,7 +382,7 @@ def _p_add_into(acc: Poly, p: Poly) -> None:
     for mono, c in p.items():
         v = acc.get(mono, 0) + c
         if v:
-            acc[mono] = v if v.__class__ is int else _coef(v)
+            acc[mono] = v
         elif mono in acc:
             del acc[mono]
 
@@ -398,7 +396,7 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
             mono = _mono_mul(ma, mb) if ma and mb else ma or mb
             v = out.get(mono, 0) + ca * cb
             if v:
-                out[mono] = v if v.__class__ is int else _coef(v)
+                out[mono] = v
             elif mono in out:
                 del out[mono]
     return out
@@ -417,8 +415,8 @@ def _p_pow(a: Poly, k: int) -> Poly:
     return out
 
 
-def _p_quot(a: Poly, c: Number) -> Poly:
-    return {m: _quot(v, c) for m, v in a.items()}
+def _p_times(a: Poly, k: int) -> Poly:
+    return a if k == 1 else {m: v * k for m, v in a.items()}
 
 
 def _p_mono_shift(a: Poly, mono: Mono) -> Poly:
@@ -431,7 +429,8 @@ def _p_leading(a: Poly) -> Mono:
     return max(a, key=_mono_key)
 
 
-def _rf_normalize(num: Poly, den: Poly) -> _RF:
+def _rf_normalize(num: Poly, den: Poly, d: int = 1) -> _RF:
+    """The quotient num / (d * den) of two int Polys and a nonzero int."""
     if not den:
         raise ExprError("division by an identically zero denominator")
     if not num:
@@ -439,7 +438,7 @@ def _rf_normalize(num: Poly, den: Poly) -> _RF:
     if len(den) == 1:
         (mono, c), = den.items()
         inv = _mono_inv(mono)
-        return _RF({_mono_mul(m, inv): _quot(v, c) for m, v in num.items()}, dict(_P_ONE))
+        return _rf_reduce({_mono_mul(m, inv): v for m, v in num.items()}, dict(_P_ONE), d * c)
     # factor the monomial content out of the denominator
     content: dict = {}
     first = True
@@ -459,15 +458,43 @@ def _rf_normalize(num: Poly, den: Poly) -> _RF:
         inv = _mono_inv(content_mono)
         den = _p_mono_shift(den, inv)
         num = _p_mono_shift(num, inv)
-    lc = den[_p_leading(den)]
-    if lc != 1:
-        den = _p_quot(den, lc)
-        num = _p_quot(num, lc)
-    return _RF(num, den)
+    # move the coefficients' common factor, signed by the leading one, into d
+    g = math.gcd(*den.values())
+    if den[_p_leading(den)] < 0:
+        g = -g
+    if g != 1:
+        den = {m: v // g for m, v in den.items()}
+        d *= g
+    return _rf_reduce(num, den, d)
+
+
+def _rf_reduce(num: Poly, den: Poly, d: int) -> _RF:
+    """num / (d * den) with d made positive and coprime to num's coefficients."""
+    if d < 0:
+        num = {m: -v for m, v in num.items()}
+        d = -d
+    if d != 1:
+        g = math.gcd(d, *num.values())
+        if g != 1:
+            num = {m: v // g for m, v in num.items()}
+            d //= g
+    return _RF(num, den, d)
+
+
+def _rf_scales(rf: _RF) -> tuple[int, int]:
+    """The divisors of num and den that give the quotient's monic form."""
+    if _rf_is_laurent(rf):
+        return rf.d, 1
+    lc = rf.den[_p_leading(rf.den)]
+    return rf.d * lc, lc
 
 
 def _rf_const(c: Number) -> _RF:
-    return _RF(_p_const(c), dict(_P_ONE))
+    if not c:
+        return _RF({}, dict(_P_ONE))
+    if c.__class__ is int:
+        return _RF({_EMPTY_MONO: c}, dict(_P_ONE))
+    return _RF({_EMPTY_MONO: c.numerator}, dict(_P_ONE), c.denominator)
 
 
 def _rf_is_laurent(rf: _RF) -> bool:
@@ -475,17 +502,21 @@ def _rf_is_laurent(rf: _RF) -> bool:
 
 
 def _rf_add(a: _RF, b: _RF) -> _RF:
+    d = a.d if a.d == b.d else math.lcm(a.d, b.d)
     if a.den == b.den:
-        num = dict(a.num)
-        _p_add_into(num, b.num)
-        return _rf_normalize(num, a.den)
-    num = _p_mul(a.num, b.den)
-    _p_add_into(num, _p_mul(b.num, a.den))
-    return _rf_normalize(num, _p_mul(a.den, b.den))
+        num = dict(a.num) if d == a.d else _p_times(a.num, d // a.d)
+        _p_add_into(num, _p_times(b.num, d // b.d))
+        return _rf_normalize(num, a.den, d)
+    num = _p_mul(_p_times(a.num, d // a.d), b.den)
+    _p_add_into(num, _p_mul(_p_times(b.num, d // b.d), a.den))
+    return _rf_normalize(num, _p_mul(a.den, b.den), d)
 
 
 def _den_signature(den: Poly) -> tuple:
-    return tuple(sorted(((_mono_key(m), c) for m, c in den.items())))
+    # the monic denominator's terms: they fix the order sums cross-multiply in
+    lc = den[_p_leading(den)]
+    return tuple(sorted(((_mono_key(m), c if lc == 1 else Fraction(c, lc))
+                         for m, c in den.items())))
 
 
 def _rf_sum(items: Sequence[_RF]) -> _RF:
@@ -495,30 +526,42 @@ def _rf_sum(items: Sequence[_RF]) -> _RF:
         den_id = None if rf.den == _P_ONE else frozenset(rf.den.items())
         group = groups.get(den_id)
         if group is None:
-            groups[den_id] = _RF(dict(rf.num), rf.den)
-        else:
-            _p_add_into(group.num, rf.num)
+            groups[den_id] = [dict(rf.num), rf.den, rf.d]
+            continue
+        num, _, d = group
+        if rf.d != d:
+            lcm = math.lcm(d, rf.d)
+            if lcm != d:
+                for m in num:
+                    num[m] *= lcm // d
+                group[2] = d = lcm
+        _p_add_into(num, _p_times(rf.num, d // rf.d))
     ordered = list(groups.values())
     if len(ordered) > 1:
-        ordered.sort(key=lambda rf: _den_signature(rf.den))
+        ordered.sort(key=lambda group: _den_signature(group[1]))
     total = _rf_const(0)
-    for rf in ordered:
-        total = _rf_add(total, _rf_normalize(rf.num, rf.den))
+    for num, den, d in ordered:
+        total = _rf_add(total, _rf_normalize(num, den, d))
     return total
 
 
 def _rf_mul(a: _RF, b: _RF) -> _RF:
-    return _rf_normalize(_p_mul(a.num, b.num), _p_mul(a.den, b.den))
+    return _rf_normalize(_p_mul(a.num, b.num), _p_mul(a.den, b.den), a.d * b.d)
 
 
 def _rf_div(a: _RF, b: _RF) -> _RF:
     if not b.num:
         raise ExprError("division by an identically zero denominator")
-    return _rf_normalize(_p_mul(a.num, b.den), _p_mul(a.den, b.num))
+    return _rf_normalize(_p_mul(_p_times(a.num, b.d), b.den), _p_mul(a.den, b.num), a.d)
+
+
+def _rf_scale_down(a: _RF, k: int) -> _RF:
+    """a / k for a positive int k."""
+    return a if k == 1 else _rf_reduce(a.num, a.den, a.d * k)
 
 
 def _rf_neg(a: _RF) -> _RF:
-    return _RF({m: -v for m, v in a.num.items()}, a.den)
+    return _RF({m: -v for m, v in a.num.items()}, a.den, a.d)
 
 
 def _rf_sub(a: _RF, b: _RF) -> _RF:
@@ -531,8 +574,8 @@ def _rf_pow(a: _RF, k: int) -> _RF:
     if k < 0:
         if not a.num:
             raise ExprError("division by an identically zero denominator")
-        return _rf_pow(_rf_normalize(a.den, a.num), -k)
-    return _rf_normalize(_p_pow(a.num, k), _p_pow(a.den, k))
+        return _rf_pow(_rf_normalize(_p_times(a.den, a.d), a.num), -k)
+    return _rf_normalize(_p_pow(a.num, k), _p_pow(a.den, k), a.d ** k)
 
 
 def _to_rf(e: ScalarExpr) -> _RF:
@@ -564,26 +607,28 @@ def _to_rf(e: ScalarExpr) -> _RF:
     return rf
 
 
-def _render_poly(p: Poly) -> ScalarExpr:
+def _render_poly(p: Poly, k: int) -> ScalarExpr:
+    """The polynomial p / k for a positive int k."""
     if not p:
         return ZERO
     nodes = []
     for mono, c in sorted(p.items(), key=lambda kv: _mono_key(kv[0]), reverse=True):
         factors = [_ATOMS[i] if e == 1 else Pow(_ATOMS[i], e) for i, e in _by_key(mono)]
         if not factors:
-            nodes.append(Rat(Fraction(c)))
-        elif c == 1:
+            nodes.append(Rat(Fraction(c, k)))
+        elif c == k:
             nodes.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
         else:
-            nodes.append(Mul((Rat(Fraction(c)), *factors)))
+            nodes.append(Mul((Rat(Fraction(c, k)), *factors)))
     return nodes[0] if len(nodes) == 1 else Add(tuple(nodes))
 
 
 def _render(rf: _RF) -> ScalarExpr:
+    kn, kd = _rf_scales(rf)
     if _rf_is_laurent(rf):
-        out = _render_poly(rf.num)
+        out = _render_poly(rf.num, kn)
     else:
-        out = Div(_render_poly(rf.num), _render_poly(rf.den))
+        out = Div(_render_poly(rf.num, kn), _render_poly(rf.den, kd))
     object.__setattr__(out, "_rfc", rf)
     object.__setattr__(out, "_canonical", True)
     return out
@@ -620,7 +665,7 @@ def constant_value(e: ScalarExpr) -> Fraction | None:
     if not rf.num:
         return Fraction(0)
     if _rf_is_laurent(rf) and len(rf.num) == 1 and _EMPTY_MONO in rf.num:
-        return Fraction(rf.num[_EMPTY_MONO])
+        return Fraction(rf.num[_EMPTY_MONO], rf.d)
     return None
 
 
@@ -654,7 +699,7 @@ def _poly_diff(p: Poly, v: JetVariable) -> _RF:
                 darg = _rf_diff(arg_rf, v)
                 if not darg.num:
                     continue
-                piece = _rf_mul(_RF({rest: _coef(c * e)}, dict(_P_ONE)),
+                piece = _rf_mul(_RF({rest: c * e}, dict(_P_ONE)),
                                 _fn_derivative(atom.name, atom.arg, arg_rf))
                 extras.append(_rf_mul(piece, darg))
     return _rf_sum([_RF(plain, dict(_P_ONE))] + extras)
@@ -663,10 +708,11 @@ def _poly_diff(p: Poly, v: JetVariable) -> _RF:
 def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
     dnum = _poly_diff(rf.num, v)
     if _rf_is_laurent(rf):
-        return dnum
+        return _rf_scale_down(dnum, rf.d)
     den_rf = _RF(rf.den, dict(_P_ONE))
     dden = _poly_diff(rf.den, v)
-    return _rf_sub(_rf_div(dnum, den_rf), _rf_mul(rf, _rf_div(dden, den_rf)))
+    return _rf_sub(_rf_scale_down(_rf_div(dnum, den_rf), rf.d),
+                   _rf_mul(rf, _rf_div(dden, den_rf)))
 
 
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
@@ -696,9 +742,9 @@ def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> Sca
 
 def _rf_subst(rf: _RF, rfs: Mapping[JetVariable, _RF]) -> _RF:
     num = _poly_subst(rf.num, rfs)
-    if _rf_is_laurent(rf):
-        return num
-    return _rf_div(num, _poly_subst(rf.den, rfs))
+    if not _rf_is_laurent(rf):
+        num = _rf_div(num, _poly_subst(rf.den, rfs))
+    return _rf_scale_down(num, rf.d)
 
 
 def _poly_subst(p: Poly, rfs: Mapping[JetVariable, _RF]) -> _RF:
@@ -723,7 +769,8 @@ def eval_pole_guarded(e: ScalarExpr, point: Mapping[JetVariable, float], guard: 
     """Evaluate via the canonical form, rejecting points where any denominator
     magnitude falls below the guard (raises EvalDomainError)."""
     try:
-        value, _ = _rf_eval(_to_rf(e), point, guard)
+        rf = _to_rf(e)
+        value, _ = _rf_eval(rf, _rf_scales(rf), point, guard)
     except _SampleRejected:
         raise EvalDomainError(f"denominator within {guard} of a pole", e) from None
     return value
@@ -821,21 +868,23 @@ def _guarded(value: float, guard: float) -> float:
     return value
 
 
-def _rf_eval(rf: _RF, point: Mapping[JetVariable, float], guard: float) -> tuple[float, float]:
-    """Value and a cancellation-aware magnitude estimate; raises on guarded poles."""
-    val, mag = _poly_eval(rf.num, point, guard)
+def _rf_eval(rf: _RF, scales: tuple[int, int], point: Mapping[JetVariable, float],
+             guard: float) -> tuple[float, float]:
+    """Value and a cancellation-aware magnitude estimate of the monic form
+    (``scales`` is ``_rf_scales(rf)``); raises on guarded poles."""
+    val, mag = _poly_eval(rf.num, scales[0], point, guard)
     if _rf_is_laurent(rf):
         return val, mag
-    dval, _ = _poly_eval(rf.den, point, guard)
+    dval, _ = _poly_eval(rf.den, scales[1], point, guard)
     dval = _guarded(dval, guard)
     return val / dval, mag / abs(dval)
 
 
-def _poly_eval(p: Poly, point, guard: float) -> tuple[float, float]:
+def _poly_eval(p: Poly, k: int, point, guard: float) -> tuple[float, float]:
     total = 0.0
     mag = 0.0
     for mono, c in p.items():
-        term = float(c)
+        term = c / k  # correctly rounded, as float(Fraction(c, k)) is
         for i, e in _by_key(mono):
             av = _atom_eval(_ATOMS[i], point, guard)
             if e < 0:
@@ -852,7 +901,8 @@ def _poly_eval(p: Poly, point, guard: float) -> tuple[float, float]:
 def _atom_eval(atom: ScalarExpr, point, guard: float) -> float:
     if isinstance(atom, Var):
         return float(point[atom.ref])
-    arg, _ = _rf_eval(_to_rf(atom.arg), point, guard)
+    arg_rf = _to_rf(atom.arg)
+    arg, _ = _rf_eval(arg_rf, _rf_scales(arg_rf), point, guard)
     if atom.name == "ln":
         if arg < guard:
             raise _SampleRejected
@@ -872,6 +922,7 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
     if value is not None:
         return ZeroVerdict(PROVEN_NONZERO, witness={}, value=float(value))
     vars_ = sorted(variables(e), key=var_key)
+    scales = _rf_scales(rf)
     rng = random.Random(policy.seed)
     lo, hi = policy.box
     largest: tuple[float, dict] | None = None
@@ -880,7 +931,7 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
         for _ in range(policy.max_attempts):
             candidate = {v: rng.uniform(lo, hi) for v in vars_}
             try:
-                val, mag = _rf_eval(rf, candidate, policy.pole_guard)
+                val, mag = _rf_eval(rf, scales, candidate, policy.pole_guard)
             except _SampleRejected:
                 continue
             point = candidate
@@ -903,4 +954,4 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
 
 def _is_rational(rf: _RF) -> bool:
     """True iff every atom of the quotient is a coordinate (no function atoms)."""
-    return all(isinstance(_ATOMS[i], Var) for p in rf for mono in p for i, _ in mono)
+    return all(isinstance(_ATOMS[i], Var) for p in (rf.num, rf.den) for mono in p for i, _ in mono)

@@ -1,5 +1,6 @@
 """Expression kernel: canonicalization, differentiation, evaluation, zero-testing."""
 import dataclasses
+import math
 import pickle
 import random
 import sys
@@ -46,6 +47,7 @@ from lepage.expr import (
     Mul,
     Pow,
     Var,
+    _p_leading,
     _render,
     _rf_diff,
     _to_rf,
@@ -289,7 +291,7 @@ def _subtrees(e):
 
 
 class TestRepresentationBoundary:
-    """Integral coefficients are ints inside the kernel, Fractions outside it."""
+    """Coefficients are ints inside the kernel, Fractions outside it."""
 
     def test_canonical_trees_hold_fractions(self):
         values = []
@@ -301,6 +303,43 @@ class TestRepresentationBoundary:
         assert all(type(v) is Fraction for v in values)
         assert any(v.denominator == 1 and v not in (0, 1) for v in values)
         assert any(v.denominator != 1 for v in values)
+
+    def test_kernel_quotients_are_integral(self):
+        # num / (d * den): int coefficients, d > 0 coprime to num, and a
+        # multi-term den with coprime coefficients and a positive leading one
+        quotient = (Y1 + 2) / (const(3, 2) * Y2 ** 2 - 6 * Y1 + 9)
+        trees = [quotient, diff(quotient, fiber(1)), diff(quotient, fiber(2)),
+                 Y1 / (1 - 2 * Y2 ** 2)]
+        for lam in first_order_corpus() + second_order_corpus():
+            trees += [lam.L, *euler_lagrange_expressions(lam)]
+            trees += [diff(lam.L, v) for v in lam.ctx.coordinates()]
+        for tree in trees:
+            rf = _to_rf(tree)
+            assert all(type(c) is int for p in (rf.num, rf.den) for c in p.values())
+            assert type(rf.d) is int and rf.d > 0
+            assert math.gcd(rf.d, *rf.num.values()) == 1
+            if len(rf.den) > 1:
+                assert math.gcd(*rf.den.values()) == 1
+                assert rf.den[_p_leading(rf.den)] > 0
+        assert any(len(_to_rf(tree).den) > 1 for tree in trees)
+        assert any(_to_rf(tree).d > 1 for tree in trees)
+
+    def test_scaled_quotients_share_a_denominator(self):
+        q = (Y1 + 2) / (Y2 ** 2 - 4 * Y1 + 6)
+        rf = _to_rf(q)
+        for c in (const(3, 2), const(-3), const(1, 6)):
+            scaled = _to_rf(c * q)
+            assert scaled.den == rf.den
+            assert list(scaled.num) == list(rf.num)
+        # denominators equal up to a constant factor are summed as one
+        for den in (1 - 2 * Y2 ** 2, 2 * Y2 ** 2 + 4):
+            got = canonicalize(Y1 / den + 1 / (-3 * den))
+            assert got == canonicalize((3 * Y1 - 1) / (3 * den))
+            assert len(got.den.terms) == 2
+        # rendered with a monic denominator
+        y = Y(1)
+        assert canonicalize(1 / (3 * y + 1)) == Div(const(1, 3), Add((y, const(1, 3))))
+        assert canonicalize(2 / (-4 * y + 6)) == Div(const(-1, 2), Add((y, const(-3, 2))))
 
     def test_constant_value_is_a_fraction(self):
         for e, want in [
