@@ -387,9 +387,22 @@ def _p_add_into(acc: Poly, p: Poly) -> None:
             del acc[mono]
 
 
+# Most term products one polynomial product may form; a larger product is an
+# input error, so every polynomial the kernel builds has at most this many
+# terms.  Measured: the tests and demos stay below 600 and the benchmark
+# workloads below 50,000; the Caratheodory form of y_1^2 + ... + y_9^2 at
+# n = 9 reaches 245,025 (squaring the 495-term L^4).
+_MAX_TERM_PRODUCTS = 1_000_000
+
+
 def _p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
+    if len(a) * len(b) > _MAX_TERM_PRODUCTS:
+        raise ExprError(
+            f"expression too large: a product of a {len(a)}-term and a {len(b)}-term "
+            f"polynomial exceeds {_MAX_TERM_PRODUCTS} term products"
+        )
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():

@@ -37,28 +37,26 @@ def _check_chart(f: ScalarExpr, ctx: ChartContext) -> list:
     return vs
 
 
-def total_derivative(f: ScalarExpr, i: int, ctx: ChartContext) -> ScalarExpr:
-    """The i-th formal derivative d_i f; the result has order max_order + 1."""
+def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
+    """d_i f chaining through the fiber coordinates of order below top."""
     if not 1 <= i <= ctx.n:
         raise ChartError(f"base index {i} out of range 1..{ctx.n}")
     vs = _check_chart(f, ctx)
     out = diff(f, BaseVar(i))
     for v in vs:
-        if isinstance(v, FiberVar):
+        if isinstance(v, FiberVar) and len(v.jj) < top:
             out = out + diff(f, v) * Var(FiberVar(v.sigma, v.jj.append(i)))
     return canonicalize(out)
+
+
+def total_derivative(f: ScalarExpr, i: int, ctx: ChartContext) -> ScalarExpr:
+    """The i-th formal derivative d_i f; the result has order max_order + 1."""
+    return _formal_derivative(f, i, ctx, ctx.max_order + 1)
 
 
 def cut_derivative(f: ScalarExpr, i: int, ctx: ChartContext) -> ScalarExpr:
     """The cut formal derivative d_i' f: d_i with the top-order layer omitted."""
-    if not 1 <= i <= ctx.n:
-        raise ChartError(f"base index {i} out of range 1..{ctx.n}")
-    vs = _check_chart(f, ctx)
-    out = diff(f, BaseVar(i))
-    for v in vs:
-        if isinstance(v, FiberVar) and len(v.jj) <= ctx.max_order - 1:
-            out = out + diff(f, v) * Var(FiberVar(v.sigma, v.jj.append(i)))
-    return canonicalize(out)
+    return _formal_derivative(f, i, ctx, ctx.max_order)
 
 
 def iterated_total_derivative(f: ScalarExpr, indices: Iterable[int], ctx: ChartContext) -> ScalarExpr:
@@ -102,3 +100,8 @@ def mixed_partial(
     for sigma, index in slots:
         out = sym_partial(out, sigma, index, convention)
     return out
+
+
+def second_partials(f: ScalarExpr, convention: Convention):
+    """The function (sigma_a, index_a, sigma_b, index_b) -> mixed partial of f by both slots."""
+    return lambda sa, ia, sb, ib: mixed_partial(f, [(sa, ia), (sb, ib)], convention)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .charts import BaseVar, ChartContext, MultiIndex
 from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var
@@ -20,8 +19,6 @@ SCHEMA_VERSION = "lepage.form/1"
 
 _P_ADD = 10
 _P_MUL = 20
-_P_POW = 30
-_P_ATOM = 100
 
 
 def variable_name(ref, fiber_count: Optional[int] = None) -> str:
@@ -34,76 +31,6 @@ def variable_name(ref, fiber_count: Optional[int] = None) -> str:
     return f"y{sigma}"
 
 
-def _rat_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def expr_to_text(e: ScalarExpr, fiber_count: Optional[int] = None) -> str:
-    """Parseable text rendering."""
-    return _text(e, 0, fiber_count)
-
-
-def _text(e: ScalarExpr, prec: int, m: Optional[int]) -> str:
-    if isinstance(e, (Rat, Mul)) and prec <= _P_ADD:
-        sign, body = _signed(e, m)
-        if sign == "-":
-            return f"-{body}"
-    if isinstance(e, Rat):
-        s = _rat_text(e.value)
-        if (e.value < 0 or e.value.denominator != 1) and prec >= _P_MUL:
-            return f"({s})"
-        return s
-    if isinstance(e, Var):
-        return variable_name(e.ref, m)
-    if isinstance(e, Add):
-        parts = []
-        for idx, t in enumerate(e.terms):
-            sign, body = _signed(t, m)
-            if idx == 0:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        s = "".join(parts)
-        return f"({s})" if prec > _P_ADD else s
-    if isinstance(e, Mul):
-        s = "*".join(_text(f, _P_MUL, m) for f in e.factors)
-        return f"({s})" if prec > _P_MUL else s
-    if isinstance(e, Div):
-        s = f"({_text(e.num, 0, m)})/({_text(e.den, 0, m)})"
-        return f"({s})" if prec > _P_MUL else s
-    if isinstance(e, Pow):
-        base = _text(e.base, _P_ATOM, m)
-        if not isinstance(e.base, (Var, Fn)):
-            base = f"({_text(e.base, 0, m)})"
-        exponent = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-        return f"{base}^{exponent}"
-    if isinstance(e, Fn):
-        return f"{e.name}({_text(e.arg, 0, m)})"
-    raise TypeError(f"unknown node {e!r}")
-
-
-def _signed(t: ScalarExpr, m: Optional[int]) -> tuple[str, str]:
-    """Split a leading negative rational factor off an additive term."""
-    if isinstance(t, Rat) and t.value < 0:
-        return "-", _text(Rat(-t.value), _P_ADD + 1, m)
-    if isinstance(t, Mul) and t.factors and isinstance(t.factors[0], Rat):
-        head = t.factors[0].value
-        if head < 0:
-            rest = t.factors[1:]
-            if head == -1 and rest:
-                body = Mul(rest) if len(rest) > 1 else rest[0]
-            else:
-                body = Mul((Rat(-head),) + rest)
-            return "-", _text(body, _P_MUL, m)
-    return "+", _text(t, _P_ADD + 1, m)
-
-
-def expr_to_latex(e: ScalarExpr, fiber_count: Optional[int] = None) -> str:
-    return _latex(e, 0, fiber_count)
-
-
 def _latex_var(ref, m: Optional[int]) -> str:
     if isinstance(ref, BaseVar):
         return f"x^{{{ref.i}}}"
@@ -112,51 +39,86 @@ def _latex_var(ref, m: Optional[int]) -> str:
     return f"y{upper}{lower}"
 
 
-def _latex(e: ScalarExpr, prec: int, m: Optional[int]) -> str:
+class _Style(NamedTuple):
+    """How one output language spells each node kind; ``_emit`` does the rest."""
+
+    var: Callable[[object, Optional[int]], str]
+    fraction: str  # format string with numerator and denominator slots, signed in front
+    wrap_fractions: bool  # a positive non-integral rational factor is parenthesized
+    paren: str  # format string; "{}" is the parenthesized text
+    times: str  # product separator
+    quotient: str  # format string with numerator and denominator slots
+    bare_bases: tuple  # node types raised to a power without parentheses
+    exponent: Callable[[int], str]
+    fn: str  # format string with function-name and argument slots
+
+
+_TEXT = _Style(
+    var=variable_name, fraction="{}/{}", wrap_fractions=True, paren="({})", times="*",
+    quotient="({})/({})", bare_bases=(Var, Fn),
+    exponent=lambda k: str(k) if k >= 0 else f"({k})", fn="{}({})",
+)
+_LATEX = _Style(
+    var=_latex_var, fraction="\\tfrac{{{}}}{{{}}}", wrap_fractions=False,
+    paren="\\left({}\\right)", times="\\,", quotient="\\frac{{{}}}{{{}}}", bare_bases=(Var,),
+    exponent="{{{}}}".format, fn="\\{}\\left({}\\right)",
+)
+
+
+def expr_to_text(e: ScalarExpr, fiber_count: Optional[int] = None) -> str:
+    """Parseable text rendering."""
+    return _emit(e, 0, fiber_count, _TEXT)
+
+
+def expr_to_latex(e: ScalarExpr, fiber_count: Optional[int] = None) -> str:
+    return _emit(e, 0, fiber_count, _LATEX)
+
+
+def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
+    # prec is 0, _P_ADD + 1 (a term of a sum) or _P_MUL (a factor); a power
+    # base is printed at 0 and parenthesized whole unless it is bare
     if isinstance(e, (Rat, Mul)) and prec <= _P_ADD:
-        sign, body = _latex_signed(e, m)
+        sign, body = _signed(e, m, st)
         if sign == "-":
             return f"-{body}"
     if isinstance(e, Rat):
         v = e.value
-        body = str(v.numerator) if v.denominator == 1 else (
-            f"-\\tfrac{{{-v.numerator}}}{{{v.denominator}}}" if v < 0
-            else f"\\tfrac{{{v.numerator}}}{{{v.denominator}}}"
-        )
-        if v < 0 and prec >= _P_MUL:
-            return f"\\left({body}\\right)"
-        return body
+        s = str(v.numerator)
+        if v.denominator != 1:
+            s = ("-" if v < 0 else "") + st.fraction.format(abs(v.numerator), v.denominator)
+        if prec >= _P_MUL and (v < 0 or (st.wrap_fractions and v.denominator != 1)):
+            return st.paren.format(s)
+        return s
     if isinstance(e, Var):
-        return _latex_var(e.ref, m)
+        return st.var(e.ref, m)
     if isinstance(e, Add):
         parts = []
         for idx, t in enumerate(e.terms):
-            sign, body = _latex_signed(t, m)
+            sign, body = _signed(t, m, st)
             if idx == 0:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
                 parts.append(f" {sign} {body}")
         s = "".join(parts)
-        return f"\\left({s}\\right)" if prec > _P_ADD else s
+        return st.paren.format(s) if prec > _P_ADD else s
     if isinstance(e, Mul):
-        s = "\\,".join(_latex(f, _P_MUL, m) for f in e.factors)
-        return f"\\left({s}\\right)" if prec > _P_MUL else s
+        return st.times.join(_emit(f, _P_MUL, m, st) for f in e.factors)
     if isinstance(e, Div):
-        return f"\\frac{{{_latex(e.num, 0, m)}}}{{{_latex(e.den, 0, m)}}}"
+        return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
     if isinstance(e, Pow):
-        base = _latex(e.base, _P_ATOM, m)
-        if not isinstance(e.base, Var):
-            base = f"\\left({_latex(e.base, 0, m)}\\right)"
-        return f"{base}^{{{e.exponent}}}"
+        base = _emit(e.base, 0, m, st)
+        if not isinstance(e.base, st.bare_bases):
+            base = st.paren.format(base)
+        return f"{base}^{st.exponent(e.exponent)}"
     if isinstance(e, Fn):
-        name = "\\ln" if e.name == "ln" else f"\\{e.name}"
-        return f"{name}\\left({_latex(e.arg, 0, m)}\\right)"
+        return st.fn.format(e.name, _emit(e.arg, 0, m, st))
     raise TypeError(f"unknown node {e!r}")
 
 
-def _latex_signed(t: ScalarExpr, m: Optional[int]) -> tuple[str, str]:
+def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> tuple[str, str]:
+    """Split a leading negative rational factor off an additive term."""
     if isinstance(t, Rat) and t.value < 0:
-        return "-", _latex(Rat(-t.value), _P_ADD + 1, m)
+        return "-", _emit(Rat(-t.value), _P_ADD + 1, m, st)
     if isinstance(t, Mul) and t.factors and isinstance(t.factors[0], Rat):
         head = t.factors[0].value
         if head < 0:
@@ -165,8 +127,8 @@ def _latex_signed(t: ScalarExpr, m: Optional[int]) -> tuple[str, str]:
                 body = Mul(rest) if len(rest) > 1 else rest[0]
             else:
                 body = Mul((Rat(-head),) + rest)
-            return "-", _latex(body, _P_MUL, m)
-    return "+", _latex(t, _P_ADD + 1, m)
+            return "-", _emit(body, _P_MUL, m, st)
+    return "+", _emit(t, _P_ADD + 1, m, st)
 
 
 # ---------------------------------------------------------------------------

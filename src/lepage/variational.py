@@ -43,7 +43,7 @@ from .jets import (
     DEFAULT_CONVENTION,
     cut_derivative,
     iterated_total_derivative,
-    mixed_partial,
+    second_partials,
     sym_partial,
     total_derivative,
 )
@@ -346,11 +346,7 @@ def fundamental_coefficients(
 ) -> FundamentalCoefficients:
     """The P, Q, R coefficient family of the second-order fundamental form."""
     ctx = lam.ctx.at_order(2)
-    L = lam.L
-
-    def pp(slot_a: tuple[int, tuple[int, ...]], slot_b: tuple[int, tuple[int, ...]]) -> ScalarExpr:
-        return mixed_partial(L, [slot_a, slot_b], convention)
-
+    pp = second_partials(lam.L, convention)
     P: dict = {}
     Q1: dict = {}
     Q2: dict = {}
@@ -360,34 +356,34 @@ def fundamental_coefficients(
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             p_term = half * (
-                pp((sigma, (1,)), (nu, (2,))) - pp((nu, (1,)), (sigma, (2,)))
+                pp(sigma, (1,), nu, (2,)) - pp(nu, (1,), sigma, (2,))
             )
             p_d1 = cut_derivative(
                 canonicalize(
-                    pp((nu, (1,)), (sigma, (1, 2))) - pp((sigma, (1,)), (nu, (1, 2)))
+                    pp(nu, (1,), sigma, (1, 2)) - pp(sigma, (1,), nu, (1, 2))
                 ),
                 1,
                 ctx,
             )
             p_d2 = cut_derivative(
                 canonicalize(
-                    pp((sigma, (2,)), (nu, (1, 2))) - pp((nu, (2,)), (sigma, (1, 2)))
+                    pp(sigma, (2,), nu, (1, 2)) - pp(nu, (2,), sigma, (1, 2))
                 ),
                 2,
                 ctx,
             )
             P[(sigma, nu)] = canonicalize(p_term + p_d1 + p_d2)
-            r_core = pp((sigma, (1, 2)), (nu, (1, 2)))
+            r_core = pp(sigma, (1, 2), nu, (1, 2))
             Q1[(sigma, nu)] = canonicalize(
-                two * pp((sigma, (1,)), (nu, (1, 2)))
-                - pp((nu, (1,)), (sigma, (1, 2)))
-                - pp((nu, (2,)), (sigma, (1, 1)))
+                two * pp(sigma, (1,), nu, (1, 2))
+                - pp(nu, (1,), sigma, (1, 2))
+                - pp(nu, (2,), sigma, (1, 1))
                 - two * cut_derivative(r_core, 2, ctx)
             )
             Q2[(sigma, nu)] = canonicalize(
-                Rat(Fraction(-2)) * pp((sigma, (2,)), (nu, (1, 2)))
-                + pp((nu, (1,)), (sigma, (2, 2)))
-                + pp((nu, (2,)), (sigma, (1, 2)))
+                Rat(Fraction(-2)) * pp(sigma, (2,), nu, (1, 2))
+                + pp(nu, (1,), sigma, (2, 2))
+                + pp(nu, (2,), sigma, (1, 2))
                 + two * cut_derivative(r_core, 1, ctx)
             )
             R12[(sigma, nu)] = canonicalize(Rat(Fraction(-2)) * r_core)

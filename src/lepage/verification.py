@@ -47,6 +47,7 @@ from .jets import (
     DEFAULT_CONVENTION,
     cut_derivative,
     mixed_partial,
+    second_partials,
     sym_partial,
     total_derivative,
 )
@@ -112,6 +113,16 @@ def _zero_or_fail(e: ScalarExpr, label: str, policy: ZeroPolicy) -> CheckReport 
     return _fail(label, e, verdict)
 
 
+def _first_nonzero(terms, label: str, policy: ZeroPolicy, where: str = "") -> CheckReport | None:
+    """Fail on the first nonzero of (basis, coefficient) pairs; ``where`` prefixes the basis."""
+    for key, coeff in terms:
+        verdict = equals_zero(coeff, policy)
+        if not verdict.is_zero:
+            basis = " ∧ ".join(coframe_label(el) for el in key)
+            return _fail(label, coeff, verdict, f"{where} {basis}" if where else "")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Lepage property
 # ---------------------------------------------------------------------------
@@ -122,19 +133,9 @@ def is_lepage_form(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> Ch
     if rho.degree != rho.ctx.n:
         raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
     p1 = contact_component(exterior_derivative(rho), 1)
-    for key, coeff in p1:
-        contact = next(el for el in key if isinstance(el, Omega))
-        if len(contact.jj) == 0:
-            continue
-        verdict = equals_zero(coeff, policy)
-        if not verdict.is_zero:
-            return _fail(
-                "lepage-contact",
-                coeff,
-                verdict,
-                message=f"offending basis term {' ∧ '.join(coframe_label(el) for el in key)}",
-            )
-    return CheckReport(True, "lepage-contact")
+    higher = ((key, c) for key, c in p1 if next(el for el in key if isinstance(el, Omega)).jj)
+    bad = _first_nonzero(higher, "lepage-contact", policy, "offending basis term")
+    return bad if bad is not None else CheckReport(True, "lepage-contact")
 
 
 def is_lepage_equivalent(
@@ -145,11 +146,8 @@ def is_lepage_equivalent(
     if not lepage.passed:
         return lepage
     mismatch = horizontalization(rho) - lagrangian_form(lam).at_order(rho.order)
-    for key, coeff in mismatch:
-        verdict = equals_zero(coeff, policy)
-        if not verdict.is_zero:
-            return _fail("horizontal-mismatch", coeff, verdict)
-    return CheckReport(True, "lepage-equivalent")
+    bad = _first_nonzero(mismatch, "horizontal-mismatch", policy)
+    return bad if bad is not None else CheckReport(True, "lepage-equivalent")
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +185,21 @@ def _sym_slots(values: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(itertools.permutations(values))
 
 
+def _pqi_head(pp, sigma: int, nu: int, p: int, q: int, i: int) -> ScalarExpr:
+    """The first two terms of the y^nu_{pqi} coefficient in E_sigma."""
+    return pp(sigma, (i, q), nu, (p,)) - pp(sigma, (i,), nu, (p, q))
+
+
+def _pqi_coefficient(
+    pp, ctx: ChartContext, sigma: int, nu: int, p: int, q: int, i: int
+) -> ScalarExpr:
+    """The y^nu_{pqi} coefficient in E_sigma: the head plus 2 d_j' of the second partials."""
+    coeff = _pqi_head(pp, sigma, nu, p, q, i)
+    for j in ctx.base_indices:
+        coeff = coeff + Rat(Fraction(2)) * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, ctx)
+    return coeff
+
+
 def trivial_conditions_second_order(
     lam: Lagrangian,
     convention: Convention = DEFAULT_CONVENTION,
@@ -197,6 +210,7 @@ def trivial_conditions_second_order(
         raise PreconditionError(f"second-order check got order {lam.r}")
     ctx = lam.ctx.at_order(2)
     L = lam.L
+    pp = second_partials(L, convention)
     base = list(ctx.base_indices)
     for sigma in ctx.fiber_indices:
         bad = _zero_or_fail(_tc1(lam, sigma, convention), "triviality[1]", policy)
@@ -206,16 +220,9 @@ def trivial_conditions_second_order(
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for triple in itertools.combinations_with_replacement(base, 3):
-                pieces = []
-                for p, q, i in _sym_slots(triple):
-                    term = mixed_partial(L, [(sigma, (i, q)), (nu, (p,))], convention)
-                    term = term - mixed_partial(L, [(sigma, (i,)), (nu, (p, q))], convention)
-                    for j in base:
-                        dj = cut_derivative(
-                            mixed_partial(L, [(sigma, (i, j)), (nu, (p, q))], convention), j, ctx
-                        )
-                        term = term + Rat(Fraction(2)) * dj
-                    pieces.append(term)
+                pieces = [
+                    _pqi_coefficient(pp, ctx, sigma, nu, p, q, i) for p, q, i in _sym_slots(triple)
+                ]
                 total = canonicalize(Add(tuple(pieces)))
                 bad = _zero_or_fail(total, "triviality[2]", policy)
                 if bad is not None:
@@ -244,10 +251,7 @@ def trivial_conditions_second_order(
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for group in itertools.combinations_with_replacement(base, 4):
-                pieces = [
-                    mixed_partial(L, [(sigma, (i, j)), (nu, (p, q))], convention)
-                    for p, q, i, j in _sym_slots(group)
-                ]
+                pieces = [pp(sigma, (i, j), nu, (p, q)) for p, q, i, j in _sym_slots(group)]
                 total = canonicalize(Add(tuple(pieces)))
                 bad = _zero_or_fail(total, "triviality[4]", policy)
                 if bad is not None:
@@ -270,11 +274,7 @@ def order_reducible(
         raise PreconditionError(f"order-reducibility check got order {lam.r}")
     policy = policy or DEFAULT_POLICY
     ctx = lam.ctx.at_order(2)
-    L = lam.L
-
-    def pp(sig_a, idx_a, sig_b, idx_b):
-        return mixed_partial(L, [(sig_a, idx_a), (sig_b, idx_b)], convention)
-
+    pp = second_partials(lam.L, convention)
     if ctx.n == 2:
         for sigma in ctx.fiber_indices:
             for nu in ctx.fiber_indices:
@@ -322,11 +322,7 @@ def combination_conditions(
     if not reducible.passed:
         raise PreconditionError(f"Lagrangian is not order-reducible: {reducible.describe()}")
     ctx = lam.ctx.at_order(2)
-    L = lam.L
-
-    def pp(sig_a, idx_a, sig_b, idx_b):
-        return mixed_partial(L, [(sig_a, idx_a), (sig_b, idx_b)], convention)
-
+    pp = second_partials(lam.L, convention)
     for sigma in ctx.fiber_indices:
         bad = _zero_or_fail(_tc1(lam, sigma, convention), "combination[1]", policy)
         if bad is not None:
@@ -362,12 +358,7 @@ def combination_conditions(
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for triple in itertools.combinations_with_replacement(base, 3):
-                pieces = []
-                for p, q, i in _sym_slots(triple):
-                    pieces.append(
-                        mixed_partial(L, [(sigma, (i, q)), (nu, (p,))], convention)
-                        - mixed_partial(L, [(sigma, (i,)), (nu, (p, q))], convention)
-                    )
+                pieces = [_pqi_head(pp, sigma, nu, p, q, i) for p, q, i in _sym_slots(triple)]
                 bad = _zero_or_fail(canonicalize(Add(tuple(pieces))), "combination[sym]", policy)
                 if bad is not None:
                     return bad
@@ -381,17 +372,8 @@ def combination_conditions(
 
 def closure_check(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
     """Pass iff d(rho) vanishes; failure reports the first nonzero coefficient."""
-    d_rho = exterior_derivative(rho)
-    for key, coeff in d_rho:
-        verdict = equals_zero(coeff, policy)
-        if not verdict.is_zero:
-            return _fail(
-                "closure",
-                coeff,
-                verdict,
-                message=f"nonzero at basis term {' ∧ '.join(coframe_label(el) for el in key)}",
-            )
-    return CheckReport(True, "closure")
+    bad = _first_nonzero(exterior_derivative(rho), "closure", policy, "nonzero at basis term")
+    return bad if bad is not None else CheckReport(True, "closure")
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +445,14 @@ def el_expansion_crosscheck(
         raise PreconditionError(f"second-order check got order {lam.r}")
     ctx = lam.ctx.at_order(2)
     L = lam.L
+    pp = second_partials(L, convention)
     base = list(ctx.base_indices)
     direct = euler_lagrange_expressions(lam)
     for sigma in ctx.fiber_indices:
         expansion = _tc1(lam, sigma, convention)
         for nu in ctx.fiber_indices:
             for p, q, i in itertools.product(base, repeat=3):
-                coeff = mixed_partial(L, [(sigma, (i, q)), (nu, (p,))], convention)
-                coeff = coeff - mixed_partial(L, [(sigma, (i,)), (nu, (p, q))], convention)
-                for j in base:
-                    coeff = coeff + Rat(Fraction(2)) * cut_derivative(
-                        mixed_partial(L, [(sigma, (i, j)), (nu, (p, q))], convention), j, ctx
-                    )
+                coeff = _pqi_coefficient(pp, ctx, sigma, nu, p, q, i)
                 expansion = expansion + coeff * Var(FiberVar(nu, MultiIndex((p, q, i))))
         for mu in ctx.fiber_indices:
             for nu in ctx.fiber_indices:
@@ -489,7 +467,7 @@ def el_expansion_crosscheck(
                     ) * Var(FiberVar(nu, MultiIndex((p, q, j))))
         for nu in ctx.fiber_indices:
             for p, q, i, j in itertools.product(base, repeat=4):
-                second = mixed_partial(L, [(sigma, (i, j)), (nu, (p, q))], convention)
+                second = pp(sigma, (i, j), nu, (p, q))
                 if is_zero_expr(second):
                     continue
                 expansion = expansion + second * Var(FiberVar(nu, MultiIndex((p, q, i, j))))

@@ -202,6 +202,14 @@ class TestUsageErrors:
         assert out == ""
         assert "n <= 9" in err
 
+    def test_power_over_the_product_limit(self, capsys):
+        code, out, err = run(
+            capsys, "el", "--order", "1", "--lagrangian", "(y_1+y_2+x1+x2+y)^400"
+        )
+        assert code == 2
+        assert out == ""
+        assert "expression too large" in err and "1000000 term products" in err
+
     def test_unknown_subcommand(self, capsys):
         code = run_command(["frobnicate"])
         capsys.readouterr()

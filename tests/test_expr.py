@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from lepage import (
     BaseVar,
+    ChartContext,
     EvalDomainError,
+    ExprError,
     FiberVar,
     MissingVariableError,
     MultiIndex,
@@ -55,8 +57,14 @@ from lepage.expr import (
     is_zero_expr,
     scale,
 )
-from lepage.variational import euler_lagrange_expressions
-from lepage.verification import first_order_corpus, random_polynomial, second_order_corpus
+from lepage.forms import Dx
+from lepage.variational import Lagrangian, caratheodory_first, euler_lagrange_expressions
+from lepage.verification import (
+    first_order_corpus,
+    random_polynomial,
+    random_section_oracle,
+    second_order_corpus,
+)
 
 Y1 = Y(1, 1)
 Y2 = Y(1, 2)
@@ -494,3 +502,31 @@ def test_memoized_diff_matches_a_fresh_node(seed, slot):
     assert first == want
     assert diff(e, v) == want and diff(e, v) is first
     assert diff(diff(e, v), v) == _render(_rf_diff(_to_rf(want), v))
+
+
+class TestProductBound:
+    """One polynomial product may form at most 1,000,000 term products; more is refused."""
+
+    @staticmethod
+    def series(v, terms):
+        return canonicalize(Add(tuple(v ** i for i in range(terms))))
+
+    def test_a_power_at_the_limit_expands(self):
+        # 1000 x 1000 term products, merged into the 1999 powers of x1
+        assert len(canonicalize(self.series(X(1), 1000) ** 2).terms) == 1999
+
+    def test_one_term_over_the_limit_is_refused_before_multiplying(self):
+        with pytest.raises(ExprError, match="1001-term and a 1000-term .* 1000000 term products"):
+            canonicalize(self.series(X(1), 1001) * self.series(X(2), 1000))
+
+    def test_powers_the_library_builds_are_not_refused(self):
+        # Caratheodory's L^(1 - n) at n = 8 expands L^7 to 3,432 terms
+        ctx = ChartContext(8, 1, 1)
+        L = Add(tuple(Y(1, j) ** 2 for j in ctx.base_indices))
+        rho = caratheodory_first(Lagrangian(ctx, 1, L), ZeroPolicy())
+        horizontal = rho.coefficient(tuple(Dx(j) for j in ctx.base_indices))
+        assert equals_zero(horizontal - L).kind == PROVEN_ZERO
+        assert random_section_oracle(YY ** 4, ChartContext(2, 1, 1)).passed
+
+    def test_monomial_powers_are_not_limited(self):
+        assert canonicalize(YY ** 100000) == YY ** 100000

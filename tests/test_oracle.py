@@ -1,14 +1,28 @@
-"""Independent oracle: the kernel's canonical forms and partials against sympy.
+"""Independent oracle: the kernel's canonical forms and partials, the formal
+derivatives and the Euler-Lagrange expressions against sympy.
 
 sympy is a test-only dependency; the module is skipped where it is missing.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lepage import BaseVar, ExprError, X, Y, canonicalize, diff
+from lepage import (
+    BaseVar,
+    ChartContext,
+    ExprError,
+    Lagrangian,
+    X,
+    Y,
+    canonicalize,
+    cut_derivative,
+    diff,
+    euler_lagrange_expressions,
+    total_derivative,
+)
 from lepage.charts import FiberVar
 from lepage.expr import Add, Div, Fn, Mul, Pow, Rat, Var
 
@@ -90,3 +104,96 @@ def test_diff_agrees_with_sympy(e, slot):
     v = _POOL[slot].ref
     want = sympy.diff(to_sympy(e), sympy.Symbol(_name(v)))
     assert _is_zero(to_sympy(diff(e, v)) - want)
+
+
+# ---------------------------------------------------------------------------
+# formal derivatives and Euler-Lagrange expressions (n = 2)
+# ---------------------------------------------------------------------------
+
+_BASE = (1, 2)
+_JET_CTX = ChartContext(2, 1, 2)
+_JET_POOL = [X(1), X(2)] + [
+    Y(1, *jj) for k in range(3) for jj in itertools.combinations_with_replacement(_BASE, k)
+]
+
+
+def _fiber_name(sigma: int, jj) -> str:
+    return f"y{sigma}_" + "".join(map(str, sorted(jj)))
+
+
+def _chain_rule(s, i: int, top: int):
+    """d s/dx^i + sum over y_J with |J| < top of d s/dy_J * y_{J i}, built by sympy."""
+    out = sympy.diff(s, sympy.Symbol(f"x{i}"))
+    for k in range(top):
+        for jj in itertools.combinations_with_replacement(_BASE, k):
+            out += sympy.diff(s, sympy.Symbol(_fiber_name(1, jj))) * sympy.Symbol(
+                _fiber_name(1, jj + (i,))
+            )
+    return out
+
+
+_jet_leaves = (
+    st.sampled_from(_JET_POOL)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=5).map(Rat)
+    | st.tuples(st.sampled_from(["sin", "cos", "exp"]), st.sampled_from(_JET_POOL)).map(
+        lambda fv: Fn(fv[0], fv[1])
+    )
+)
+_jet_exprs = st.recursive(_jet_leaves, _combine, max_leaves=6)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(e=_jet_exprs, i=st.sampled_from(_BASE))
+def test_formal_derivatives_agree_with_the_chain_rule(e, i):
+    _canonical(e)
+    s = to_sympy(e)
+    got_total = to_sympy(total_derivative(e, i, _JET_CTX))
+    assert _is_zero(got_total - _chain_rule(s, i, top=3))
+    got_cut = to_sympy(cut_derivative(e, i, _JET_CTX))
+    assert _is_zero(got_cut - _chain_rule(s, i, top=2))
+
+
+@st.composite
+def _polynomial_lagrangians(draw):
+    m = draw(st.sampled_from([1, 2]))
+    r = draw(st.sampled_from([1, 2]))
+    pool = [X(1), X(2)] + [
+        Y(sigma, *jj)
+        for sigma in range(1, m + 1)
+        for k in range(r + 1)
+        for jj in itertools.combinations_with_replacement(_BASE, k)
+    ]
+    monomial = st.tuples(
+        st.sampled_from([-3, -2, -1, 1, 2, 3]), st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    ).map(lambda cf: Mul((Rat(Fraction(cf[0])),) + tuple(cf[1])))
+    terms = draw(st.lists(monomial, min_size=1, max_size=4))
+    return Lagrangian(ChartContext(2, m, r), r, Add(tuple(terms)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=_polynomial_lagrangians())
+def test_euler_lagrange_agrees_with_sympy(lam):
+    from sympy.calculus.euler import euler_equations
+
+    x = sympy.symbols("x1 x2")
+    funcs = [sympy.Function(f"u{sigma}")(*x) for sigma in lam.ctx.fiber_indices]
+    # y^sigma_J -> the J-th partial of u_sigma, up to the order 2r of E
+    section = {
+        sympy.Symbol(_fiber_name(sigma, jj)): (
+            funcs[sigma - 1].diff(*(x[j - 1] for j in jj)) if jj else funcs[sigma - 1]
+        )
+        for sigma in lam.ctx.fiber_indices
+        for k in range(2 * lam.r + 1)
+        for jj in itertools.combinations_with_replacement(_BASE, k)
+    }
+    # a free t_sigma * u_sigma term keeps every equation in sympy's list, even
+    # one that would otherwise read 0 = 0 or c = 0; it adds t_sigma to E_sigma
+    shifts = sympy.symbols(f"t1:{lam.ctx.m + 1}")
+    L = to_sympy(lam.L).subs(section, simultaneous=True)
+    L += sum(t * u for t, u in zip(shifts, funcs))
+    equations = euler_equations(L, funcs, x)
+    assert len(equations) == lam.ctx.m
+    for eq, t, e_sigma in zip(equations, shifts, euler_lagrange_expressions(lam)):
+        want = eq.lhs - eq.rhs - t
+        got = to_sympy(e_sigma).subs(section, simultaneous=True)
+        assert sympy.expand(got - want) == 0
