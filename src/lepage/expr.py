@@ -36,11 +36,27 @@ Fraction coefficients, is made only where a quotient is rendered or
 evaluated; constants leave the kernel (``Rat`` nodes, ``constant_value``)
 as Fractions.
 
-Each node caches what is derived from it: its canonical quotient, the id of
-an atom, and a memo of its partials (``diff``) and rational multiples
-(``scale``), so a repeated partial returns the same node.  Nodes built by
+A partial of a quotient N/(d D) whose denominator depends on the variable
+v is taken by the quotient rule, (N_v D - N D_v) / (d D^2), one
+cross-multiplication over D^2; when D is free of v the partial is
+N_v / (d D).
+
+Each node caches what is derived from it, and the caches live as long as the
+node:
+
+* ``_rfc``: its canonical quotient;
+* ``_aid``: the intern id of an atom;
+* ``_vars``: its coordinates (``variables``), read from the canonical
+  quotient's atoms when the node is canonical;
+* ``_memo``: one dict of derived canonical nodes, keyed by a coordinate
+  (``diff``), a Fraction (``scale``), and tagged tuples for the formal and
+  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
+  The keys cannot collide: a coordinate is a 1- or 2-tuple of ints, a tagged
+  key a 4-tuple that starts with a string.
+
+So a repeated partial returns the same node.  Nodes built by
 canonicalization are marked, and ``canonicalize`` returns a marked node as
-it is.  The memo lives as long as its node.
+it is.
 
 All values are immutable and the operations are pure; the caches are
 attached transparently and are safe to share across threads.  Threads that
@@ -236,9 +252,25 @@ def expr_key(e: ScalarExpr) -> tuple:
 
 def variables(e: ScalarExpr) -> frozenset[JetVariable]:
     """All coordinates occurring in the expression (function arguments included)."""
+    try:
+        return e._vars
+    except AttributeError:
+        pass
     out: set[JetVariable] = set()
-    _collect_vars(e, out)
-    return frozenset(out)
+    if "_canonical" in e.__dict__:
+        # the atoms of the canonical quotient are the atoms of the rendered tree
+        rf = e._rfc
+        for i in {i for p in (rf.num, rf.den) for mono in p for i, _ in mono}:
+            atom = _ATOMS[i]
+            if isinstance(atom, Var):
+                out.add(atom.ref)
+            else:
+                out |= variables(atom.arg)
+    else:
+        _collect_vars(e, out)
+    found = frozenset(out)
+    object.__setattr__(e, "_vars", found)
+    return found
 
 
 def _collect_vars(e: ScalarExpr, out: set) -> None:
@@ -724,8 +756,11 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
         return _rf_scale_down(dnum, rf.d)
     den_rf = _RF(rf.den, dict(_P_ONE))
     dden = _poly_diff(rf.den, v)
-    return _rf_sub(_rf_scale_down(_rf_div(dnum, den_rf), rf.d),
-                   _rf_mul(rf, _rf_div(dden, den_rf)))
+    if not dden.num:
+        return _rf_scale_down(_rf_div(dnum, den_rf), rf.d)
+    # the quotient rule (N_v D - N D_v) / (d D^2)
+    top = _rf_sub(_rf_mul(dnum, den_rf), _rf_mul(_RF(rf.num, dict(_P_ONE)), dden))
+    return _rf_scale_down(_rf_div(top, _RF(_p_mul(rf.den, rf.den), dict(_P_ONE))), rf.d)
 
 
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:

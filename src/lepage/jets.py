@@ -6,13 +6,19 @@ omits the top-order layer.  ``sym_partial`` resolves derivative indices
 given as free (unsorted) tuples, either as plain partials with respect to
 the sorted coordinate or divided by the index multiplicity, so that freely
 summed index formulas can be evaluated under either convention.
+
+The results are memoized on the differentiated node, in the memo that
+``expr.diff`` keeps there: a formal derivative under ``("d", i, top, ctx)``,
+so a chart's variable check runs once per node and chart and a failing check
+is raised again on every call, and a symmetrized partial under
+``("sym", sigma, index, convention)``.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 from .charts import BaseVar, ChartContext, ChartError, FiberVar, MultiIndex, var_key
-from .expr import ScalarExpr, Var, canonicalize, diff, scale, variables
+from .expr import ScalarExpr, Var, _memo, canonicalize, diff, scale, variables
 
 from fractions import Fraction
 from typing import Iterable
@@ -39,6 +45,11 @@ def _check_chart(f: ScalarExpr, ctx: ChartContext) -> list:
 
 def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
     """d_i f chaining through the fiber coordinates of order below top."""
+    memo = _memo(f)
+    key = ("d", i, top, ctx)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if not 1 <= i <= ctx.n:
         raise ChartError(f"base index {i} out of range 1..{ctx.n}")
     vs = _check_chart(f, ctx)
@@ -46,7 +57,8 @@ def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> Sc
     for v in vs:
         if isinstance(v, FiberVar) and len(v.jj) < top:
             out = out + diff(f, v) * Var(FiberVar(v.sigma, v.jj.append(i)))
-    return canonicalize(out)
+    out = memo[key] = canonicalize(out)
+    return out
 
 
 def total_derivative(f: ScalarExpr, i: int, ctx: ChartContext) -> ScalarExpr:
@@ -80,14 +92,18 @@ def sym_partial(
     Plain: the partial with respect to the sorted coordinate.  Symmetrized:
     the same divided by the multiplicity of the sorted index.
     """
-    jj = MultiIndex(index)
-    d = diff(f, FiberVar(sigma, jj))
-    if convention == Convention.PLAIN:
-        return d
-    mu = jj.multiplicity()
-    if mu == 1:
-        return d
-    return scale(d, Fraction(1, mu))
+    memo = _memo(f)
+    key = ("sym", sigma, index, convention)
+    out = memo.get(key)
+    if out is None:
+        jj = MultiIndex(index)
+        out = diff(f, FiberVar(sigma, jj))
+        if convention != Convention.PLAIN:
+            mu = jj.multiplicity()
+            if mu != 1:
+                out = scale(out, Fraction(1, mu))
+        memo[key] = out
+    return out
 
 
 def mixed_partial(

@@ -109,6 +109,9 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
         base = _emit(e.base, 0, m, st)
         if not isinstance(e.base, st.bare_bases):
             base = st.paren.format(base)
+        elif "^" in base:
+            # a superscripted LaTeX coordinate is braced: {x^{2}}^{2}
+            base = f"{{{base}}}"
         return f"{base}^{st.exponent(e.exponent)}"
     if isinstance(e, Fn):
         return st.fn.format(e.name, _emit(e.arg, 0, m, st))

@@ -1,5 +1,7 @@
 """Chart model and formal-derivative operators."""
 import random
+import sys
+import threading
 
 import pytest
 
@@ -190,3 +192,90 @@ class TestDerivativeProperties:
         ctx = ChartContext(2, 1, 2)
         report = random_section_oracle(Y(1, 1, 2) ** 2 / Y(1, 1), ctx, trials=3, points=4)
         assert report.passed, report.describe()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the kernel's differentiation and rendering calls, in order."""
+    from lepage import expr
+
+    calls = []
+    for name in ("_rf_diff", "_render"):
+        real = getattr(expr, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(expr, name, counted)
+    return calls
+
+
+class TestDerivativeMemos:
+    CTX = ChartContext(2, 1, 2)
+
+    @staticmethod
+    def quotient():
+        return canonicalize((Y(1, 1, 2) ** 2 + X(1) * Y(1, 1)) / (Y(1, 2) ** 2 + Y(1) + 1))
+
+    def derivatives(self, f):
+        return [
+            total_derivative(f, 1, self.CTX),
+            total_derivative(f, 2, self.CTX),
+            cut_derivative(f, 1, self.CTX),
+            sym_partial(f, 1, (2, 1)),
+            sym_partial(f, 1, (1, 2), Convention.PLAIN),
+        ]
+
+    def test_repeats_make_no_kernel_call(self, kernel_calls):
+        f = self.quotient()
+        first = self.derivatives(f)
+        assert "_rf_diff" in kernel_calls
+        kernel_calls.clear()
+        again = self.derivatives(f)
+        assert kernel_calls == []
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_sym_partial_and_diff_share_one_memo(self):
+        f = self.quotient()
+        v = FiberVar(1, MultiIndex((1, 2)))
+        halved = sym_partial(f, 1, (1, 2))
+        plain = diff(f, v)
+        assert plain == canonicalize(diff(self.quotient(), v))
+        assert is_zero_expr(2 * halved - plain)
+        assert sym_partial(f, 1, (1, 2), Convention.PLAIN) is plain
+        assert diff(f, v) is plain and sym_partial(f, 1, (1, 2)) is halved
+
+    def test_chart_error_is_never_cached(self):
+        f = canonicalize(Y(1, 1, 2) * Y(1))
+        small = ChartContext(2, 1, 1)
+        for _ in range(2):
+            with pytest.raises(ChartError):
+                total_derivative(f, 1, small)
+        assert not any(isinstance(k, tuple) and k[:1] == ("d",) for k in f._memo)
+        # the same node on a chart that holds it
+        assert total_derivative(f, 1, self.CTX) == canonicalize(
+            Y(1, 1, 1, 2) * Y(1) + Y(1, 1, 2) * Y(1, 1))
+        with pytest.raises(ChartError):
+            total_derivative(f, 1, small)
+
+    def test_threads_agree_with_a_serial_run(self):
+        want = self.derivatives(self.quotient())
+        shared = self.quotient()
+        got = []
+
+        def work():
+            got.append(self.derivatives(shared))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(run == want for run in got)

@@ -21,6 +21,15 @@ class TestEl:
         assert code == 0
         assert out.strip() == "E_1 = -y_22 - y_11"
 
+    def test_quotient_lagrangian_stays_over_the_fourth_power(self, capsys):
+        # each partial of a quotient is taken over D^2, so E stays over (1 + y_1^2)^4
+        code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", "1/(1+y_1^2)")
+        assert code == 0
+        assert out.strip() == (
+            "E_1 = (2*y_11 - 6*y_1^4*y_11 - 4*y_1^2*y_11)"
+            "/(y_1^8 + 4*y_1^6 + 6*y_1^4 + 4*y_1^2 + 1)"
+        )
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "el", "--order", "1", "--lagrangian", "y*y_1", "--format", "json"

@@ -31,9 +31,11 @@ from lepage import (
     equals_zero,
     eval_numeric,
     exp,
+    expr_to_text,
     ln,
     sin,
     substitute,
+    variables,
 )
 from lepage.expr import (
     PROVEN_NONZERO,
@@ -181,6 +183,22 @@ class TestDiff:
         want = (2 * Y1) / (Y1 ** 2 + 1)
         assert is_zero_expr(got - want)
 
+    def test_quotient_rule_stays_over_the_squared_denominator(self):
+        # (N_v D - N D_v) / D^2, with D = y1_1^2 + x1 + 1 expanded
+        e = (Y1 + X(1)) / (Y1 ** 2 + X(1) + 1)
+        assert expr_to_text(diff(e, fiber(1))) == (
+            "(-y1_1^2 - 2*x1*y1_1 + x1 + 1)"
+            "/(y1_1^4 + 2*y1_1^2 + x1^2 + 2*x1*y1_1^2 + 2*x1 + 1)"
+        )
+
+    def test_quotient_rule_keeps_a_denominator_free_of_the_variable(self):
+        e = (Y1 + X(1)) / (Y2 ** 2 + X(1) + 1)
+        assert expr_to_text(diff(e, fiber(1))) == "(1)/(y1_2^2 + x1 + 1)"
+        assert expr_to_text(diff(e, fiber(2))) == (
+            "(-2*y1_1*y1_2 - 2*x1*y1_2)"
+            "/(y1_2^4 + 2*y1_2^2 + x1^2 + 2*x1*y1_2^2 + 2*x1 + 1)"
+        )
+
 
 class TestEval:
     def test_product(self):
@@ -248,6 +266,14 @@ class TestMemo:
         assert by_base == canonicalize(2 * X(2) * Y(2))
         assert by_fiber == canonicalize(X(2) ** 2)
         assert diff(e, BaseVar(2)) is by_base
+
+    def test_variables_come_from_the_canonical_quotient(self):
+        raw = (Y1 + sin(X(1) * Y2)) / (YY ** 2 + ln(Y12 + 1))
+        e = canonicalize(raw)
+        got = variables(e)
+        assert got == {fiber(1), BaseVar(1), fiber(2), fiber(), fiber(1, 2)}
+        assert variables(e) is got
+        assert variables(raw) == got
 
     def test_scale_and_diff_share_the_memo(self):
         e = Y1 ** 2

@@ -4,6 +4,7 @@ derivatives and the Euler-Lagrange expressions against sympy.
 sympy is a test-only dependency; the module is skipped where it is missing.
 """
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,30 @@ def _is_zero(s) -> bool:
     return sympy.simplify(s) == 0
 
 
+def _is_zero_over_atoms(s, points: int = 3) -> bool:
+    """Zero as a rational function of the coordinates and the function atoms,
+    taken as independent symbols, decided by exact values at seeded random
+    rational points: a nonzero rational function vanishes at such a point with
+    negligible probability.  Atoms that sympy merges on its own (exp) must not
+    occur, or equal values could be spelled over different atoms."""
+    atoms = {a: sympy.Dummy() for a in s.atoms(sympy.Function)}
+    r = s.xreplace(atoms)
+    rng = random.Random(0)
+    finite = 0
+    for _ in range(20 * points):
+        point = {x: sympy.Rational(rng.randint(-999, 999), rng.randint(1, 999))
+                 for x in r.free_symbols}
+        value = r.xreplace(point)
+        if not value.is_finite:
+            continue  # a pole of either side tells nothing
+        if value != 0:
+            return False
+        finite += 1
+        if finite == points:
+            return True
+    raise AssertionError("no sample point away from the poles")
+
+
 def test_oracle_translation():
     e = (X(1) + Rat(Fraction(1, 2))) ** -1 * Y(1, 2)
     assert to_sympy(e) == sympy.Symbol("y1_2") / (sympy.Symbol("x1") + sympy.Rational(1, 2))
@@ -104,6 +129,35 @@ def test_diff_agrees_with_sympy(e, slot):
     v = _POOL[slot].ref
     want = sympy.diff(to_sympy(e), sympy.Symbol(_name(v)))
     assert _is_zero(to_sympy(diff(e, v)) - want)
+
+
+def _ln_atoms(pool):
+    # ln of a positive argument, so sympy and the kernel agree on its domain
+    return st.sampled_from(pool).map(lambda v: Fn("ln", v ** 2 + 1))
+
+
+@st.composite
+def _quotients_in(draw, pool, numerators):
+    """(e, v): a numerator over a multi-term denominator in which the
+    coordinate v occurs, ln atoms included."""
+    v = draw(st.sampled_from(pool))
+    extras = draw(st.lists(
+        st.tuples(st.integers(-2, 2).filter(bool), st.sampled_from(pool) | _ln_atoms(pool)),
+        min_size=1, max_size=2,
+    ))
+    k = draw(st.integers(1, 2))
+    den = Add((v ** k, Rat(Fraction(draw(st.integers(1, 3))))) + tuple(c * a for c, a in extras))
+    num = draw(numerators | _ln_atoms(pool))
+    return num / den, v
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(ev=_quotients_in(_POOL, st.recursive(_leaves, _combine, max_leaves=4)))
+def test_quotient_rule_agrees_with_sympy(ev):
+    e, v = ev
+    _canonical(e)
+    want = sympy.diff(to_sympy(e), sympy.Symbol(_name(v.ref)))
+    assert _is_zero_over_atoms(to_sympy(diff(e, v.ref)) - want)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +205,32 @@ def test_formal_derivatives_agree_with_the_chain_rule(e, i):
     assert _is_zero(got_total - _chain_rule(s, i, top=3))
     got_cut = to_sympy(cut_derivative(e, i, _JET_CTX))
     assert _is_zero(got_cut - _chain_rule(s, i, top=2))
+
+
+_quotient_leaves = (
+    st.sampled_from(_JET_POOL)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=5).map(Rat)
+    | st.tuples(st.sampled_from(["sin", "cos"]), st.sampled_from(_JET_POOL)).map(
+        lambda fv: Fn(fv[0], fv[1])
+    )
+)
+
+
+def _sums_and_products(children):
+    pairs = st.tuples(children, children)
+    return pairs.map(lambda ab: ab[0] + ab[1]) | pairs.map(lambda ab: ab[0] * ab[1])
+
+
+# the numerators stay polynomial in the atoms: a total derivative chains
+# through nine coordinates, and nested quotients would make it large
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(ev=_quotients_in(_JET_POOL, st.recursive(_quotient_leaves, _sums_and_products, max_leaves=3)),
+       i=st.sampled_from(_BASE))
+def test_total_derivative_of_a_quotient_agrees_with_the_chain_rule(ev, i):
+    e, _ = ev
+    _canonical(e)
+    got = to_sympy(total_derivative(e, i, _JET_CTX))
+    assert _is_zero_over_atoms(got - _chain_rule(to_sympy(e), i, top=3))
 
 
 @st.composite

@@ -188,12 +188,11 @@ RENDERINGS = [
     ("quotient-in-power", Pow(Div(_y, _x1), 2), None,
      "((y1)/(x1))^2", "\\left(\\frac{y^{1}}{x^{1}}\\right)^{2}"),
     ("quotient-in-sum", Add((_x1, Div(_r(1), _y))), None, "x1 + (1)/(y1)", "x^{1} + \\frac{1}{y^{1}}"),
-    # The LaTeX of power-var, power-var-negative, ln and base-only pins a known
-    # defect: a power of a superscripted coordinate is a double superscript,
-    # which TeX rejects (see the FOUND line on it in CHANGES.md).  Bracing the
-    # base changes these four rows on purpose.
-    ("power-var", Pow(_y1, 2), None, "y1_1^2", "y^{1}_{1}^{2}"),
-    ("power-var-negative", Pow(_y1, -1), None, "y1_1^(-1)", "y^{1}_{1}^{-1}"),
+    # power-var, power-var-negative, ln and base-only: a power of a
+    # superscripted coordinate braces its base, as a double superscript
+    # (y^{1}_{1}^{2}) is rejected by TeX.
+    ("power-var", Pow(_y1, 2), None, "y1_1^2", "{y^{1}_{1}}^{2}"),
+    ("power-var-negative", Pow(_y1, -1), None, "y1_1^(-1)", "{y^{1}_{1}}^{-1}"),
     ("power-fn", Pow(Fn("sin", _x1), 3), None,
      "sin(x1)^3", "\\left(\\sin\\left(x^{1}\\right)\\right)^{3}"),
     ("power-fn-negative", Pow(Fn("cos", _y), -2), None,
@@ -205,8 +204,7 @@ RENDERINGS = [
     ("sin", Fn("sin", Add((_x1, _y))), None, "sin(x1 + y1)", "\\sin\\left(x^{1} + y^{1}\\right)"),
     ("cos", Fn("cos", Mul((_r(2), _x2))), None, "cos(2*x2)", "\\cos\\left(2\\,x^{2}\\right)"),
     ("exp", Fn("exp", Mul((_r(-1), _y1))), None, "exp(-y1_1)", "\\exp\\left(-y^{1}_{1}\\right)"),
-    # double superscript, see power-var
-    ("ln", Fn("ln", Pow(_y12, 2)), None, "ln(y1_12^2)", "\\ln\\left(y^{1}_{12}^{2}\\right)"),
+    ("ln", Fn("ln", Pow(_y12, 2)), None, "ln(y1_12^2)", "\\ln\\left({y^{1}_{12}}^{2}\\right)"),
     ("fn-in-product", Mul((_r(1, 2), Fn("exp", _x1), _y)), None,
      "(1/2)*exp(x1)*y1", "\\tfrac{1}{2}\\,\\exp\\left(x^{1}\\right)\\,y^{1}"),
     ("m1-spelling", Mul((_y, _y1, _y12)), 1, "y*y_1*y_12", "y\\,y_{1}\\,y_{12}"),
@@ -215,8 +213,7 @@ RENDERINGS = [
     ("m2-spelling", Add((Mul((_y1, Y(2, 2))), Mul((_r(-1), Y(1, 2), Y(2, 1))), Y(2))), 2,
      "y1_1*y2_2 - y1_2*y2_1 + y2",
      "y^{1}_{1}\\,y^{2}_{2} - y^{1}_{2}\\,y^{2}_{1} + y^{2}"),
-    # double superscript, see power-var
-    ("base-only", Mul((_x1, Pow(_x2, 2))), 1, "x1*x2^2", "x^{1}\\,x^{2}^{2}"),
+    ("base-only", Mul((_x1, Pow(_x2, 2))), 1, "x1*x2^2", "x^{1}\\,{x^{2}}^{2}"),
 ]
 
 

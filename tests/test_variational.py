@@ -167,6 +167,13 @@ class TestCaratheodoryFirst:
         with pytest.raises(UndefinedFormError):
             caratheodory_first(lag(2, 1, 1, const(0)))
 
+    def test_dd_vanishes(self):
+        # the n = 2 coefficients carry 1/L, so d(rho) differentiates quotients
+        for lam in (lag(2, 1, 1, const(1) + Y(1, 1) ** 2 + Y(1) * Y(1, 2)),
+                    lag(2, 2, 1, const(1) + Y(1, 1) * Y(2, 2) + Y(2, 1) ** 2)):
+            rho = caratheodory_first(lam)
+            assert form_is_zero(exterior_derivative(exterior_derivative(rho)))
+
 
 class TestCaratheodorySecond:
     def test_horizontal_part(self):
@@ -185,6 +192,11 @@ class TestCaratheodorySecond:
         omega0, _ = omega_basis(lam.ctx)
         assert forms_equal(form, omega0.at_order(form.order))
         assert forms_equal(form, theta.at_order(form.order))
+
+    def test_dd_vanishes(self):
+        for L in (const(1) + Y(1, 1) * Y(1, 2, 2), Y(1) + Y(1, 1, 2) ** 2):
+            rho = caratheodory_second(lag(2, 1, 2, L))
+            assert form_is_zero(exterior_derivative(exterior_derivative(rho)))
 
 
 class TestFundamentalFirstOrder:
