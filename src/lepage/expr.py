@@ -46,8 +46,7 @@ node:
 
 * ``_rfc``: its canonical quotient;
 * ``_aid``: the intern id of an atom;
-* ``_vars``: its coordinates (``variables``), read from the canonical
-  quotient's atoms when the node is canonical;
+* ``_vars``: its coordinates (``variables``);
 * ``_memo``: one dict of derived canonical nodes, keyed by a coordinate
   (``diff``), a Fraction (``scale``), and tagged tuples for the formal and
   symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
@@ -257,17 +256,7 @@ def variables(e: ScalarExpr) -> frozenset[JetVariable]:
     except AttributeError:
         pass
     out: set[JetVariable] = set()
-    if "_canonical" in e.__dict__:
-        # the atoms of the canonical quotient are the atoms of the rendered tree
-        rf = e._rfc
-        for i in {i for p in (rf.num, rf.den) for mono in p for i, _ in mono}:
-            atom = _ATOMS[i]
-            if isinstance(atom, Var):
-                out.add(atom.ref)
-            else:
-                out |= variables(atom.arg)
-    else:
-        _collect_vars(e, out)
+    _collect_vars(e, out)
     found = frozenset(out)
     object.__setattr__(e, "_vars", found)
     return found

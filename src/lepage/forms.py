@@ -248,14 +248,7 @@ def wedge_all(factors: Sequence[ExteriorForm]) -> ExteriorForm:
 
 
 def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
-    """d in the adapted basis; degree + 1, order + 1, satisfies d(d(.)) = 0.
-
-    The result is cached on the form, which is immutable.
-    """
-    try:
-        return a._d
-    except AttributeError:
-        pass
+    """d in the adapted basis; degree + 1, order + 1, satisfies d(d(.)) = 0."""
     ctx = a.ctx.at_order(a.order)
     order = a.order + 1
     entries: list[tuple[tuple, ScalarExpr]] = []
@@ -275,9 +268,7 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
                 for i in ctx.base_indices:
                     new_key = key[:pos] + (Dx(i), Omega(el.sigma, el.jj.append(i))) + key[pos + 1:]
                     entries.append((new_key, Rat(Fraction(sign)) * coeff))
-    out = make_form(a.ctx, a.degree + 1, entries, order)
-    object.__setattr__(a, "_d", out)
-    return out
+    return make_form(a.ctx, a.degree + 1, entries, order)
 
 
 def horizontalization(a: ExteriorForm) -> ExteriorForm:

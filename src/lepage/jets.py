@@ -11,7 +11,7 @@ The results are memoized on the differentiated node, in the memo that
 ``expr.diff`` keeps there: a formal derivative under ``("d", i, top, ctx)``,
 so a chart's variable check runs once per node and chart and a failing check
 is raised again on every call, and a symmetrized partial under
-``("sym", sigma, index, convention)``.
+``("sym", sigma, tuple(index), convention)``.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ def sym_partial(
     the same divided by the multiplicity of the sorted index.
     """
     memo = _memo(f)
-    key = ("sym", sigma, index, convention)
+    key = ("sym", sigma, tuple(index), convention)
     out = memo.get(key)
     if out is None:
         jj = MultiIndex(index)

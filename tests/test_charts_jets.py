@@ -246,6 +246,14 @@ class TestDerivativeMemos:
         assert sym_partial(f, 1, (1, 2), Convention.PLAIN) is plain
         assert diff(f, v) is plain and sym_partial(f, 1, (1, 2)) is halved
 
+    def test_a_list_index_is_accepted(self):
+        from lepage.jets import mixed_partial
+
+        f = self.quotient()
+        assert sym_partial(f, 1, [2, 1]) is sym_partial(f, 1, (2, 1))
+        assert sym_partial(f, 1, [1, 2], Convention.PLAIN) is diff(f, FiberVar(1, MultiIndex((1, 2))))
+        assert mixed_partial(f, [(1, [1, 2]), (1, [2])]) is mixed_partial(f, [(1, (1, 2)), (1, (2,))])
+
     def test_chart_error_is_never_cached(self):
         f = canonicalize(Y(1, 1, 2) * Y(1))
         small = ChartContext(2, 1, 1)

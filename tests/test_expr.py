@@ -267,7 +267,7 @@ class TestMemo:
         assert by_fiber == canonicalize(X(2) ** 2)
         assert diff(e, BaseVar(2)) is by_base
 
-    def test_variables_come_from_the_canonical_quotient(self):
+    def test_variables_are_memoized(self):
         raw = (Y1 + sin(X(1) * Y2)) / (YY ** 2 + ln(Y12 + 1))
         e = canonicalize(raw)
         got = variables(e)

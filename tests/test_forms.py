@@ -273,32 +273,3 @@ class TestValidation:
         assert coframe_key(Dx(2)) < coframe_key(Omega(1, MultiIndex()))
         assert coframe_key(Omega(1, MultiIndex())) < coframe_key(Omega(1, MultiIndex((1,))))
         assert coframe_key(Omega(1, MultiIndex((2,)))) < coframe_key(Omega(2, MultiIndex()))
-
-
-class TestDerivativeCache:
-    @staticmethod
-    def rho():
-        from lepage import Lagrangian, caratheodory_first
-
-        lam = Lagrangian(ChartContext(2, 2, 1), 1, const(1) + Y(1, 1) * Y(2, 2) + Y(2, 1) ** 2)
-        return caratheodory_first(lam)
-
-    def test_second_call_returns_the_cached_form(self, monkeypatch):
-        from lepage import expr
-
-        rho = self.rho()
-        first = exterior_derivative(rho)
-        calls = []
-        real = expr._rf_diff
-        monkeypatch.setattr(expr, "_rf_diff", lambda *a: calls.append(a) or real(*a))
-        assert exterior_derivative(rho) is first
-        assert calls == []
-
-    def test_threads_agree_with_a_serial_run(self):
-        import concurrent.futures
-
-        want = exterior_derivative(self.rho())
-        shared = self.rho()
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda _: exterior_derivative(shared), range(8)))
-        assert all(d.terms == want.terms for d in got)

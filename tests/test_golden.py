@@ -1,8 +1,8 @@
 """Golden identity: outputs reproduce the answers recorded in ``bench/golden``.
 
 The benchmark judges its runs against these files; checking them here makes
-a changed byte of output a test failure.  The files and ``bench/workloads.py``
-are only read.
+a changed byte of output a test failure, and a failed acceptance check on a
+corpus member one too.  The files and ``bench/workloads.py`` are only read.
 """
 import importlib.util
 import json
@@ -17,7 +17,7 @@ _spec = importlib.util.spec_from_file_location("golden_workloads", BENCH / "work
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
-WIDE_CHART_SEEDS = (0, 1)
+WIDE_CHART_SEEDS = (0, 1, 2)
 CLI_GOLDEN = json.loads((BENCH / "golden" / "cli_session.json").read_text(encoding="utf-8"))
 
 
@@ -39,3 +39,12 @@ CLI_CASES = [(i, argv) for i, argv in workloads.CLI_COMMANDS if i not in workloa
 def test_cli_output(item_id, argv):
     got = workloads.run_item("cli-session", {"id": item_id}, argv)
     assert got == CLI_GOLDEN[item_id]
+
+
+CORPUS = workloads.corpus_items(workloads.DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("item", CORPUS, ids=[item["id"] for item in CORPUS])
+def test_acceptance_corpus(item):
+    output = workloads.run_item("acceptance-corpus", item, workloads.prepare("acceptance-corpus", item))
+    assert workloads.judge(item, output) is None
