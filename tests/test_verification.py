@@ -8,6 +8,7 @@ from lepage import (
     Convention,
     DivergenceGenerator,
     Lagrangian,
+    LagrangianSpec,
     PreconditionError,
     X,
     Y,
@@ -27,6 +28,7 @@ from lepage import (
     lagrangian_form,
     make_divergence_lagrangian,
     order_reducible,
+    parse_lagrangian,
     principal_lepage,
     second_order_corpus,
     trivial_conditions_second_order,
@@ -266,3 +268,66 @@ class TestCalibration:
         report = calibrate_convention(corpus=[lam])
         assert len(report.passing) == 4
         assert not report.unique
+
+
+def _parsed(n, m, source, r=2):
+    return parse_lagrangian(LagrangianSpec(n, m, r, source))
+
+
+# Every label a check can fail with, each reached by one input; the second-order
+# inputs of the unpinned labels come from a seeded random search.
+FIRST_FAILURES = [
+    ("lepage-contact", lambda: is_lepage_form(lagrangian_form(dirichlet())), 1,
+     "FAIL lepage-contact: witness y_1: at y1_1=1.37769: offending basis term dx1 ∧ dx2 ∧ w1_1"),
+    ("horizontal-mismatch",
+     lambda: is_lepage_equivalent(principal_lepage(dirichlet()), _parsed(2, 1, "y_1^2 + y_2^2", 1)), 1,
+     "FAIL horizontal-mismatch: witness -(1/2)*y_2^2 - (1/2)*y_1^2: at y1_1=1.37769, y1_2=1.03182"),
+    ("euler-lagrange[1]", lambda: is_trivial(dirichlet()), 1,
+     "FAIL euler-lagrange[1]: witness -y_22 - y_11: at y1_11=1.37769, y1_22=1.03182"),
+    ("triviality[1]", lambda: trivial_conditions_second_order(camassa_holm()), 1,
+     "FAIL triviality[1]: witness -2*y_2*y_12 - y_1*y_22 + y_1^(-3)*y_11*y_12^2: at y1_1=1.37769, "
+     "y1_2=1.03182, y1_11=-0.317714, y1_12=-0.964333, y1_22=0.0450989"),
+    ("triviality[2]",
+     lambda: trivial_conditions_second_order(_parsed(2, 1, "-y_22 + (1/2)*y_2*y_12*y_22")), 1,
+     "FAIL triviality[2]: witness 3*y_22: at y1_22=1.37769"),
+    ("triviality[3]",
+     lambda: trivial_conditions_second_order(
+         _parsed(2, 2, "(1/3)*y2_12 - y2_2*y2_11 - y1_11*y1_12*y2_22")), 2,
+     "FAIL triviality[3]: witness -4"),
+    ("triviality[4]",
+     lambda: trivial_conditions_second_order(hessian_determinant(), Convention.PLAIN), 1,
+     "FAIL triviality[4]: witness -24"),
+    ("order-reducibility[1]", lambda: order_reducible(_parsed(2, 1, "(1/2)*y_11^2")), 1,
+     "FAIL order-reducibility[1]: witness 1"),
+    ("order-reducibility[5]", lambda: order_reducible(camassa_holm()), 1,
+     "FAIL order-reducibility[5]: witness (1/2)*y_1^(-1): at y1_1=1.37769"),
+    ("order-reducibility[cyclic]",
+     lambda: order_reducible(_parsed(3, 1, "(1/3)*y_11*y_13 - (1/2)*y_1*y_12 + 2*x1")), 1,
+     "FAIL order-reducibility[cyclic]: witness 1/2"),
+    ("combination[1]", lambda: combination_conditions(dirichlet(r=2)), 1,
+     "FAIL combination[1]: witness -y_22 - y_11: at y1_11=1.37769, y1_22=1.03182"),
+    ("combination[2]", lambda: combination_conditions(_parsed(2, 2, "2*x2^2 - 2*x2*y1_11*y2_1")), 2,
+     "FAIL combination[2]: witness -2*x2: at x2=1.37769"),
+    ("combination[3]", lambda: combination_conditions(_parsed(2, 2, "y1_1*y2_12")), 2,
+     "FAIL combination[3]: witness -1"),
+    ("combination[4]", lambda: combination_conditions(_parsed(2, 2, "2*y1_22*y2_1")), 2,
+     "FAIL combination[4]: witness 2"),
+    ("el-expansion[1]", lambda: el_expansion_crosscheck(camassa_holm(), Convention.PLAIN), 1,
+     "FAIL el-expansion[1]: witness -3*y_1^(-1)*y_1122 + 3*y_1^(-2)*y_12*y_112 "
+     "+ 3*y_1^(-2)*y_11*y_122 - 2*y_1^(-3)*y_11*y_12^2: at y1_1=1.37769, y1_11=1.03182, "
+     "y1_12=-0.317714, y1_112=-0.964333, y1_122=0.0450989, y1_1122=-0.380263"),
+    ("closure", lambda: closure_check(principal_lepage(dirichlet())), 1,
+     "FAIL closure: witness -y_22 - y_11: at y1_11=1.37769, y1_22=1.03182: "
+     "nonzero at basis term dx1 ∧ dx2 ∧ w1"),
+]
+
+
+class TestFirstFailureLabels:
+    @pytest.mark.parametrize(
+        "label, run, m, expected", FIRST_FAILURES, ids=[row[0] for row in FIRST_FAILURES]
+    )
+    def test_first_failure_is_pinned(self, label, run, m, expected):
+        report = run()
+        assert not report.passed
+        assert report.label == label
+        assert report.describe(m) == expected
