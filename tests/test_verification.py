@@ -312,6 +312,8 @@ FIRST_FAILURES = [
      "FAIL combination[3]: witness -1"),
     ("combination[4]", lambda: combination_conditions(_parsed(2, 2, "2*y1_22*y2_1")), 2,
      "FAIL combination[4]: witness 2"),
+    ("combination[sym]", lambda: combination_conditions(_parsed(3, 2, "y1_1*y2_13")), 2,
+     "FAIL combination[sym]: witness -2"),
     ("el-expansion[1]", lambda: el_expansion_crosscheck(camassa_holm(), Convention.PLAIN), 1,
      "FAIL el-expansion[1]: witness -3*y_1^(-1)*y_1122 + 3*y_1^(-2)*y_12*y_112 "
      "+ 3*y_1^(-2)*y_11*y_122 - 2*y_1^(-3)*y_11*y_12^2: at y1_1=1.37769, y1_11=1.03182, "
