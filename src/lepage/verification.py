@@ -8,6 +8,11 @@ triviality conditions restricted to order-reducible Lagrangians, and
 closure of a form.  The module also houses the test-Lagrangian generators,
 the numeric random-section oracle for the formal derivative, and the
 calibration oracle that fixes the derivative-index convention.
+
+Each check raises its precondition errors at once and is otherwise a lazy
+stream of (label, expression, message) conditions, built in a fixed order;
+``_judge`` zero-tests them in turn and turns the first nonzero one into the
+failing report, so every verdict is decided in that one place.
 """
 from __future__ import annotations
 
@@ -19,13 +24,13 @@ from fractions import Fraction
 from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, var_key
 from .expr import (
     Add,
+    DEFAULT_POLICY,
     EvalDomainError,
     Mul,
     Rat,
     ScalarExpr,
     Var,
     ZeroPolicy,
-    ZeroVerdict,
     as_expr,
     canonicalize,
     diff,
@@ -59,9 +64,6 @@ from .variational import (
     fundamental_second_order_n2,
     lagrangian_form,
 )
-
-DEFAULT_POLICY = ZeroPolicy()
-
 
 class PreconditionError(ValueError):
     """A check was invoked outside its stated precondition."""
@@ -101,26 +103,21 @@ class CheckReport:
         return ": ".join(parts)
 
 
-def _fail(label: str, witness: ScalarExpr, verdict: ZeroVerdict | None = None, message: str = "") -> CheckReport:
-    point = verdict.witness if verdict is not None else None
-    return CheckReport(False, label, canonicalize(witness), point, message)
-
-
-def _zero_or_fail(e: ScalarExpr, label: str, policy: ZeroPolicy) -> CheckReport | None:
-    verdict = equals_zero(e, policy)
-    if verdict.is_zero:
-        return None
-    return _fail(label, e, verdict)
-
-
-def _first_nonzero(terms, label: str, policy: ZeroPolicy, where: str = "") -> CheckReport | None:
-    """Fail on the first nonzero of (basis, coefficient) pairs; ``where`` prefixes the basis."""
-    for key, coeff in terms:
-        verdict = equals_zero(coeff, policy)
+def _judge(conditions, policy: ZeroPolicy, passed_label: str) -> CheckReport:
+    """The one verdict of every check: fail on the first nonzero of the
+    (label, expression, message) conditions, else pass as ``passed_label``."""
+    for label, expr, message in conditions:
+        verdict = equals_zero(expr, policy)
         if not verdict.is_zero:
-            basis = " ∧ ".join(coframe_label(el) for el in key)
-            return _fail(label, coeff, verdict, f"{where} {basis}" if where else "")
-    return None
+            return CheckReport(False, label, canonicalize(expr), verdict.witness, message)
+    return CheckReport(True, passed_label)
+
+
+def _form_conditions(terms, label: str, where: str = ""):
+    """(basis, coefficient) pairs as conditions; ``where`` prefixes the basis in the message."""
+    for key, coeff in terms:
+        basis = " ∧ ".join(coframe_label(el) for el in key)
+        yield label, coeff, f"{where} {basis}" if where else ""
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +131,8 @@ def is_lepage_form(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> Ch
         raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
     p1 = contact_component(exterior_derivative(rho), 1)
     higher = ((key, c) for key, c in p1 if next(el for el in key if isinstance(el, Omega)).jj)
-    bad = _first_nonzero(higher, "lepage-contact", policy, "offending basis term")
-    return bad if bad is not None else CheckReport(True, "lepage-contact")
+    conditions = _form_conditions(higher, "lepage-contact", "offending basis term")
+    return _judge(conditions, policy, "lepage-contact")
 
 
 def is_lepage_equivalent(
@@ -146,8 +143,7 @@ def is_lepage_equivalent(
     if not lepage.passed:
         return lepage
     mismatch = horizontalization(rho) - lagrangian_form(lam).at_order(rho.order)
-    bad = _first_nonzero(mismatch, "horizontal-mismatch", policy)
-    return bad if bad is not None else CheckReport(True, "lepage-equivalent")
+    return _judge(_form_conditions(mismatch, "horizontal-mismatch"), policy, "lepage-equivalent")
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +153,9 @@ def is_lepage_equivalent(
 
 def is_trivial(lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
     """Pass iff every Euler-Lagrange expression vanishes."""
-    for sigma, e_sigma in enumerate(euler_lagrange_expressions(lam), start=1):
-        bad = _zero_or_fail(e_sigma, f"euler-lagrange[{sigma}]", policy)
-        if bad is not None:
-            return bad
-    return CheckReport(True, "euler-lagrange")
+    expressions = enumerate(euler_lagrange_expressions(lam), start=1)
+    conditions = ((f"euler-lagrange[{sigma}]", e_sigma, "") for sigma, e_sigma in expressions)
+    return _judge(conditions, policy, "euler-lagrange")
 
 
 def _first_partial(L: ScalarExpr, sigma: int, jj: tuple[int, ...] = ()) -> ScalarExpr:
@@ -179,10 +173,6 @@ def _tc1(lam: Lagrangian, sigma: int, convention: Convention) -> ScalarExpr:
             inner = cut_derivative(sym_partial(lam.L, sigma, (i, j), convention), j, ctx)
             total = total + cut_derivative(inner, i, ctx)
     return canonicalize(total)
-
-
-def _sym_slots(values: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(values))
 
 
 def _pqi_head(pp, sigma: int, nu: int, p: int, q: int, i: int) -> ScalarExpr:
@@ -208,25 +198,25 @@ def trivial_conditions_second_order(
     """The four explicit chart conditions equivalent to triviality at order two."""
     if lam.r != 2:
         raise PreconditionError(f"second-order check got order {lam.r}")
+    return _judge(_triviality_conditions(lam, convention), policy, "triviality")
+
+
+def _triviality_conditions(lam: Lagrangian, convention: Convention):
     ctx = lam.ctx.at_order(2)
     L = lam.L
     pp = second_partials(L, convention)
     base = list(ctx.base_indices)
     for sigma in ctx.fiber_indices:
-        bad = _zero_or_fail(_tc1(lam, sigma, convention), "triviality[1]", policy)
-        if bad is not None:
-            return bad
+        yield "triviality[1]", _tc1(lam, sigma, convention), ""
     # second family: Sym(pqi) of the y_{pqi}-linear coefficient
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for triple in itertools.combinations_with_replacement(base, 3):
                 pieces = [
-                    _pqi_coefficient(pp, ctx, sigma, nu, p, q, i) for p, q, i in _sym_slots(triple)
+                    _pqi_coefficient(pp, ctx, sigma, nu, p, q, i)
+                    for p, q, i in itertools.permutations(triple)
                 ]
-                total = canonicalize(Add(tuple(pieces)))
-                bad = _zero_or_fail(total, "triviality[2]", policy)
-                if bad is not None:
-                    return bad
+                yield "triviality[2]", canonicalize(Add(tuple(pieces))), ""
     # third family: symmetrized third derivatives
     for mu in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
@@ -234,8 +224,8 @@ def trivial_conditions_second_order(
                 for group_a in itertools.combinations_with_replacement(base, 3):
                     for group_b in itertools.combinations_with_replacement(base, 3):
                         pieces = []
-                        for s, t, j in _sym_slots(group_a):
-                            for p, q, i in _sym_slots(group_b):
+                        for s, t, j in itertools.permutations(group_a):
+                            for p, q, i in itertools.permutations(group_b):
                                 pieces.append(
                                     mixed_partial(
                                         L,
@@ -243,20 +233,13 @@ def trivial_conditions_second_order(
                                         convention,
                                     )
                                 )
-                        total = canonicalize(Add(tuple(pieces)))
-                        bad = _zero_or_fail(total, "triviality[3]", policy)
-                        if bad is not None:
-                            return bad
+                        yield "triviality[3]", canonicalize(Add(tuple(pieces))), ""
     # fourth family: Sym(pqij) of the second derivatives
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for group in itertools.combinations_with_replacement(base, 4):
-                pieces = [pp(sigma, (i, j), nu, (p, q)) for p, q, i, j in _sym_slots(group)]
-                total = canonicalize(Add(tuple(pieces)))
-                bad = _zero_or_fail(total, "triviality[4]", policy)
-                if bad is not None:
-                    return bad
-    return CheckReport(True, "triviality")
+                pieces = [pp(sigma, (i, j), nu, (p, q)) for p, q, i, j in itertools.permutations(group)]
+                yield "triviality[4]", canonicalize(Add(tuple(pieces))), ""
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +255,31 @@ def order_reducible(
     """Pass iff the principal Lepage equivalent stays at the Lagrangian's order."""
     if lam.r != 2:
         raise PreconditionError(f"order-reducibility check got order {lam.r}")
-    policy = policy or DEFAULT_POLICY
+    conditions = _reducibility_conditions(lam, convention)
+    return _judge(conditions, policy or DEFAULT_POLICY, "order-reducibility")
+
+
+def _reducibility_conditions(lam: Lagrangian, convention: Convention):
     ctx = lam.ctx.at_order(2)
     pp = second_partials(lam.L, convention)
     if ctx.n == 2:
         for sigma in ctx.fiber_indices:
             for nu in ctx.fiber_indices:
-                conditions = [
-                    ("order-reducibility[1]", pp(sigma, (1, 1), nu, (1, 1))),
-                    ("order-reducibility[2]", pp(sigma, (1, 2), nu, (1, 1))),
-                    ("order-reducibility[3]", pp(sigma, (2, 1), nu, (2, 2))),
-                    ("order-reducibility[4]", pp(sigma, (2, 2), nu, (2, 2))),
+                yield from [
+                    ("order-reducibility[1]", pp(sigma, (1, 1), nu, (1, 1)), ""),
+                    ("order-reducibility[2]", pp(sigma, (1, 2), nu, (1, 1)), ""),
+                    ("order-reducibility[3]", pp(sigma, (2, 1), nu, (2, 2)), ""),
+                    ("order-reducibility[4]", pp(sigma, (2, 2), nu, (2, 2)), ""),
                     (
                         "order-reducibility[5]",
                         canonicalize(
                             pp(sigma, (2, 2), nu, (1, 1))
                             + Rat(Fraction(2)) * pp(sigma, (1, 2), nu, (1, 2))
                         ),
+                        "",
                     ),
                 ]
-                for label, expr in conditions:
-                    bad = _zero_or_fail(expr, label, policy)
-                    if bad is not None:
-                        return bad
-        return CheckReport(True, "order-reducibility")
+        return
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for p, q, i, j in itertools.product(ctx.base_indices, repeat=4):
@@ -304,10 +288,7 @@ def order_reducible(
                     + pp(sigma, (q, j), nu, (i, p))
                     + pp(sigma, (p, j), nu, (q, i))
                 )
-                bad = _zero_or_fail(cyclic, "order-reducibility[cyclic]", policy)
-                if bad is not None:
-                    return bad
-    return CheckReport(True, "order-reducibility")
+                yield "order-reducibility[cyclic]", cyclic, ""
 
 
 def combination_conditions(
@@ -321,12 +302,14 @@ def combination_conditions(
     reducible = order_reducible(lam, convention, policy)
     if not reducible.passed:
         raise PreconditionError(f"Lagrangian is not order-reducible: {reducible.describe()}")
+    return _judge(_combination_conditions(lam, convention), policy, "combination")
+
+
+def _combination_conditions(lam: Lagrangian, convention: Convention):
     ctx = lam.ctx.at_order(2)
     pp = second_partials(lam.L, convention)
     for sigma in ctx.fiber_indices:
-        bad = _zero_or_fail(_tc1(lam, sigma, convention), "combination[1]", policy)
-        if bad is not None:
-            return bad
+        yield "combination[1]", _tc1(lam, sigma, convention), ""
     if ctx.n == 2:
         two = Rat(Fraction(2))
         for sigma in ctx.fiber_indices:
@@ -350,19 +333,16 @@ def combination_conditions(
                     ),
                 ]
                 for label, expr in displays:
-                    bad = _zero_or_fail(canonicalize(expr), label, policy)
-                    if bad is not None:
-                        return bad
-        return CheckReport(True, "combination")
+                    yield label, canonicalize(expr), ""
+        return
     base = list(ctx.base_indices)
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for triple in itertools.combinations_with_replacement(base, 3):
-                pieces = [_pqi_head(pp, sigma, nu, p, q, i) for p, q, i in _sym_slots(triple)]
-                bad = _zero_or_fail(canonicalize(Add(tuple(pieces))), "combination[sym]", policy)
-                if bad is not None:
-                    return bad
-    return CheckReport(True, "combination")
+                pieces = [
+                    _pqi_head(pp, sigma, nu, p, q, i) for p, q, i in itertools.permutations(triple)
+                ]
+                yield "combination[sym]", canonicalize(Add(tuple(pieces))), ""
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +352,8 @@ def combination_conditions(
 
 def closure_check(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
     """Pass iff d(rho) vanishes; failure reports the first nonzero coefficient."""
-    bad = _first_nonzero(exterior_derivative(rho), "closure", policy, "nonzero at basis term")
-    return bad if bad is not None else CheckReport(True, "closure")
+    conditions = _form_conditions(exterior_derivative(rho), "closure", "nonzero at basis term")
+    return _judge(conditions, policy, "closure")
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +423,10 @@ def el_expansion_crosscheck(
     """Euler-Lagrange expressions versus their cut-derivative expansion."""
     if lam.r != 2:
         raise PreconditionError(f"second-order check got order {lam.r}")
+    return _judge(_expansion_gaps(lam, convention), policy, "el-expansion")
+
+
+def _expansion_gaps(lam: Lagrangian, convention: Convention):
     ctx = lam.ctx.at_order(2)
     L = lam.L
     pp = second_partials(L, convention)
@@ -471,11 +455,7 @@ def el_expansion_crosscheck(
                 if is_zero_expr(second):
                     continue
                 expansion = expansion + second * Var(FiberVar(nu, MultiIndex((p, q, i, j))))
-        gap = canonicalize(direct[sigma - 1] - expansion)
-        bad = _zero_or_fail(gap, f"el-expansion[{sigma}]", policy)
-        if bad is not None:
-            return bad
-    return CheckReport(True, "el-expansion")
+        yield f"el-expansion[{sigma}]", canonicalize(direct[sigma - 1] - expansion), ""
 
 
 # ---------------------------------------------------------------------------
