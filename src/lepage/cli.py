@@ -13,7 +13,7 @@ import json
 import sys
 
 from .charts import ChartContext, ChartError
-from .expr import ExprError, SamplingFailure, ZeroPolicy, eval_numeric
+from .expr import ExprError, SamplingFailure, Var, ZeroPolicy, eval_numeric
 from .forms import ExteriorForm, FormError, contact_component, exterior_derivative, horizontalization
 from .jets import Convention
 from .parsing import ExprSyntaxError, LagrangianSpec, OrderMismatchError, parse_expression, parse_lagrangian
@@ -118,8 +118,11 @@ def _source(args) -> str:
     if args.lagrangian is not None:
         return args.lagrangian
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as handle:
-            return handle.read().strip()
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                return handle.read().strip()
+        except UnicodeDecodeError as err:
+            raise _UsageError(f"{args.file} is not UTF-8 text: {err.reason} at byte {err.start}") from None
     raise _UsageError("one of --lagrangian or --file is required")
 
 
@@ -165,7 +168,12 @@ def _parse_point(text: str, ctx: ChartContext) -> dict:
         if not value:
             raise _UsageError(f"malformed assignment {item!r}")
         var = parse_expression(name.strip(), ctx)
-        point[var.ref] = float(value)
+        if not isinstance(var, Var):
+            raise _UsageError(f"{name.strip()!r} in {item!r} is not a coordinate")
+        try:
+            point[var.ref] = float(value)
+        except ValueError:
+            raise _UsageError(f"value {value.strip()!r} in {item!r} is not a number") from None
     return point
 
 

@@ -219,6 +219,33 @@ class TestUsageErrors:
         assert out == ""
         assert "expression too large" in err and "1000000 term products" in err
 
+    def _assert_one_error_line(self, code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_point_name_that_is_a_number(self, capsys):
+        code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", "2=3")
+        self._assert_one_error_line(code, out, err)
+        assert "not a coordinate" in err
+
+    def test_point_name_that_is_a_sum(self, capsys):
+        code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", "x1+x2=1")
+        self._assert_one_error_line(code, out, err)
+        assert "not a coordinate" in err
+
+    def test_point_value_that_is_not_a_number(self, capsys):
+        code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", "y_1=abc")
+        self._assert_one_error_line(code, out, err)
+        assert "not a number" in err
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        source = tmp_path / "lagrangian.txt"
+        source.write_bytes(b"y_1\xff^2")
+        code, out, err = run(capsys, "el", "--order", "1", "--file", str(source))
+        self._assert_one_error_line(code, out, err)
+        assert "not UTF-8" in err
+
     def test_unknown_subcommand(self, capsys):
         code = run_command(["frobnicate"])
         capsys.readouterr()
