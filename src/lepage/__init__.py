@@ -112,7 +112,7 @@ from .verification import (
     trivial_conditions_second_order,
     trivial_order_reducible_corpus,
 )
-from .parsing import ExprSyntaxError, LagrangianSpec, OrderMismatchError, ParseOptions, parse_expression, parse_lagrangian
+from .parsing import ExprSyntaxError, LagrangianSpec, OrderMismatchError, parse_expression, parse_lagrangian
 from .serialize import (
     expr_to_latex,
     expr_to_text,

@@ -199,13 +199,6 @@ def zero_form(ctx: ChartContext, degree: int, order: int = 0) -> ExteriorForm:
     return make_form(ctx, degree, [], order)
 
 
-def scalar_form(ctx: ChartContext, value, order: int | None = None) -> ExteriorForm:
-    e = canonicalize(as_expr(value))
-    if order is None:
-        order = max_jet_order(e)
-    return make_form(ctx, 0, [((), e)], order)
-
-
 def dx(ctx: ChartContext, i: int) -> ExteriorForm:
     return make_form(ctx, 1, [((Dx(i),), 1)], 0)
 

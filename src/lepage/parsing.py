@@ -9,9 +9,8 @@ Implicit multiplication is not allowed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .charts import BaseVar, ChartContext, FiberVar, MultiIndex
 from .expr import FUNCTIONS, Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, canonicalize
@@ -210,23 +209,11 @@ def parse_expression(src: str, ctx: ChartContext) -> ScalarExpr:
 
 
 @dataclass(frozen=True)
-class ParseOptions:
-    """Optional overrides carried alongside a Lagrangian source string."""
-
-    convention: Optional[str] = None
-    seed: Optional[int] = None
-    samples: Optional[int] = None
-    abs_tol: Optional[float] = None
-    rel_tol: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class LagrangianSpec:
     n: int
     m: int
     order: int
     source: str
-    options: ParseOptions = field(default_factory=ParseOptions)
 
 
 def parse_lagrangian(spec: LagrangianSpec) -> Lagrangian:

@@ -21,7 +21,7 @@ PUBLIC_NAMES = """
     DivergenceGenerator Dx EvalDomainError ExprError ExprSyntaxError
     ExteriorForm FiberVar Fn FormError FundamentalCoefficients JetVariable
     Lagrangian LagrangianSpec MissingVariableError Mul MultiIndex Omega
-    OrderMismatchError OrderReducibilityError ParseOptions Pow PreconditionError
+    OrderMismatchError OrderReducibilityError Pow PreconditionError
     Rat SamplingFailure ScalarExpr UndefinedFormError Var X Y ZeroPolicy
     ZeroVerdict builtin_calibration_corpus calibrate_convention camassa_holm
     canonicalize caratheodory_first caratheodory_second
