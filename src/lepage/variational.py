@@ -17,6 +17,7 @@ from math import factorial
 from .charts import ChartContext, ChartError, FiberVar, MultiIndex
 from .expr import (
     Add,
+    DEFAULT_POLICY,
     Pow,
     Rat,
     ScalarExpr,
@@ -167,9 +168,21 @@ def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTIO
 
 
 def _nonvanishing_guard(lam: Lagrangian, policy: ZeroPolicy | None) -> None:
-    verdict = equals_zero(lam.L, policy or ZeroPolicy())
+    verdict = equals_zero(lam.L, policy or DEFAULT_POLICY)
     if verdict.is_zero:
         raise UndefinedFormError("Lagrange function vanishes; the form is undefined")
+
+
+def _caratheodory(lam: Lagrangian, contact: list, order: int) -> ExteriorForm:
+    """L^{1-n} wedge_j (L dx^j + contact[j-1]), where contact[j-1] holds the
+    (coframe tuple, coefficient) entries of the j-th one-form's contact part."""
+    ctx = lam.ctx
+    factors = []
+    for j, entries in zip(ctx.base_indices, contact):
+        nonzero = [(key, c) for key, c in entries if not is_zero_expr(c)]
+        factors.append(make_form(ctx.at_order(order), 1, [((Dx(j),), lam.L)] + nonzero, order))
+    product = wedge_all(factors)
+    return product if ctx.n == 1 else product.scaled(Pow(lam.L, 1 - ctx.n))
 
 
 def caratheodory_first(lam: Lagrangian, policy: ZeroPolicy | None = None) -> ExteriorForm:
@@ -177,19 +190,14 @@ def caratheodory_first(lam: Lagrangian, policy: ZeroPolicy | None = None) -> Ext
     if lam.r != 1:
         raise UndefinedFormError(f"first-order constructor got order {lam.r}")
     _nonvanishing_guard(lam, policy)
-    ctx = lam.ctx
-    factors = []
-    for j in ctx.base_indices:
-        entries: list = [((Dx(j),), lam.L)]
-        for sigma in ctx.fiber_indices:
-            partial = diff(lam.L, FiberVar(sigma, MultiIndex((j,))))
-            if not is_zero_expr(partial):
-                entries.append(((Omega(sigma, MultiIndex()),), partial))
-        factors.append(make_form(ctx, 1, entries, 1))
-    product = wedge_all(factors)
-    if ctx.n == 1:
-        return product
-    return product.scaled(Pow(lam.L, 1 - ctx.n))
+    contact = [
+        [
+            ((Omega(sigma, MultiIndex()),), diff(lam.L, FiberVar(sigma, MultiIndex((j,)))))
+            for sigma in lam.ctx.fiber_indices
+        ]
+        for j in lam.ctx.base_indices
+    ]
+    return _caratheodory(lam, contact, 1)
 
 
 def _second_order_factor_coeffs(
@@ -224,20 +232,15 @@ def caratheodory_second(
     _nonvanishing_guard(lam, policy)
     ctx = lam.ctx
     A, B = _second_order_factor_coeffs(lam, convention)
-    factors = []
+    contact = []
     for j in ctx.base_indices:
-        entries: list = [((Dx(j),), lam.L)]
+        entries: list = []
         for sigma in ctx.fiber_indices:
-            if not is_zero_expr(A[(sigma, j)]):
-                entries.append(((Omega(sigma, MultiIndex()),), A[(sigma, j)]))
+            entries.append(((Omega(sigma, MultiIndex()),), A[(sigma, j)]))
             for i in ctx.base_indices:
-                if not is_zero_expr(B[(sigma, i, j)]):
-                    entries.append(((Omega(sigma, MultiIndex((i,))),), B[(sigma, i, j)]))
-        factors.append(make_form(ctx.at_order(3), 1, entries, 3))
-    product = wedge_all(factors)
-    if ctx.n == 1:
-        return product
-    return product.scaled(Pow(lam.L, 1 - ctx.n))
+                entries.append(((Omega(sigma, MultiIndex((i,))),), B[(sigma, i, j)]))
+        contact.append(entries)
+    return _caratheodory(lam, contact, 3)
 
 
 def caratheodory_second_blocks(
