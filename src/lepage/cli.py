@@ -122,7 +122,8 @@ def _source(args) -> str:
             with open(args.file, encoding="utf-8") as handle:
                 return handle.read().strip()
         except UnicodeDecodeError as err:
-            raise _UsageError(f"{args.file} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+            reason = f"{err.reason} at byte {err.start}"
+            raise _UsageError(f"{args.file} is not UTF-8 text: {reason}") from None
     raise _UsageError("one of --lagrangian or --file is required")
 
 

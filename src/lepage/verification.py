@@ -238,7 +238,9 @@ def _triviality_conditions(lam: Lagrangian, convention: Convention):
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for group in itertools.combinations_with_replacement(base, 4):
-                pieces = [pp(sigma, (i, j), nu, (p, q)) for p, q, i, j in itertools.permutations(group)]
+                pieces = [
+                    pp(sigma, (i, j), nu, (p, q)) for p, q, i, j in itertools.permutations(group)
+                ]
                 yield "triviality[4]", canonicalize(Add(tuple(pieces))), ""
 
 
