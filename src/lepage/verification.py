@@ -267,6 +267,7 @@ def _reducibility_conditions(lam: Lagrangian, convention: Convention):
     if ctx.n == 2:
         for sigma in ctx.fiber_indices:
             for nu in ctx.fiber_indices:
+                # the five partials of a (sigma, nu) pair are all taken before any is judged
                 yield from [
                     ("order-reducibility[1]", pp(sigma, (1, 1), nu, (1, 1)), ""),
                     ("order-reducibility[2]", pp(sigma, (1, 2), nu, (1, 1)), ""),
