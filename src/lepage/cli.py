@@ -170,11 +170,11 @@ def _parse_point(text: str, ctx: ChartContext) -> dict:
             raise _UsageError(f"malformed assignment {item!r}")
         var = parse_expression(name.strip(), ctx)
         if not isinstance(var, Var):
-            raise _UsageError(f"{name.strip()!r} in {item!r} is not a coordinate")
+            raise _UsageError(f"left side of {item!r} is not a coordinate")
         try:
             point[var.ref] = float(value)
         except ValueError:
-            raise _UsageError(f"value {value.strip()!r} in {item!r} is not a number") from None
+            raise _UsageError(f"right side of {item!r} is not a number") from None
     return point
 
 
