@@ -10,14 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .charts import ChartContext, ChartError
-from .expr import ExprError, SamplingFailure, Var, ZeroPolicy, eval_numeric
+from .charts import ChartContext, ChartError, var_key
+from .expr import ExprError, SamplingFailure, Var, ZeroPolicy, eval_numeric, variables
 from .forms import ExteriorForm, FormError, contact_component, exterior_derivative, horizontalization
 from .jets import Convention
 from .parsing import ExprSyntaxError, LagrangianSpec, OrderMismatchError, parse_expression, parse_lagrangian
-from .serialize import expr_to_latex, expr_to_text, form_to_json, form_to_latex, form_to_text
+from .serialize import (
+    expr_to_latex,
+    expr_to_text,
+    form_to_json,
+    form_to_latex,
+    form_to_text,
+    variable_name,
+)
 from .variational import (
     Lagrangian,
     OrderReducibilityError,
@@ -172,9 +180,14 @@ def _parse_point(text: str, ctx: ChartContext) -> dict:
         if not isinstance(var, Var):
             raise _UsageError(f"left side of {item!r} is not a coordinate")
         try:
-            point[var.ref] = float(value)
+            number = float(value)
         except ValueError:
             raise _UsageError(f"right side of {item!r} is not a number") from None
+        if not math.isfinite(number):
+            raise _UsageError(f"right side of {item!r} is not a finite number")
+        if var.ref in point:
+            raise _UsageError(f"{variable_name(var.ref, ctx.m)} is assigned twice")
+        point[var.ref] = number
     return point
 
 
@@ -218,6 +231,9 @@ def _run(args) -> int:
 
     if args.command == "eval":
         point = _parse_point(args.point, lam.ctx)
+        missing = sorted(variables(lam.L) - point.keys(), key=var_key)
+        if missing:
+            raise _UsageError(f"no assignment for {variable_name(missing[0], args.m)}")
         print(repr(eval_numeric(lam.L, point)))
         return 0
 

@@ -29,17 +29,26 @@ one id whichever threads meet it first.
 
 Inside the kernel every coefficient is an int: a quotient keeps one
 positive integer denominator beside its polynomials, and a multi-term
-denominator is scaled to integer coefficients with no common factor instead
-of being made monic.  So the cost of the arithmetic does not depend on
-whether the data's coefficients divide each other.  The monic form, with
-Fraction coefficients, is made only where a quotient is rendered or
-evaluated; constants leave the kernel (``Rat`` nodes, ``constant_value``)
-as Fractions.
+denominator is a product of powers of factors, polynomials with integer
+coefficients with no common factor instead of monic ones.  So the cost of
+the arithmetic does not depend on whether the data's coefficients divide
+each other.  The monic form, with Fraction coefficients, is made only where
+a quotient is rendered or evaluated; constants leave the kernel (``Rat``
+nodes, ``constant_value``) as Fractions.
 
-A partial of a quotient N/(d D) whose denominator depends on the variable
-v is taken by the quotient rule, (N_v D - N D_v) / (d D^2), one
-cross-multiplication over D^2; when D is free of v the partial is
-N_v / (d D).
+The factors are interned in a second table, beside the atoms, and a
+denominator is a map from factor id to exponent.  Dividing by a multi-term
+polynomial, or raising it to a negative power, makes it a factor.  A
+product adds exponents, and a sum goes over the least common multiple of
+its denominators, so a sum over B^i and B^j lands over B^max(i,j).  A
+partial of N/(d D) raises by one each factor F of D that depends on the
+variable v: with P the product of those factors and e_F their exponents,
+it is (N_v P - N sum_F e_F F_v P/F) / (d D P).  No factor is ever divided
+out of a numerator, and two different factors are never related to each
+other, even where one divides the other.  A quotient renders its
+denominator expanded, so a node rebuilt from its rendering (parsed text, an
+unpickled node) holds that product as one factor: it has the same value and
+rendering, but its partials may sit over higher powers.
 
 Each node caches what is derived from it, and the caches live as long as the
 node:
@@ -139,7 +148,7 @@ class ScalarExpr:
         return Mul((Rat(Fraction(-1)), self))
 
     def __getstate__(self) -> dict:
-        # the caches hold ids of this process's atom intern table, so a
+        # the caches hold ids of this process's atom and factor tables, so a
         # pickled node carries its fields only
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -292,41 +301,55 @@ def max_jet_order(e: ScalarExpr) -> int:
 # Atom       = Var node | Fn node with canonical argument, interned to an id
 # Monomial   = tuple of (atom id, exponent), sorted by id, exponents != 0
 # Poly       = dict mapping monomial -> int coefficient (no zero coefficients)
-# _RF        = (num: Poly, den: Poly, d: int), the value num / (d * den).
-#              den == _P_ONE for Laurent values, otherwise den is
-#              content-free, has >= 2 terms, coefficients with gcd 1 and a
-#              positive leading coefficient: the monic denominator times a
-#              constant, so two quotients have equal denominators exactly
-#              when their monic forms do.  d > 0 shares no factor with the
-#              coefficients of num.  The monic form, num / (d * lc) over
-#              den / lc with lc the leading coefficient of den, is what is
-#              rendered and evaluated (_rf_scales).  Every operation runs
-#              the monic form's arithmetic on data scaled by a constant, so
-#              each Poly has the terms, in the same dict order, that the
-#              monic form's has.
+# Factor     = Poly with >= 2 terms, no monomial content, coefficients with
+#              gcd 1 and a positive leading coefficient, interned to an id
+# Den        = tuple of (factor id, exponent) pairs, sorted by id, exponents
+#              > 0: the product of those factor powers, () for 1
+# _RF        = (num: Poly, den: Den, d: int), the value num / (d * den).  A
+#              divisor's multi-term numerator joins den as one factor, after
+#              its monomial and integer content move to num and d; factors
+#              are never divided out of num.  d > 0 shares no factor with
+#              the coefficients of num; num == {} forces den == ().  The
+#              expanded den, a product of content-free primitive factors, is
+#              content-free and primitive too (_den_entry, cached per Den).
+#              The monic form, num / (d * lc) over den / lc with lc the
+#              leading coefficient of the expanded den, is what is rendered
+#              and evaluated (_rf_scales); lc may be negative, as the
+#              monomial order is not multiplicative.  Scaling by a constant
+#              keeps a Poly's terms and their dict order.
 #
 # Ids follow first use, so anything that reaches the output (term and factor
 # order, the monic leading term, the order of cross-multiplication) orders
-# atoms by their sort key in _KEYS, never by id.
+# atoms by their sort key in _KEYS and factors by theirs in _FKEYS, never by
+# id.
 
 Mono = tuple
 Poly = dict
+Den = tuple
 
 _EMPTY_MONO: Mono = ()
 _P_ONE: Poly = {_EMPTY_MONO: 1}
 
-# The intern table: atom -> id, id -> atom, id -> sort key.  It lives as long
-# as the process and only grows; entries are appended under the lock, the
-# lists before the dict, so a reader that finds an id finds its entries.
+# The intern tables: atom -> id, id -> atom, id -> sort key, and factor (as
+# the frozenset of its items) -> id, id -> factor, id -> sort key.  They live
+# as long as the process and only grow; entries are appended under the lock,
+# the lists before the dict, so a reader that finds an id finds its entries.
 _IDS: dict = {}
 _ATOMS: list = []
 _KEYS: list = []
+_FIDS: dict = {}
+_FACTORS: list = []
+_FKEYS: list = []
 _INTERN_LOCK = threading.Lock()
+
+# Den -> (expanded Poly, its leading coefficient); racing threads store equal
+# values.
+_DENS: dict = {(): (_P_ONE, 1)}
 
 
 class _RF(NamedTuple):
     num: Poly
-    den: Poly
+    den: Den = ()
     d: int = 1
 
 
@@ -349,6 +372,21 @@ def _atom_id(atom: ScalarExpr) -> int:
                 _KEYS.append(key)
                 _IDS[atom] = i
     object.__setattr__(atom, "_aid", i)
+    return i
+
+
+def _factor_id(p: Poly) -> int:
+    items = frozenset(p.items())
+    i = _FIDS.get(items)
+    if i is None:
+        key = tuple(sorted((_mono_key(m), c) for m, c in p.items()))
+        with _INTERN_LOCK:
+            i = _FIDS.get(items)
+            if i is None:
+                i = len(_FACTORS)
+                _FACTORS.append(p)
+                _FKEYS.append(key)
+                _FIDS[items] = i
     return i
 
 
@@ -463,20 +501,130 @@ def _p_leading(a: Poly) -> Mono:
     return max(a, key=_mono_key)
 
 
-def _rf_normalize(num: Poly, den: Poly, d: int = 1) -> _RF:
-    """The quotient num / (d * den) of two int Polys and a nonzero int."""
-    if not den:
-        raise ExprError("division by an identically zero denominator")
+def _den_mul(a: Den, b: Den) -> Den:
+    """The product a * b of two denominators: exponents add."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for f, e in b:
+        out[f] = out.get(f, 0) + e
+    return tuple(sorted(out.items()))
+
+
+def _den_key(den: Den) -> tuple:
+    return tuple(sorted((_FKEYS[f], e) for f, e in den))
+
+
+def _den_entry(den: Den) -> tuple[Poly, int]:
+    """The expanded product of den's factor powers and its leading coefficient."""
+    entry = _DENS.get(den)
+    if entry is None:
+        p = _P_ONE
+        for f, e in sorted(den, key=lambda fe: _FKEYS[fe[0]]):
+            power = _FACTORS[f] if e == 1 else _p_pow(_FACTORS[f], e)
+            p = power if p is _P_ONE else _p_mul(p, power)
+        entry = _DENS[den] = (p, p[_p_leading(p)])
+    return entry
+
+
+def _den_poly(den: Den) -> Poly:
+    return _den_entry(den)[0]
+
+
+def _rf_reduce(num: Poly, den: Den, d: int) -> _RF:
+    """num / (d * den) with d made positive and coprime to num's coefficients."""
     if not num:
-        return _RF({}, dict(_P_ONE))
-    if len(den) == 1:
-        (mono, c), = den.items()
-        inv = _mono_inv(mono)
-        return _rf_reduce({_mono_mul(m, inv): v for m, v in num.items()}, dict(_P_ONE), d * c)
-    # factor the monomial content out of the denominator
+        return _RF({})
+    if d < 0:
+        num = {m: -v for m, v in num.items()}
+        d = -d
+    if d != 1:
+        g = math.gcd(d, *num.values())
+        if g != 1:
+            num = {m: v // g for m, v in num.items()}
+            d //= g
+    return _RF(num, den, d)
+
+
+def _rf_scales(rf: _RF) -> tuple[int, int]:
+    """The divisors of num and of the expanded den that give the monic form."""
+    lc = _den_entry(rf.den)[1]
+    return rf.d * lc, lc
+
+
+def _rf_const(c: Number) -> _RF:
+    if not c:
+        return _RF({})
+    if c.__class__ is int:
+        return _RF({_EMPTY_MONO: c})
+    return _RF({_EMPTY_MONO: c.numerator}, (), c.denominator)
+
+
+def _rf_sum(items: Sequence[_RF]) -> _RF:
+    # group by denominator, then put the groups over their least common
+    # multiple, in denominator sort-key order
+    groups: dict = {}
+    for rf in items:
+        group = groups.get(rf.den)
+        if group is None:
+            groups[rf.den] = [dict(rf.num), rf.d]
+            continue
+        num, d = group
+        if rf.d != d:
+            lcm = math.lcm(d, rf.d)
+            if lcm != d:
+                for m in num:
+                    num[m] *= lcm // d
+                group[1] = d = lcm
+        _p_add_into(num, _p_times(rf.num, d // rf.d))
+    if not groups:
+        return _RF({})
+    if len(groups) == 1:
+        (den, (num, d)), = groups.items()
+        return _rf_reduce(num, den, d)
+    top: dict = {}
+    for den in groups:
+        for f, e in den:
+            if e > top.get(f, 0):
+                top[f] = e
+    lcm_den = tuple(sorted(top.items()))
+    d = math.lcm(*(d for _, d in groups.values()))
+    total: Poly = {}
+    for den in sorted(groups, key=_den_key):
+        num, gd = groups[den]
+        num = _p_times(num, d // gd)
+        have = dict(den)
+        lacking = tuple((f, e - have.get(f, 0)) for f, e in lcm_den if e > have.get(f, 0))
+        if lacking:
+            num = _p_mul(num, _den_poly(lacking))
+        _p_add_into(total, num)
+    return _rf_reduce(total, lcm_den, d)
+
+
+def _rf_mul(a: _RF, b: _RF) -> _RF:
+    return _rf_reduce(_p_mul(a.num, b.num), _den_mul(a.den, b.den), a.d * b.d)
+
+
+def _rf_div(a: _RF, b: _RF) -> _RF:
+    """a / b: the monomial and integer content of b's numerator p move to the
+    quotient's numerator and d, and the rest of p joins den as a factor."""
+    p = b.num
+    if not p:
+        raise ExprError("division by an identically zero denominator")
+    if not a.num:
+        return _RF({})
+    num, den, d = _p_times(a.num, b.d), a.den, a.d
+    if b.den:
+        num = _p_mul(num, _den_poly(b.den))
+    if len(p) == 1:
+        (mono, c), = p.items()
+        return _rf_reduce(_p_mono_shift(num, _mono_inv(mono)), den, d * c)
+    # factor the monomial content out of p
     content: dict = {}
     first = True
-    for mono in den:
+    for mono in p:
         if first:
             content = dict(mono)
             first = False
@@ -490,103 +638,16 @@ def _rf_normalize(num: Poly, den: Poly, d: int = 1) -> _RF:
     content_mono = tuple((i, e) for i, e in sorted(content.items()) if e != 0)
     if content_mono:
         inv = _mono_inv(content_mono)
-        den = _p_mono_shift(den, inv)
+        p = _p_mono_shift(p, inv)
         num = _p_mono_shift(num, inv)
     # move the coefficients' common factor, signed by the leading one, into d
-    g = math.gcd(*den.values())
-    if den[_p_leading(den)] < 0:
+    g = math.gcd(*p.values())
+    if p[_p_leading(p)] < 0:
         g = -g
     if g != 1:
-        den = {m: v // g for m, v in den.items()}
+        p = {m: v // g for m, v in p.items()}
         d *= g
-    return _rf_reduce(num, den, d)
-
-
-def _rf_reduce(num: Poly, den: Poly, d: int) -> _RF:
-    """num / (d * den) with d made positive and coprime to num's coefficients."""
-    if d < 0:
-        num = {m: -v for m, v in num.items()}
-        d = -d
-    if d != 1:
-        g = math.gcd(d, *num.values())
-        if g != 1:
-            num = {m: v // g for m, v in num.items()}
-            d //= g
-    return _RF(num, den, d)
-
-
-def _rf_scales(rf: _RF) -> tuple[int, int]:
-    """The divisors of num and den that give the quotient's monic form."""
-    if _rf_is_laurent(rf):
-        return rf.d, 1
-    lc = rf.den[_p_leading(rf.den)]
-    return rf.d * lc, lc
-
-
-def _rf_const(c: Number) -> _RF:
-    if not c:
-        return _RF({}, dict(_P_ONE))
-    if c.__class__ is int:
-        return _RF({_EMPTY_MONO: c}, dict(_P_ONE))
-    return _RF({_EMPTY_MONO: c.numerator}, dict(_P_ONE), c.denominator)
-
-
-def _rf_is_laurent(rf: _RF) -> bool:
-    return rf.den == _P_ONE
-
-
-def _rf_add(a: _RF, b: _RF) -> _RF:
-    d = a.d if a.d == b.d else math.lcm(a.d, b.d)
-    if a.den == b.den:
-        num = dict(a.num) if d == a.d else _p_times(a.num, d // a.d)
-        _p_add_into(num, _p_times(b.num, d // b.d))
-        return _rf_normalize(num, a.den, d)
-    num = _p_mul(_p_times(a.num, d // a.d), b.den)
-    _p_add_into(num, _p_mul(_p_times(b.num, d // b.d), a.den))
-    return _rf_normalize(num, _p_mul(a.den, b.den), d)
-
-
-def _den_signature(den: Poly) -> tuple:
-    # the monic denominator's terms: they fix the order sums cross-multiply in
-    lc = den[_p_leading(den)]
-    return tuple(sorted(((_mono_key(m), c if lc == 1 else Fraction(c, lc))
-                         for m, c in den.items())))
-
-
-def _rf_sum(items: Sequence[_RF]) -> _RF:
-    # group by denominator, then cross-multiply the groups in signature order
-    groups: dict = {}
-    for rf in items:
-        den_id = None if rf.den == _P_ONE else frozenset(rf.den.items())
-        group = groups.get(den_id)
-        if group is None:
-            groups[den_id] = [dict(rf.num), rf.den, rf.d]
-            continue
-        num, _, d = group
-        if rf.d != d:
-            lcm = math.lcm(d, rf.d)
-            if lcm != d:
-                for m in num:
-                    num[m] *= lcm // d
-                group[2] = d = lcm
-        _p_add_into(num, _p_times(rf.num, d // rf.d))
-    ordered = list(groups.values())
-    if len(ordered) > 1:
-        ordered.sort(key=lambda group: _den_signature(group[1]))
-    total = _rf_const(0)
-    for num, den, d in ordered:
-        total = _rf_add(total, _rf_normalize(num, den, d))
-    return total
-
-
-def _rf_mul(a: _RF, b: _RF) -> _RF:
-    return _rf_normalize(_p_mul(a.num, b.num), _p_mul(a.den, b.den), a.d * b.d)
-
-
-def _rf_div(a: _RF, b: _RF) -> _RF:
-    if not b.num:
-        raise ExprError("division by an identically zero denominator")
-    return _rf_normalize(_p_mul(_p_times(a.num, b.d), b.den), _p_mul(a.den, b.num), a.d)
+    return _rf_reduce(num, _den_mul(den, ((_factor_id(p), 1),)), d)
 
 
 def _rf_scale_down(a: _RF, k: int) -> _RF:
@@ -598,18 +659,12 @@ def _rf_neg(a: _RF) -> _RF:
     return _RF({m: -v for m, v in a.num.items()}, a.den, a.d)
 
 
-def _rf_sub(a: _RF, b: _RF) -> _RF:
-    return _rf_add(a, _rf_neg(b))
-
-
 def _rf_pow(a: _RF, k: int) -> _RF:
     if k == 0:
         return _rf_const(1)
     if k < 0:
-        if not a.num:
-            raise ExprError("division by an identically zero denominator")
-        return _rf_pow(_rf_normalize(_p_times(a.den, a.d), a.num), -k)
-    return _rf_normalize(_p_pow(a.num, k), _p_pow(a.den, k), a.d ** k)
+        return _rf_pow(_rf_div(_rf_const(1), a), -k)
+    return _rf_reduce(_p_pow(a.num, k), tuple((f, e * k) for f, e in a.den), a.d ** k)
 
 
 def _to_rf(e: ScalarExpr) -> _RF:
@@ -619,7 +674,7 @@ def _to_rf(e: ScalarExpr) -> _RF:
     if isinstance(e, Rat):
         rf = _rf_const(e.value)
     elif isinstance(e, Var):
-        rf = _RF(_p_atom(e), dict(_P_ONE))
+        rf = _RF(_p_atom(e))
     elif isinstance(e, Add):
         rf = _rf_sum([_to_rf(t) for t in e.terms])
     elif isinstance(e, Mul):
@@ -634,7 +689,7 @@ def _to_rf(e: ScalarExpr) -> _RF:
         if e.name not in FUNCTIONS:
             raise ExprError(f"unknown function {e.name!r}")
         atom = Fn(e.name, canonicalize(e.arg))
-        rf = _RF(_p_atom(atom), dict(_P_ONE))
+        rf = _RF(_p_atom(atom))
     else:
         raise ExprError(f"unknown node {e!r}")
     object.__setattr__(e, "_rfc", rf)
@@ -642,7 +697,7 @@ def _to_rf(e: ScalarExpr) -> _RF:
 
 
 def _render_poly(p: Poly, k: int) -> ScalarExpr:
-    """The polynomial p / k for a positive int k."""
+    """The polynomial p / k for a nonzero int k."""
     if not p:
         return ZERO
     nodes = []
@@ -659,10 +714,10 @@ def _render_poly(p: Poly, k: int) -> ScalarExpr:
 
 def _render(rf: _RF) -> ScalarExpr:
     kn, kd = _rf_scales(rf)
-    if _rf_is_laurent(rf):
+    if not rf.den:
         out = _render_poly(rf.num, kn)
     else:
-        out = Div(_render_poly(rf.num, kn), _render_poly(rf.den, kd))
+        out = Div(_render_poly(rf.num, kn), _render_poly(_den_poly(rf.den), kd))
     object.__setattr__(out, "_rfc", rf)
     object.__setattr__(out, "_canonical", True)
     return out
@@ -698,7 +753,7 @@ def constant_value(e: ScalarExpr) -> Fraction | None:
     rf = _to_rf(e)
     if not rf.num:
         return Fraction(0)
-    if _rf_is_laurent(rf) and len(rf.num) == 1 and _EMPTY_MONO in rf.num:
+    if not rf.den and len(rf.num) == 1 and _EMPTY_MONO in rf.num:
         return Fraction(rf.num[_EMPTY_MONO], rf.d)
     return None
 
@@ -708,11 +763,11 @@ _FN_EVAL = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 def _fn_derivative(name: str, arg: ScalarExpr, arg_rf: _RF) -> _RF:
     if name == "sin":
-        return _RF(_p_atom(Fn("cos", arg)), dict(_P_ONE))
+        return _RF(_p_atom(Fn("cos", arg)))
     if name == "cos":
-        return _rf_neg(_RF(_p_atom(Fn("sin", arg)), dict(_P_ONE)))
+        return _rf_neg(_RF(_p_atom(Fn("sin", arg))))
     if name == "exp":
-        return _RF(_p_atom(Fn("exp", arg)), dict(_P_ONE))
+        return _RF(_p_atom(Fn("exp", arg)))
     if name == "ln":
         return _rf_div(_rf_const(1), arg_rf)
     raise ExprError(f"unknown function {name!r}")
@@ -733,23 +788,33 @@ def _poly_diff(p: Poly, v: JetVariable) -> _RF:
                 darg = _rf_diff(arg_rf, v)
                 if not darg.num:
                     continue
-                piece = _rf_mul(_RF({rest: c * e}, dict(_P_ONE)),
+                piece = _rf_mul(_RF({rest: c * e}),
                                 _fn_derivative(atom.name, atom.arg, arg_rf))
                 extras.append(_rf_mul(piece, darg))
-    return _rf_sum([_RF(plain, dict(_P_ONE))] + extras)
+    return _rf_sum([_RF(plain)] + extras)
 
 
 def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
     dnum = _poly_diff(rf.num, v)
-    if _rf_is_laurent(rf):
-        return _rf_scale_down(dnum, rf.d)
-    den_rf = _RF(rf.den, dict(_P_ONE))
-    dden = _poly_diff(rf.den, v)
-    if not dden.num:
-        return _rf_scale_down(_rf_div(dnum, den_rf), rf.d)
-    # the quotient rule (N_v D - N D_v) / (d D^2)
-    top = _rf_sub(_rf_mul(dnum, den_rf), _rf_mul(_RF(rf.num, dict(_P_ONE)), dden))
-    return _rf_scale_down(_rf_div(top, _RF(_p_mul(rf.den, rf.den), dict(_P_ONE))), rf.d)
+    # the factors of den that depend on v, with their exponents and partials
+    moving = []
+    for f, e in rf.den:
+        df = _poly_diff(_FACTORS[f], v)
+        if df.num:
+            moving.append((f, e, df))
+    if not moving:
+        return _rf_reduce(dnum.num, _den_mul(dnum.den, rf.den), dnum.d * rf.d)
+    # the quotient rule over D P, P the product of the moving factors:
+    # (N_v P - N sum_f e_f F_f' P / F_f) / (d D P)
+    moving.sort(key=lambda fed: _FKEYS[fed[0]])
+    p_den = tuple(sorted((f, 1) for f, _, _ in moving))
+    terms = []
+    for f, e, df in moving:
+        others = tuple(fe for fe in p_den if fe[0] != f)
+        terms.append(_rf_mul(_RF(_p_times(_den_poly(others), e)), df))
+    top = _rf_sum((_rf_mul(dnum, _RF(_den_poly(p_den))),
+                   _rf_neg(_rf_mul(_RF(rf.num), _rf_sum(terms)))))
+    return _rf_reduce(top.num, _den_mul(top.den, _den_mul(rf.den, p_den)), top.d * rf.d)
 
 
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
@@ -779,8 +844,8 @@ def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> Sca
 
 def _rf_subst(rf: _RF, rfs: Mapping[JetVariable, _RF]) -> _RF:
     num = _poly_subst(rf.num, rfs)
-    if not _rf_is_laurent(rf):
-        num = _rf_div(num, _poly_subst(rf.den, rfs))
+    for f, e in sorted(rf.den, key=lambda fe: _FKEYS[fe[0]]):
+        num = _rf_mul(num, _rf_pow(_poly_subst(_FACTORS[f], rfs), -e))
     return _rf_scale_down(num, rf.d)
 
 
@@ -794,9 +859,9 @@ def _poly_subst(p: Poly, rfs: Mapping[JetVariable, _RF]) -> _RF:
                 target = rfs[atom.ref]
             elif isinstance(atom, Fn):
                 new_arg = _render(_rf_subst(_to_rf(atom.arg), rfs))
-                target = _RF(_p_atom(Fn(atom.name, new_arg)), dict(_P_ONE))
+                target = _RF(_p_atom(Fn(atom.name, new_arg)))
             else:
-                target = _RF({((i, 1),): 1}, dict(_P_ONE))
+                target = _RF({((i, 1),): 1})
             term = _rf_mul(term, _rf_pow(target, e))
         pieces.append(term)
     return _rf_sum(pieces) if pieces else _rf_const(0)
@@ -910,9 +975,9 @@ def _rf_eval(rf: _RF, scales: tuple[int, int], point: Mapping[JetVariable, float
     """Value and a cancellation-aware magnitude estimate of the monic form
     (``scales`` is ``_rf_scales(rf)``); raises on guarded poles."""
     val, mag = _poly_eval(rf.num, scales[0], point, guard)
-    if _rf_is_laurent(rf):
+    if not rf.den:
         return val, mag
-    dval, _ = _poly_eval(rf.den, scales[1], point, guard)
+    dval, _ = _poly_eval(_den_poly(rf.den), scales[1], point, guard)
     dval = _guarded(dval, guard)
     return val / dval, mag / abs(dval)
 
@@ -991,4 +1056,5 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
 
 def _is_rational(rf: _RF) -> bool:
     """True iff every atom of the quotient is a coordinate (no function atoms)."""
-    return all(isinstance(_ATOMS[i], Var) for p in (rf.num, rf.den) for mono in p for i, _ in mono)
+    polys = [rf.num] + [_FACTORS[f] for f, _ in rf.den]
+    return all(isinstance(_ATOMS[i], Var) for p in polys for mono in p for i, _ in mono)

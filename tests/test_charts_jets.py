@@ -193,6 +193,20 @@ class TestDerivativeProperties:
         report = random_section_oracle(Y(1, 1, 2) ** 2 / Y(1, 1), ctx, trials=3, points=4)
         assert report.passed, report.describe()
 
+    @pytest.mark.parametrize("f", [Y(1, 1) * Y(1, 2), Y(1, 1, 2) ** 2 / Y(1, 1)])
+    def test_section_oracle_fails_on_a_perturbed_total_derivative(self, monkeypatch, f):
+        import lepage.verification
+
+        real = lepage.verification.total_derivative
+        monkeypatch.setattr(
+            lepage.verification,
+            "total_derivative",
+            lambda g, i, ctx: real(g, i, ctx) + Y(1) / 1000,
+        )
+        report = random_section_oracle(f, ChartContext(2, 1, 2), trials=3, points=4)
+        assert not report.passed
+        assert "finite-difference gap" in report.message
+
 
 @pytest.fixture
 def kernel_calls(monkeypatch):

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, output determinism."""
 import json
 
+from lepage import ChartContext, equals_zero, parse_expression
 from lepage.cli import run_command
+from lepage.expr import PROVEN_ZERO
 
 CH = "1/2*(y_1*y_2^2 + y_12^2/y_1)"
 DIRICHLET = "1/2*(y_1^2 + y_2^2)"
@@ -21,14 +23,18 @@ class TestEl:
         assert code == 0
         assert out.strip() == "E_1 = -y_22 - y_11"
 
-    def test_quotient_lagrangian_stays_over_the_fourth_power(self, capsys):
-        # each partial of a quotient is taken over D^2, so E stays over (1 + y_1^2)^4
+    def test_quotient_lagrangian_stays_over_the_third_power(self, capsys):
+        # a partial raises each factor it differentiates by one: dL/dy_1 sits
+        # over (1 + y_1^2)^2, so E sits over (1 + y_1^2)^3
         code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", "1/(1+y_1^2)")
         assert code == 0
-        assert out.strip() == (
-            "E_1 = (2*y_11 - 6*y_1^4*y_11 - 4*y_1^2*y_11)"
-            "/(y_1^8 + 4*y_1^6 + 6*y_1^4 + 4*y_1^2 + 1)"
-        )
+        new = "(2*y_11 - 6*y_1^2*y_11)/(y_1^6 + 3*y_1^4 + 3*y_1^2 + 1)"
+        assert out.strip() == f"E_1 = {new}"
+        # the rendering over (1 + y_1^2)^4 that the D^2 quotient rule gave
+        old = "(2*y_11 - 6*y_1^4*y_11 - 4*y_1^2*y_11)/(y_1^8 + 4*y_1^6 + 6*y_1^4 + 4*y_1^2 + 1)"
+        ctx = ChartContext(2, 1, 2)
+        gap = parse_expression(old, ctx) - parse_expression(new, ctx)
+        assert equals_zero(gap).kind == PROVEN_ZERO
 
     def test_json(self, capsys):
         code, out, _ = run(
@@ -238,6 +244,22 @@ class TestUsageErrors:
         code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", "y_1=abc")
         self._assert_one_error_line(code, out, err)
         assert "not a number" in err
+
+    def test_point_that_leaves_a_coordinate_unassigned(self, capsys):
+        code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2 + y_2", "--point", "y_1=1")
+        self._assert_one_error_line(code, out, err)
+        assert "no assignment for y_2" in err
+
+    def test_point_value_that_is_not_finite(self, capsys):
+        for value in ("nan", "inf", "-inf"):
+            code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", f"y_1={value}")
+            self._assert_one_error_line(code, out, err)
+            assert "not a finite number" in err
+
+    def test_point_that_assigns_a_coordinate_twice(self, capsys):
+        code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", "y_1=1,y_1=3")
+        self._assert_one_error_line(code, out, err)
+        assert "y_1 is assigned twice" in err
 
     def test_file_that_is_not_utf8(self, capsys, tmp_path):
         source = tmp_path / "lagrangian.txt"

@@ -44,6 +44,9 @@ from lepage.expr import (
     NUMERIC_ZERO,
     _ATOMS,
     _IDS,
+    _FACTORS,
+    _FIDS,
+    _FKEYS,
     _KEYS,
     Add,
     Div,
@@ -51,6 +54,7 @@ from lepage.expr import (
     Mul,
     Pow,
     Var,
+    _den_poly,
     _p_leading,
     _render,
     _rf_diff,
@@ -339,8 +343,9 @@ class TestRepresentationBoundary:
         assert any(v.denominator != 1 for v in values)
 
     def test_kernel_quotients_are_integral(self):
-        # num / (d * den): int coefficients, d > 0 coprime to num, and a
-        # multi-term den with coprime coefficients and a positive leading one
+        # num / (d * den): int coefficients, d > 0 coprime to num, and den a
+        # product of multi-term factors with coprime coefficients and a
+        # positive leading one, whose expansion has coprime coefficients
         quotient = (Y1 + 2) / (const(3, 2) * Y2 ** 2 - 6 * Y1 + 9)
         trees = [quotient, diff(quotient, fiber(1)), diff(quotient, fiber(2)),
                  Y1 / (1 - 2 * Y2 ** 2)]
@@ -349,13 +354,18 @@ class TestRepresentationBoundary:
             trees += [diff(lam.L, v) for v in lam.ctx.coordinates()]
         for tree in trees:
             rf = _to_rf(tree)
-            assert all(type(c) is int for p in (rf.num, rf.den) for c in p.values())
+            factors = [_FACTORS[f] for f, _ in rf.den]
+            expanded = _den_poly(rf.den)
+            assert all(type(c) is int for p in (rf.num, expanded, *factors) for c in p.values())
             assert type(rf.d) is int and rf.d > 0
             assert math.gcd(rf.d, *rf.num.values()) == 1
-            if len(rf.den) > 1:
-                assert math.gcd(*rf.den.values()) == 1
-                assert rf.den[_p_leading(rf.den)] > 0
-        assert any(len(_to_rf(tree).den) > 1 for tree in trees)
+            for p in factors:
+                assert len(p) > 1
+                assert math.gcd(*p.values()) == 1
+                assert p[_p_leading(p)] > 0
+            if rf.den:
+                assert math.gcd(*expanded.values()) == 1
+        assert any(_to_rf(tree).den for tree in trees)
         assert any(_to_rf(tree).d > 1 for tree in trees)
 
     def test_scaled_quotients_share_a_denominator(self):
@@ -435,6 +445,9 @@ class TestRepresentationBoundary:
         atoms = {node for tree, _ in want for node in _subtrees(tree)
                  if isinstance(node, (Var, Fn))}
         assert atoms and all(atom in _IDS for atom in atoms)
+        # the denominators' factors share the table's lock
+        assert len(_FIDS) == len(_FACTORS) == len(_FKEYS)
+        assert all(_FIDS[frozenset(p.items())] == i for i, p in enumerate(_FACTORS))
 
 
 class TestSubstitute:

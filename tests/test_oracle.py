@@ -25,7 +25,7 @@ from lepage import (
     total_derivative,
 )
 from lepage.charts import FiberVar
-from lepage.expr import Add, Div, Fn, Mul, Pow, Rat, Var
+from lepage.expr import Add, Div, Fn, Mul, Pow, Rat, Var, is_zero_expr
 
 sympy = pytest.importorskip("sympy")
 
@@ -158,6 +158,52 @@ def test_quotient_rule_agrees_with_sympy(ev):
     _canonical(e)
     want = sympy.diff(to_sympy(e), sympy.Symbol(_name(v.ref)))
     assert _is_zero_over_atoms(to_sympy(diff(e, v.ref)) - want)
+
+
+_SHARED_POOL = [X(1), Y(1), Y(1, 1)]
+
+_small_polynomials = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.lists(st.sampled_from(_SHARED_POOL), max_size=2)),
+    min_size=1, max_size=3,
+).map(lambda terms: Add(tuple(Mul((Rat(Fraction(c)),) + tuple(vs)) for c, vs in terms)))
+
+
+@st.composite
+def _shared_factor_quotients(draw):
+    """(P, F, i, Q, j, v): polynomials P, Q and a multi-term factor F with a
+    constant term, in which the coordinate v occurs."""
+    v = draw(st.sampled_from(_SHARED_POOL))
+    w = draw(st.sampled_from(_SHARED_POOL))
+    F = Add((v ** draw(st.integers(1, 2)), Rat(Fraction(draw(st.integers(1, 3)))),
+             Rat(Fraction(draw(st.integers(0, 2)))) * w))
+    P, Q = draw(_small_polynomials), draw(_small_polynomials)
+    assume(not is_zero_expr(P) and not is_zero_expr(Q))
+    return P, F, draw(st.integers(1, 3)), Q, draw(st.integers(1, 3)), v
+
+
+def _total_degree(e) -> int:
+    s = to_sympy(e)
+    return sympy.Poly(s, *sorted(s.free_symbols, key=str)).total_degree()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=_shared_factor_quotients(), sign=st.sampled_from([1, -1]))
+def test_quotients_that_share_a_factor_agree_with_sympy(case, sign):
+    P, F, i, Q, j, v = case
+    a, b = P * F ** -i, Q * F ** -j
+    total = a + b if sign > 0 else a - b
+    partial = diff(total, v.ref)
+    for e, got in ((total, canonicalize(total)), (a * b, canonicalize(a * b)),
+                   (partial, partial)):
+        assert sympy.cancel(to_sympy(got) - to_sympy(e)) == 0
+    # the sum sits over F^max(i, j), not F^(i + j); a product adds exponents,
+    # and a partial raises F by one
+    degree = _total_degree(F)
+    if not is_zero_expr(total):
+        assert _total_degree(canonicalize(total).den) == max(i, j) * degree
+    assert _total_degree(canonicalize(a * b).den) == (i + j) * degree
+    if isinstance(partial, Div):
+        assert _total_degree(partial.den) <= (max(i, j) + 1) * degree
 
 
 # ---------------------------------------------------------------------------

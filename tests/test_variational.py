@@ -5,6 +5,7 @@ from lepage import (
     ChartContext,
     Dx,
     Lagrangian,
+    LagrangianSpec,
     MultiIndex,
     Omega,
     OrderReducibilityError,
@@ -29,9 +30,11 @@ from lepage import (
     horizontalization,
     hessian_determinant,
     camassa_holm,
+    is_lepage_equivalent,
     lagrangian_form,
     null_divergence_m2,
     omega_basis,
+    parse_lagrangian,
     principal_lepage,
     wedge,
 )
@@ -197,6 +200,17 @@ class TestCaratheodorySecond:
         for L in (const(1) + Y(1, 1) * Y(1, 2, 2), Y(1) + Y(1, 1, 2) ** 2):
             rho = caratheodory_second(lag(2, 1, 2, L))
             assert form_is_zero(exterior_derivative(exterior_derivative(rho)))
+
+    def test_dd_vanishes_where_denominators_used_to_snowball(self):
+        # a sum over L^i and L^j lands over L^max(i,j); when it landed over
+        # L^(i+j), d(d(rho)) exceeded the term-product limit
+        lam = parse_lagrangian(LagrangianSpec(2, 1, 2, "1 + y_1*y_12 + x1*y + y_2^2"))
+        assert form_is_zero(exterior_derivative(exterior_derivative(caratheodory_second(lam))))
+
+    def test_lepage_equivalent_on_the_widest_chart(self):
+        # the n = 4, m = 2 rung of the wide-chart benchmark ladder
+        lam = parse_lagrangian(LagrangianSpec(4, 2, 2, "1 + 3*y1_1*y2_14 + 3*x1*y1 + y1_2^2"))
+        assert is_lepage_equivalent(caratheodory_second(lam), lam).passed
 
 
 class TestFundamentalFirstOrder:
