@@ -38,9 +38,11 @@ nodes, ``constant_value``) as Fractions.
 
 The factors are interned in a second table, beside the atoms, and a
 denominator is a map from factor id to exponent.  Dividing by a multi-term
-polynomial, or raising it to a negative power, makes it a factor.  A
-product adds exponents, and a sum goes over the least common multiple of
-its denominators, so a sum over B^i and B^j lands over B^max(i,j).  A
+polynomial, or raising it to a negative power, makes it a factor; a divisor
+written as a product of powers divides by each base, so 1/B^2 and B^-2 hold
+the same map.  A product adds exponents, and a sum goes over the least
+common multiple of its denominators, so a sum over B^i and B^j lands over
+B^max(i,j); a denominator whose numerators cancelled adds nothing to it.  A
 partial of N/(d D) raises by one each factor F of D that depends on the
 variable v: with P the product of those factors and e_F their exponents,
 it is (N_v P - N sum_F e_F F_v P/F) / (d D P).  No factor is ever divided
@@ -72,6 +74,7 @@ race on one memo entry compute equal values, and the last one stored wins.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 import threading
@@ -311,7 +314,7 @@ def max_jet_order(e: ScalarExpr) -> int:
 #              are never divided out of num.  d > 0 shares no factor with
 #              the coefficients of num; num == {} forces den == ().  The
 #              expanded den, a product of content-free primitive factors, is
-#              content-free and primitive too (_den_entry, cached per Den).
+#              content-free and primitive too (_den_entry).
 #              The monic form, num / (d * lc) over den / lc with lc the
 #              leading coefficient of the expanded den, is what is rendered
 #              and evaluated (_rf_scales); lc may be negative, as the
@@ -341,11 +344,6 @@ _FIDS: dict = {}
 _FACTORS: list = []
 _FKEYS: list = []
 _INTERN_LOCK = threading.Lock()
-
-# Den -> (expanded Poly, its leading coefficient); racing threads store equal
-# values.
-_DENS: dict = {(): (_P_ONE, 1)}
-
 
 class _RF(NamedTuple):
     num: Poly
@@ -517,16 +515,23 @@ def _den_key(den: Den) -> tuple:
     return tuple(sorted((_FKEYS[f], e) for f, e in den))
 
 
+def _den_expand(den: Den) -> Poly:
+    """The expanded product of den's factor powers."""
+    p = _P_ONE
+    for f, e in sorted(den, key=lambda fe: _FKEYS[fe[0]]):
+        power = _FACTORS[f] if e == 1 else _p_pow(_FACTORS[f], e)
+        p = power if p is _P_ONE else _p_mul(p, power)
+    return p
+
+
+# The denominators of quotients are expanded once per Den while they stay
+# among the most recently used; the partial products that sums and partials
+# multiply by are expanded each time and never kept.
+@functools.lru_cache(maxsize=1024)
 def _den_entry(den: Den) -> tuple[Poly, int]:
-    """The expanded product of den's factor powers and its leading coefficient."""
-    entry = _DENS.get(den)
-    if entry is None:
-        p = _P_ONE
-        for f, e in sorted(den, key=lambda fe: _FKEYS[fe[0]]):
-            power = _FACTORS[f] if e == 1 else _p_pow(_FACTORS[f], e)
-            p = power if p is _P_ONE else _p_mul(p, power)
-        entry = _DENS[den] = (p, p[_p_leading(p)])
-    return entry
+    """The expanded den and its leading coefficient."""
+    p = _den_expand(den)
+    return p, p[_p_leading(p)]
 
 
 def _den_poly(den: Den) -> Poly:
@@ -579,6 +584,9 @@ def _rf_sum(items: Sequence[_RF]) -> _RF:
                     num[m] *= lcm // d
                 group[1] = d = lcm
         _p_add_into(num, _p_times(rf.num, d // rf.d))
+    # a group whose numerators cancelled leaves no factor in the common
+    # denominator
+    groups = {den: group for den, group in groups.items() if group[0]}
     if not groups:
         return _RF({})
     if len(groups) == 1:
@@ -598,7 +606,7 @@ def _rf_sum(items: Sequence[_RF]) -> _RF:
         have = dict(den)
         lacking = tuple((f, e - have.get(f, 0)) for f, e in lcm_den if e > have.get(f, 0))
         if lacking:
-            num = _p_mul(num, _den_poly(lacking))
+            num = _p_mul(num, _den_expand(lacking))
         _p_add_into(total, num)
     return _rf_reduce(total, lcm_den, d)
 
@@ -684,7 +692,14 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Pow):
         rf = _rf_pow(_to_rf(e.base), e.exponent)
     elif isinstance(e, Div):
-        rf = _rf_div(_to_rf(e.num), _to_rf(e.den))
+        rf = _to_rf(e.num)
+        # a divisor written as a product of powers divides factor by factor,
+        # so 1/B^k and B^-k share one factor map
+        for f in e.den.factors if isinstance(e.den, Mul) else (e.den,):
+            if isinstance(f, Pow):
+                rf = _rf_mul(rf, _rf_pow(_to_rf(f.base), -f.exponent))
+            else:
+                rf = _rf_div(rf, _to_rf(f))
     elif isinstance(e, Fn):
         if e.name not in FUNCTIONS:
             raise ExprError(f"unknown function {e.name!r}")
@@ -811,8 +826,8 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
     terms = []
     for f, e, df in moving:
         others = tuple(fe for fe in p_den if fe[0] != f)
-        terms.append(_rf_mul(_RF(_p_times(_den_poly(others), e)), df))
-    top = _rf_sum((_rf_mul(dnum, _RF(_den_poly(p_den))),
+        terms.append(_rf_mul(_RF(_p_times(_den_expand(others), e)), df))
+    top = _rf_sum((_rf_mul(dnum, _RF(_den_expand(p_den))),
                    _rf_neg(_rf_mul(_RF(rf.num), _rf_sum(terms)))))
     return _rf_reduce(top.num, _den_mul(top.den, _den_mul(rf.den, p_den)), top.d * rf.d)
 

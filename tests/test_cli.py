@@ -36,6 +36,16 @@ class TestEl:
         gap = parse_expression(old, ctx) - parse_expression(new, ctx)
         assert equals_zero(gap).kind == PROVEN_ZERO
 
+    def test_spellings_of_a_power_give_one_rendering(self, capsys):
+        # 1/B^3 and B^-3 both divide by the factor B three times
+        outs = []
+        for spelling in ("1/(1+y_1^2)^3", "(1+y_1^2)^-3", "1/((1+y_1^2)*(1+y_1^2)^2)"):
+            code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", spelling)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert out.strip().endswith("/(y_1^10 + 5*y_1^8 + 10*y_1^6 + 10*y_1^4 + 5*y_1^2 + 1)")
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "el", "--order", "1", "--lagrangian", "y*y_1", "--format", "json"

@@ -54,6 +54,7 @@ from lepage.expr import (
     Mul,
     Pow,
     Var,
+    _den_entry,
     _den_poly,
     _p_leading,
     _render,
@@ -158,6 +159,30 @@ class TestCanonicalize:
         ]
         for e in zeros:
             assert is_zero_expr(e), e
+
+    def test_cancelled_quotients_leave_no_denominator(self):
+        # the group over 1 + y cancels, so the sum is the constant 2
+        x, y = X(1), Y(1)
+        e = Add((x / (1 + y), const(2), -x / (1 + y)))
+        assert canonicalize(e) == Rat(Fraction(2))
+        assert constant_value(e) == 2
+        verdict = equals_zero(e)
+        assert verdict.kind == PROVEN_NONZERO and verdict.witness == {}
+
+    def test_spellings_of_a_power_share_a_denominator(self):
+        # 1/B^2, B^-2 and 1/(B*B) all sit over B^2, and so do their sums and
+        # partials
+        b = 1 + Y1 ** 2
+        spellings = [1 / b ** 2, b ** -2, 1 / (b * b)]
+        want = canonicalize(2 * b ** -2)
+        for u in spellings:
+            for w in spellings:
+                assert canonicalize(Add((u, w))) == want
+        assert len(_den_poly(_to_rf(want).den)) == 3
+        partials = {diff(1 / b ** 3, fiber(1)), diff(b ** -3, fiber(1)),
+                    diff(1 / (b * b ** 2), fiber(1))}
+        assert len(partials) == 1
+        assert partials.pop() == canonicalize(-6 * Y1 * b ** -4)
 
 
 class TestDiff:
@@ -367,6 +392,17 @@ class TestRepresentationBoundary:
                 assert math.gcd(*expanded.values()) == 1
         assert any(_to_rf(tree).den for tree in trees)
         assert any(_to_rf(tree).d > 1 for tree in trees)
+
+    def test_expanded_denominators_are_kept_for_quotients_only(self):
+        # the partial products a sum multiplies its numerators by are not
+        # kept, and the kept expansions are bounded in number
+        b = 1 + Y(3, 1, 1) ** 2
+        e = Add((Y1 / b, Y2 / b ** 3))
+        _den_entry.cache_clear()
+        got = canonicalize(e)
+        assert _den_entry.cache_info().currsize == 1
+        assert _den_poly(_to_rf(got).den) == _den_poly(_to_rf(b ** -3).den)
+        assert _den_entry.cache_info().maxsize is not None
 
     def test_scaled_quotients_share_a_denominator(self):
         q = (Y1 + 2) / (Y2 ** 2 - 4 * Y1 + 6)

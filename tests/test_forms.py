@@ -265,6 +265,12 @@ class TestValidation:
         with pytest.raises(FormError):
             make_form(CTX, 0, [((), Y(1, 1, 2))], 1)
 
+    def test_cancelled_higher_order_pieces_are_accepted(self):
+        # the y_12 pieces cancel, so the order-1 coefficient is 1
+        q = Y(1, 1) / (1 + Y(1, 1, 2))
+        form = make_form(CTX, 0, [((), q), ((), const(1)), ((), -q)], 1)
+        assert form.coefficient(()) == canonicalize(const(1))
+
     def test_degree_mismatch(self):
         with pytest.raises(FormError):
             make_form(CTX, 2, [((Dx(1),), const(1))], 1)
