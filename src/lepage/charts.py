@@ -64,10 +64,12 @@ def jet_order(v: JetVariable) -> int:
 
 
 def var_key(v: JetVariable) -> tuple:
-    """Total order on coordinates: base first by i, then fiber by (sigma, |J|, J)."""
-    if isinstance(v, BaseVar):
-        return (0, v.i)
-    return (1, v.sigma, len(v.jj), tuple(v.jj))
+    """Total order on coordinates: base first by i, then fiber by (sigma, |J|, J).
+    It orders the coframe too: dx^i sorts like x^i and omega^sigma_J like y^sigma_J."""
+    if len(v) == 1:
+        return (0, v[0])
+    sigma, jj = v
+    return (1, sigma, len(jj), tuple(jj))
 
 
 @dataclass(frozen=True)

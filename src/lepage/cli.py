@@ -14,7 +14,8 @@ import math
 import sys
 
 from .charts import ChartContext, ChartError, var_key
-from .expr import ExprError, SamplingFailure, Var, ZeroPolicy, eval_numeric, variables
+from .expr import (DEFAULT_POLICY, ExprError, SamplingFailure, Var, ZeroPolicy, eval_numeric,
+                   variables)
 from .forms import ExteriorForm, FormError, contact_component, exterior_derivative, horizontalization
 from .jets import Convention
 from .parsing import ExprSyntaxError, LagrangianSpec, OrderMismatchError, parse_expression, parse_lagrangian
@@ -64,11 +65,12 @@ def _add_common(p: argparse.ArgumentParser, default_form: str | None = None) -> 
         "--convention",
         choices=("plain", "sym", "auto"),
         default="sym",
-        help="free-index derivative convention (auto runs calibration first)",
+        help="free-index derivative convention (auto calibrates where one is used)",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-9, help="absolute zero tolerance")
+    p.add_argument("--seed", type=int, default=DEFAULT_POLICY.seed)
+    p.add_argument("--samples", type=int, default=DEFAULT_POLICY.samples)
+    p.add_argument("--tol", type=float, default=DEFAULT_POLICY.abs_tol,
+                   help="absolute zero tolerance")
     if default_form is not None:
         p.add_argument(
             "--form",
@@ -143,17 +145,18 @@ def _load_lagrangian(args) -> Lagrangian:
     return parse_lagrangian(LagrangianSpec(args.n, args.m, args.order, _source(args)))
 
 
-def _build_form(name: str, lam: Lagrangian, convention: Convention, policy: ZeroPolicy) -> ExteriorForm:
+def _build_form(name: str, lam: Lagrangian, args, policy: ZeroPolicy) -> ExteriorForm:
     if name == "lagrangian":
         return lagrangian_form(lam)
+    if lam.r <= 1 and name == "caratheodory":
+        return caratheodory_first(lam, policy)
+    if lam.r <= 1 and name == "fundamental":
+        return fundamental_first_order(lam)
+    convention = _convention(args, policy)
     if name == "theta":
         return principal_lepage(lam, convention)
     if name == "caratheodory":
-        if lam.r <= 1:
-            return caratheodory_first(lam, policy)
         return caratheodory_second(lam, convention, policy)
-    if lam.r <= 1:
-        return fundamental_first_order(lam)
     z, _ = fundamental_second_order_n2(lam, convention, policy=policy)
     return z
 
@@ -197,7 +200,6 @@ def _run(args) -> int:
         report = calibrate_convention(policy=policy)
         print(report.render())
         return 0 if report.unique else 1
-    convention = _convention(args, policy)
     lam = _load_lagrangian(args)
 
     if args.command == "el":
@@ -216,17 +218,17 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("theta", "caratheodory", "fundamental"):
-        _emit_form(_build_form(args.command, lam, convention, policy), args)
+        _emit_form(_build_form(args.command, lam, args, policy), args)
         return 0
 
     if args.command == "d":
-        _emit_form(exterior_derivative(_build_form(args.form, lam, convention, policy)), args)
+        _emit_form(exterior_derivative(_build_form(args.form, lam, args, policy)), args)
         return 0
     if args.command == "hor":
-        _emit_form(horizontalization(_build_form(args.form, lam, convention, policy)), args)
+        _emit_form(horizontalization(_build_form(args.form, lam, args, policy)), args)
         return 0
     if args.command == "contact":
-        _emit_form(contact_component(_build_form(args.form, lam, convention, policy), args.k), args)
+        _emit_form(contact_component(_build_form(args.form, lam, args, policy), args.k), args)
         return 0
 
     if args.command == "eval":
@@ -241,13 +243,13 @@ def _run(args) -> int:
         if args.what == "trivial":
             report = is_trivial(lam, policy)
         elif args.what == "order":
-            report = order_reducible(lam, convention, policy)
+            report = order_reducible(lam, _convention(args, policy), policy)
         elif args.what == "lepage":
-            report = is_lepage_form(_build_form(args.form, lam, convention, policy), policy)
+            report = is_lepage_form(_build_form(args.form, lam, args, policy), policy)
         elif args.what == "closed":
-            report = closure_check(_build_form(args.form, lam, convention, policy), policy)
+            report = closure_check(_build_form(args.form, lam, args, policy), policy)
         else:
-            report = is_lepage_equivalent(_build_form(args.form, lam, convention, policy), lam, policy)
+            report = is_lepage_equivalent(_build_form(args.form, lam, args, policy), lam, policy)
         print(report.describe(args.m))
         return 0 if report.passed else 1
 

@@ -6,7 +6,9 @@ expression as a quotient of Laurent polynomials over "atoms" (coordinates
 and elementary-function applications):
 
 * sums and products are flattened, sorted under a fixed total order and
-  constant-folded;
+  constant-folded; a sum (product) is read in one pass however it was
+  folded, so the nested sums that a parser or a loop of ``+`` builds are
+  one sum, held on an explicit stack and not by recursion;
 * single-term denominators are folded into negative exponents;
 * multi-term denominators are kept as a single quotient node, normalized
   monic with trivial monomial content, with no polynomial cancellation.
@@ -22,10 +24,10 @@ Inside the kernel an atom is a small int: a module-level intern table maps
 each distinct atom to an id and keeps the atom and its sort key by id, so
 monomials are sorted tuples of (id, exponent) pairs and polynomial
 arithmetic compares and hashes ints.  Ids follow first use; everything that
-reaches the output is ordered by the atoms' sort keys, never by id.  The
-table lives as long as the process and only grows, by one entry per
-distinct atom; entries are added under a lock, so every atom gets exactly
-one id whichever threads meet it first.
+reaches the output is ordered by the atoms' sort keys (``_key``), never by
+id.  The table lives as long as the process and only grows, by one entry per
+distinct atom; entries are added under a lock (``_intern``), so every atom
+gets exactly one id whichever threads meet it first.
 
 Inside the kernel every coefficient is an int: a quotient keeps one
 positive integer denominator beside its polynomials, and a multi-term
@@ -57,7 +59,8 @@ node:
 
 * ``_rfc``: its canonical quotient;
 * ``_aid``: the intern id of an atom;
-* ``_vars``: its coordinates (``variables``);
+* ``_vars``: its coordinates (``variables``), the atoms of ``_rfc``, so a raw
+  tree has those of its canonical form;
 * ``_memo``: one dict of derived canonical nodes, keyed by a coordinate
   (``diff``), a Fraction (``scale``), and tagged tuples for the formal and
   symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
@@ -262,34 +265,16 @@ def expr_key(e: ScalarExpr) -> tuple:
 
 
 def variables(e: ScalarExpr) -> frozenset[JetVariable]:
-    """All coordinates occurring in the expression (function arguments included)."""
+    """All coordinates of the canonical form (function arguments included): in a
+    raw tree, a coordinate that cancels, as in ``X(1) - X(1)``, does not count."""
     try:
         return e._vars
     except AttributeError:
         pass
-    out: set[JetVariable] = set()
-    _collect_vars(e, out)
-    found = frozenset(out)
+    found = frozenset(ref for atom in _rf_atoms(_to_rf(e))
+                      for ref in ((atom.ref,) if isinstance(atom, Var) else variables(atom.arg)))
     object.__setattr__(e, "_vars", found)
     return found
-
-
-def _collect_vars(e: ScalarExpr, out: set) -> None:
-    if isinstance(e, Var):
-        out.add(e.ref)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_vars(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_vars(f, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
-    elif isinstance(e, Div):
-        _collect_vars(e.num, out)
-        _collect_vars(e.den, out)
-    elif isinstance(e, Fn):
-        _collect_vars(e.arg, out)
 
 
 def max_jet_order(e: ScalarExpr) -> int:
@@ -351,52 +336,47 @@ class _RF(NamedTuple):
     d: int = 1
 
 
+def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key) -> int:
+    """handle's id in an intern table; a new entry and make_key() join it under the lock."""
+    i = ids.get(handle)
+    if i is None:
+        key = make_key()
+        with _INTERN_LOCK:
+            i = ids.get(handle)
+            if i is None:
+                i = len(entries)
+                entries.append(entry)
+                keys.append(key)
+                ids[handle] = i
+    return i
+
+
 def _atom_id(atom: ScalarExpr) -> int:
     try:
         return atom._aid
     except AttributeError:
         pass
-    i = _IDS.get(atom)
-    if i is None:
-        if isinstance(atom, Var):
-            key = (0,) + var_key(atom.ref)
-        else:
-            key = (1, atom.name, expr_key(atom.arg))
-        with _INTERN_LOCK:
-            i = _IDS.get(atom)
-            if i is None:
-                i = len(_ATOMS)
-                _ATOMS.append(atom)
-                _KEYS.append(key)
-                _IDS[atom] = i
+    i = _intern(_IDS, _ATOMS, _KEYS, atom, atom, lambda: (0,) + var_key(atom.ref)
+                if isinstance(atom, Var) else (1, atom.name, expr_key(atom.arg)))
     object.__setattr__(atom, "_aid", i)
     return i
 
 
 def _factor_id(p: Poly) -> int:
-    items = frozenset(p.items())
-    i = _FIDS.get(items)
-    if i is None:
-        key = tuple(sorted((_mono_key(m), c) for m, c in p.items()))
-        with _INTERN_LOCK:
-            i = _FIDS.get(items)
-            if i is None:
-                i = len(_FACTORS)
-                _FACTORS.append(p)
-                _FKEYS.append(key)
-                _FIDS[items] = i
-    return i
+    return _intern(_FIDS, _FACTORS, _FKEYS, frozenset(p.items()), p,
+                   lambda: tuple(sorted((_key(m), c) for m, c in p.items())))
 
 
-def _by_key(mono: Mono) -> Mono:
-    """The (id, exponent) pairs of a monomial in atom sort-key order."""
-    if len(mono) < 2:
-        return mono
-    return sorted(mono, key=lambda ie: _KEYS[ie[0]])
+def _key(pairs: tuple, keys: list = _KEYS) -> tuple:
+    """Sort key of (id, exponent) pairs: a monomial's over _KEYS, a Den's over _FKEYS."""
+    return tuple(sorted([(keys[i], e) for i, e in pairs]))
 
 
-def _mono_key(mono: Mono) -> tuple:
-    return tuple(sorted([(_KEYS[i], e) for i, e in mono]))
+def _ordered(pairs, keys: list = _KEYS):
+    """The pairs (or longer tuples) of ids in their labels' sort-key order."""
+    if len(pairs) < 2:
+        return pairs
+    return sorted(pairs, key=lambda pair: keys[pair[0]])
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -496,7 +476,7 @@ def _p_mono_shift(a: Poly, mono: Mono) -> Poly:
 
 
 def _p_leading(a: Poly) -> Mono:
-    return max(a, key=_mono_key)
+    return max(a, key=_key)
 
 
 def _den_mul(a: Den, b: Den) -> Den:
@@ -511,14 +491,10 @@ def _den_mul(a: Den, b: Den) -> Den:
     return tuple(sorted(out.items()))
 
 
-def _den_key(den: Den) -> tuple:
-    return tuple(sorted((_FKEYS[f], e) for f, e in den))
-
-
 def _den_expand(den: Den) -> Poly:
     """The expanded product of den's factor powers."""
     p = _P_ONE
-    for f, e in sorted(den, key=lambda fe: _FKEYS[fe[0]]):
+    for f, e in _ordered(den, _FKEYS):
         power = _FACTORS[f] if e == 1 else _p_pow(_FACTORS[f], e)
         p = power if p is _P_ONE else _p_mul(p, power)
     return p
@@ -600,7 +576,7 @@ def _rf_sum(items: Sequence[_RF]) -> _RF:
     lcm_den = tuple(sorted(top.items()))
     d = math.lcm(*(d for _, d in groups.values()))
     total: Poly = {}
-    for den in sorted(groups, key=_den_key):
+    for den in sorted(groups, key=lambda den: _key(den, _FKEYS)):
         num, gd = groups[den]
         num = _p_times(num, d // gd)
         have = dict(den)
@@ -684,10 +660,10 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Var):
         rf = _RF(_p_atom(e))
     elif isinstance(e, Add):
-        rf = _rf_sum([_to_rf(t) for t in e.terms])
+        rf = _rf_sum([_to_rf(t) for t in _operands(e.terms, Add)])
     elif isinstance(e, Mul):
         rf = _rf_const(1)
-        for f in e.factors:
+        for f in _operands(e.factors, Mul):
             rf = _rf_mul(rf, _to_rf(f))
     elif isinstance(e, Pow):
         rf = _rf_pow(_to_rf(e.base), e.exponent)
@@ -711,13 +687,33 @@ def _to_rf(e: ScalarExpr) -> _RF:
     return rf
 
 
+def _operands(items: tuple, kind: type) -> Sequence[ScalarExpr]:
+    """The operands of a sum (kind Add) or product (kind Mul) left to right, each
+    nested raw one opened by an explicit stack.  A canonical Add or Mul stays
+    whole: it is a polynomial, so opening it gives the same quotient."""
+    for t in items:
+        if t.__class__ is kind and "_canonical" not in t.__dict__:
+            break
+    else:
+        return items
+    out, stack = [], list(reversed(items))
+    while stack:
+        t = stack.pop()
+        if t.__class__ is kind and "_canonical" not in t.__dict__:
+            stack.extend(reversed(t.terms if kind is Add else t.factors))
+        else:
+            out.append(t)
+    return out
+
+
 def _render_poly(p: Poly, k: int) -> ScalarExpr:
     """The polynomial p / k for a nonzero int k."""
     if not p:
         return ZERO
     nodes = []
-    for mono, c in sorted(p.items(), key=lambda kv: _mono_key(kv[0]), reverse=True):
-        factors = [_ATOMS[i] if e == 1 else Pow(_ATOMS[i], e) for i, e in _by_key(mono)]
+    for mono in sorted(p, key=_key, reverse=True):
+        c = p[mono]
+        factors = [_ATOMS[i] if e == 1 else Pow(_ATOMS[i], e) for i, e in _ordered(mono)]
         if not factors:
             nodes.append(Rat(Fraction(c, k)))
         elif c == k:
@@ -792,7 +788,7 @@ def _poly_diff(p: Poly, v: JetVariable) -> _RF:
     plain: Poly = {}
     extras: list[_RF] = []
     for mono, c in p.items():
-        for i, e in _by_key(mono):
+        for i, e in _ordered(mono):
             atom = _ATOMS[i]
             rest = _mono_mul(mono, ((i, -1),))
             if isinstance(atom, Var):
@@ -821,7 +817,7 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
         return _rf_reduce(dnum.num, _den_mul(dnum.den, rf.den), dnum.d * rf.d)
     # the quotient rule over D P, P the product of the moving factors:
     # (N_v P - N sum_f e_f F_f' P / F_f) / (d D P)
-    moving.sort(key=lambda fed: _FKEYS[fed[0]])
+    moving = _ordered(moving, _FKEYS)
     p_den = tuple(sorted((f, 1) for f, _, _ in moving))
     terms = []
     for f, e, df in moving:
@@ -859,7 +855,7 @@ def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> Sca
 
 def _rf_subst(rf: _RF, rfs: Mapping[JetVariable, _RF]) -> _RF:
     num = _poly_subst(rf.num, rfs)
-    for f, e in sorted(rf.den, key=lambda fe: _FKEYS[fe[0]]):
+    for f, e in _ordered(rf.den, _FKEYS):
         num = _rf_mul(num, _rf_pow(_poly_subst(_FACTORS[f], rfs), -e))
     return _rf_scale_down(num, rf.d)
 
@@ -868,7 +864,7 @@ def _poly_subst(p: Poly, rfs: Mapping[JetVariable, _RF]) -> _RF:
     pieces: list[_RF] = []
     for mono, c in p.items():
         term = _rf_const(c)
-        for i, e in _by_key(mono):
+        for i, e in _ordered(mono):
             atom = _ATOMS[i]
             if isinstance(atom, Var) and atom.ref in rfs:
                 target = rfs[atom.ref]
@@ -945,12 +941,17 @@ class ZeroPolicy:
     """Sampling policy for the randomized zero test."""
 
     samples: int = 25
-    box: tuple[float, float] = (-2.0, 2.0)
-    pole_guard: float = 1e-6
     abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
     seed: int = 0
-    max_attempts: int = 60
+
+
+# The fixed part of the sampling: coordinates are drawn from _SAMPLE_BOX, a
+# point within _POLE_GUARD of a pole is rejected (_MAX_ATTEMPTS times in a row
+# skips the sample), and a value is nonzero from abs_tol + _REL_TOL * magnitude.
+_SAMPLE_BOX = (-2.0, 2.0)
+_POLE_GUARD = 1e-6
+_REL_TOL = 1e-8
+_MAX_ATTEMPTS = 60
 
 
 DEFAULT_POLICY = ZeroPolicy()
@@ -1002,7 +1003,7 @@ def _poly_eval(p: Poly, k: int, point, guard: float) -> tuple[float, float]:
     mag = 0.0
     for mono, c in p.items():
         term = c / k  # correctly rounded, as float(Fraction(c, k)) is
-        for i, e in _by_key(mono):
+        for i, e in _ordered(mono):
             av = _atom_eval(_ATOMS[i], point, guard)
             if e < 0:
                 av = _guarded(av, guard)
@@ -1041,21 +1042,21 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
     vars_ = sorted(variables(e), key=var_key)
     scales = _rf_scales(rf)
     rng = random.Random(policy.seed)
-    lo, hi = policy.box
+    lo, hi = _SAMPLE_BOX
     largest: tuple[float, dict] | None = None
     for _ in range(policy.samples):
         point = None
-        for _ in range(policy.max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             candidate = {v: rng.uniform(lo, hi) for v in vars_}
             try:
-                val, mag = _rf_eval(rf, scales, candidate, policy.pole_guard)
+                val, mag = _rf_eval(rf, scales, candidate, _POLE_GUARD)
             except _SampleRejected:
                 continue
             point = candidate
             break
         if point is None:
             continue
-        if abs(val) >= policy.abs_tol + policy.rel_tol * mag:
+        if abs(val) >= policy.abs_tol + _REL_TOL * mag:
             return ZeroVerdict(NUMERIC_NONZERO, witness=point, value=val)
         if largest is None or abs(val) > abs(largest[0]):
             largest = (val, point)
@@ -1069,7 +1070,12 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
     return ZeroVerdict(NUMERIC_ZERO)
 
 
+def _rf_atoms(rf: _RF) -> list:
+    """The atoms of a quotient: those of its numerator and of its denominator's factors."""
+    polys = [rf.num] + [_FACTORS[f] for f, _ in rf.den]
+    return [_ATOMS[i] for i in {i for p in polys for mono in p for i, _ in mono}]
+
+
 def _is_rational(rf: _RF) -> bool:
     """True iff every atom of the quotient is a coordinate (no function atoms)."""
-    polys = [rf.num] + [_FACTORS[f] for f, _ in rf.den]
-    return all(isinstance(_ATOMS[i], Var) for p in polys for mono in p for i, _ in mono)
+    return all(isinstance(atom, Var) for atom in _rf_atoms(rf))

@@ -52,14 +52,7 @@ class Omega(NamedTuple):
 CoframeElement = Union[Dx, Omega]
 
 
-def coframe_key(el: CoframeElement) -> tuple:
-    """Fixed total order: dx first by i, then omega by (sigma, |J|, J)."""
-    if isinstance(el, Dx):
-        return (0, el.i)
-    return (1, el.sigma, len(el.jj), tuple(el.jj))
-
-
-def _normal_tuple(elements: Sequence, key=coframe_key) -> tuple[tuple, int] | None:
+def _normal_tuple(elements: Sequence, key=var_key) -> tuple[tuple, int] | None:
     """Sort a wedge tuple, tracking the permutation sign; None on repeats."""
     items = list(elements)
     sign = 1
@@ -91,7 +84,7 @@ class ExteriorForm:
     order: int
 
     def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda kv: tuple(map(coframe_key, kv[0]))))
+        return iter(sorted(self.terms.items(), key=lambda kv: tuple(map(var_key, kv[0]))))
 
     def coefficient(self, elements: Sequence[CoframeElement]) -> ScalarExpr:
         normal = _normal_tuple(elements)

@@ -11,9 +11,9 @@ import json
 import re
 from typing import Callable, NamedTuple, Optional
 
-from .charts import BaseVar, ChartContext, MultiIndex
+from .charts import BaseVar, ChartContext, MultiIndex, var_key
 from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var
-from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, coframe_key, make_form
+from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
 
 SCHEMA_VERSION = "lepage.form/1"
 
@@ -223,7 +223,7 @@ def form_from_document(doc: dict) -> ExteriorForm:
     entries = []
     for term in doc["terms"]:
         basis = tuple(parse_coframe_label(label) for label in term["basis"])
-        keys = [coframe_key(el) for el in basis]
+        keys = [var_key(el) for el in basis]
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise FormError(f"basis {term['basis']!r} is not strictly increasing")
         coeff = parse_expression(term["coeff"], ctx)

@@ -22,7 +22,7 @@ from lepage import (
     total_derivative,
     variables,
 )
-from lepage.expr import Var, is_zero_expr
+from lepage.expr import Add, Var, is_zero_expr
 from lepage.verification import random_polynomial, random_section_oracle
 
 
@@ -90,6 +90,18 @@ class TestTotalDerivative:
         g = X(1) * X(2) + Y(1) ** 2
         got = total_derivative(g, 2, ctx)
         assert is_zero_expr(got - (X(1) + 2 * Y(1) * Y(1, 2)))
+
+    def test_a_long_folded_sum(self):
+        # the sum of all 660 fiber coordinates at (9, 3, 3), folded one term
+        # at a time as a loop with + builds it
+        ctx = ChartContext(9, 3, 3)
+        fibers = [v for v in ctx.coordinates() if isinstance(v, FiberVar)]
+        assert len(fibers) == 660
+        f = Var(fibers[0])
+        for v in fibers[1:]:
+            f = f + Var(v)
+        want = Add(tuple(Var(FiberVar(v.sigma, v.jj.append(1))) for v in fibers))
+        assert total_derivative(f, 1, ctx) == canonicalize(want)
 
     def test_index_out_of_range(self):
         with pytest.raises(ChartError):

@@ -1,7 +1,18 @@
 """Command-line surface: subcommands, exit codes, output determinism."""
 import json
 
-from lepage import ChartContext, equals_zero, parse_expression
+import pytest
+
+from lepage import (
+    Add,
+    ChartContext,
+    Lagrangian,
+    Y,
+    equals_zero,
+    euler_lagrange_expressions,
+    expr_to_text,
+    parse_expression,
+)
 from lepage.cli import run_command
 from lepage.expr import PROVEN_ZERO
 
@@ -45,6 +56,15 @@ class TestEl:
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
         assert out.strip().endswith("/(y_1^10 + 5*y_1^8 + 10*y_1^6 + 10*y_1^4 + 5*y_1^2 + 1)")
+
+    def test_a_long_sum(self, capsys):
+        # the parser folds the 600 terms into a left-nested sum
+        source = " + ".join(f"{k}*y_1^{k}" for k in range(1, 601))
+        code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", source)
+        assert code == 0
+        flat = Add(tuple(k * Y(1, 1) ** k for k in range(1, 601)))
+        (want,) = euler_lagrange_expressions(Lagrangian(ChartContext(2, 1, 1), 1, flat))
+        assert out == f"E_1 = {expr_to_text(want, 1)}\n"
 
     def test_json(self, capsys):
         code, out, _ = run(
@@ -199,6 +219,17 @@ class TestCalibrate:
         )
         assert code == 0
         assert "unique passing combination" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("el",),
+        ("eval", "--point", "y_1=1,y_2=2,y_11=3,y_12=4,y_22=5"),
+        ("check", "trivial"),
+    ])
+    def test_auto_convention_calibrates_only_where_one_is_used(self, capsys, argv):
+        common = ("--order", "2", "--lagrangian", "y_11*y_22 - y_12^2")
+        plain = run(capsys, *argv, *common)
+        auto = run(capsys, *argv, *common, "--convention", "auto")
+        assert auto == plain
 
 
 class TestUsageErrors:

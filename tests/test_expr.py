@@ -169,6 +169,13 @@ class TestCanonicalize:
         verdict = equals_zero(e)
         assert verdict.kind == PROVEN_NONZERO and verdict.witness == {}
 
+    def test_a_long_folded_product(self):
+        # 1,500 factors multiplied one at a time nest 1,500 products deep
+        e = Y1
+        for k in range(1, 1500):
+            e = e * (Y2 if k % 2 else Y1)
+        assert canonicalize(e) == canonicalize(Y1 ** 750 * Y2 ** 750)
+
     def test_spellings_of_a_power_share_a_denominator(self):
         # 1/B^2, B^-2 and 1/(B*B) all sit over B^2, and so do their sums and
         # partials
@@ -183,6 +190,21 @@ class TestCanonicalize:
                     diff(1 / (b * b ** 2), fiber(1))}
         assert len(partials) == 1
         assert partials.pop() == canonicalize(-6 * Y1 * b ** -4)
+
+
+@pytest.mark.parametrize("raw, want", [
+    (Y1 + sin(X(1) * Y2), {fiber(1), BaseVar(1), fiber(2)}),
+    (Y1 / (1 + YY ** 2) + exp(Y12), {fiber(1), fiber(), fiber(1, 2)}),
+    (ln(Y2) / (1 + cos(X(2))), {fiber(2), BaseVar(2)}),
+    (X(1) - X(1) + Y1, {fiber(1)}),
+    (sin(Y2 + Y12 - Y12) * Y1, {fiber(2), fiber(1)}),
+    (Y1 / (1 + Y2) + 2 - Y1 / (1 + Y2), set()),
+    ((Y1 + X(1)) * Y2 - X(1) * Y2, {fiber(1), fiber(2)}),
+])
+def test_variables_are_those_of_the_canonical_form(raw, want):
+    # read from the canonical quotient, so a coordinate that cancels is gone
+    assert variables(raw) == want
+    assert variables(canonicalize(raw)) == want
 
 
 class TestDiff:

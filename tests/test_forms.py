@@ -31,7 +31,7 @@ from lepage import (
     zero_form,
 )
 from lepage.expr import is_zero_expr
-from lepage.forms import coframe_key
+from lepage.charts import var_key as coframe_key
 from lepage.verification import random_polynomial
 
 CTX = ChartContext(2, 1, 1)

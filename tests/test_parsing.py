@@ -10,13 +10,14 @@ from lepage import (
     Y,
     canonicalize,
     const,
+    equals_zero,
     exp,
     ln,
     parse_expression,
     parse_lagrangian,
     sin,
 )
-from lepage.expr import is_zero_expr
+from lepage.expr import PROVEN_NONZERO, is_zero_expr
 
 CTX = ChartContext(2, 1, 2)
 CTX22 = ChartContext(2, 2, 2)
@@ -65,6 +66,16 @@ class TestGrammar:
 
     def test_base_variables(self):
         assert parsed("x1*x2") == canonicalize(X(1) * X(2))
+
+
+class TestFoldedSums:
+    def test_a_parsed_sum_cancels_like_a_flat_one(self):
+        # the parser folds a - b + c into nested sums; they are read as one
+        # sum, so the group over 1 + y_2 cancels and leaves the constant 2
+        e = parse_expression("y_1/(1+y_2) + 2 - y_1/(1+y_2)", CTX)
+        assert canonicalize(e) == canonicalize(const(2))
+        verdict = equals_zero(e)
+        assert verdict.kind == PROVEN_NONZERO and verdict.witness == {}
 
 
 class TestErrors:

@@ -239,6 +239,13 @@ class TestElExpansion:
     def test_first_order_viewed_as_second(self):
         assert el_expansion_crosscheck(dirichlet(r=2)).passed
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_cube_of_all_second_order_coordinates(self, m):
+        # the expansion is summed one term at a time into a deeply nested sum
+        coords = " + ".join(f"y1_{a}{b}" for a in range(1, 4) for b in range(a, 4))
+        lam = parse_lagrangian(LagrangianSpec(3, m, 2, f"({coords})^3"))
+        assert el_expansion_crosscheck(lam).passed
+
 
 class TestCalibration:
     def test_unique_winner(self):
