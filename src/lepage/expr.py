@@ -57,7 +57,12 @@ rendering, but its partials may sit over higher powers.
 Each node caches what is derived from it, and the caches live as long as the
 node:
 
-* ``_rfc``: its canonical quotient;
+* ``_rfc``: its canonical quotient.  A canonical sum or quotient starts as an
+  ``Add`` or ``Div`` that holds only ``_rfc``; its tree, the fields, is built
+  from the quotient on the first read of a field (``ScalarExpr.__getattr__``)
+  and then kept, so a result that is never printed, compared, hashed or
+  evaluated tree by tree is never built.  A canonical monomial is built at
+  once.  Threads that read one unbuilt node build equal trees;
 * ``_aid``: the intern id of an atom;
 * ``_vars``: its coordinates (``variables``), the atoms of ``_rfc``, so a raw
   tree has those of its canonical form;
@@ -157,6 +162,16 @@ class ScalarExpr:
         # the caches hold ids of this process's atom and factor tables, so a
         # pickled node carries its fields only
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __getattr__(self, name: str):
+        # only a missing name gets here: a field of a canonical sum or
+        # quotient that was made without its tree (_render) is built on
+        # first read; anything else is missing
+        d = self.__dict__
+        if name in self.__dataclass_fields__ and "_rfc" in d:
+            d.update(_tree_fields(self.__class__, d["_rfc"]))
+            return d[name]
+        raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -267,10 +282,9 @@ def expr_key(e: ScalarExpr) -> tuple:
 def variables(e: ScalarExpr) -> frozenset[JetVariable]:
     """All coordinates of the canonical form (function arguments included): in a
     raw tree, a coordinate that cancels, as in ``X(1) - X(1)``, does not count."""
-    try:
-        return e._vars
-    except AttributeError:
-        pass
+    found = e.__dict__.get("_vars")
+    if found is not None:
+        return found
     found = frozenset(ref for atom in _rf_atoms(_to_rf(e))
                       for ref in ((atom.ref,) if isinstance(atom, Var) else variables(atom.arg)))
     object.__setattr__(e, "_vars", found)
@@ -352,10 +366,9 @@ def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key) -> in
 
 
 def _atom_id(atom: ScalarExpr) -> int:
-    try:
-        return atom._aid
-    except AttributeError:
-        pass
+    i = atom.__dict__.get("_aid")
+    if i is not None:
+        return i
     i = _intern(_IDS, _ATOMS, _KEYS, atom, atom, lambda: (0,) + var_key(atom.ref)
                 if isinstance(atom, Var) else (1, atom.name, expr_key(atom.arg)))
     object.__setattr__(atom, "_aid", i)
@@ -652,7 +665,7 @@ def _rf_pow(a: _RF, k: int) -> _RF:
 
 
 def _to_rf(e: ScalarExpr) -> _RF:
-    cached = getattr(e, "_rfc", None)
+    cached = e.__dict__.get("_rfc")
     if cached is not None:
         return cached
     if isinstance(e, Rat):
@@ -723,23 +736,34 @@ def _render_poly(p: Poly, k: int) -> ScalarExpr:
     return nodes[0] if len(nodes) == 1 else Add(tuple(nodes))
 
 
-def _render(rf: _RF) -> ScalarExpr:
+def _tree_fields(kind: type, rf: _RF) -> dict:
+    """The fields of the canonical Add (a sum, no denominator) or Div tree of rf."""
     kn, kd = _rf_scales(rf)
-    if not rf.den:
-        out = _render_poly(rf.num, kn)
+    if kind is Add:
+        return {"terms": _render_poly(rf.num, kn).terms}
+    return {"num": _render_poly(rf.num, kn), "den": _render_poly(_den_poly(rf.den), kd)}
+
+
+def _render(rf: _RF) -> ScalarExpr:
+    """The canonical node of rf.  A monomial is built at once; a sum or a
+    quotient is an Add or Div that holds only rf until a field is read."""
+    if rf.den:
+        out = Div.__new__(Div)
+    elif len(rf.num) > 1:
+        out = Add.__new__(Add)
     else:
-        out = Div(_render_poly(rf.num, kn), _render_poly(_den_poly(rf.den), kd))
-    object.__setattr__(out, "_rfc", rf)
-    object.__setattr__(out, "_canonical", True)
+        out = _render_poly(rf.num, rf.d)
+    d = out.__dict__
+    d["_rfc"] = rf
+    d["_canonical"] = True
     return out
 
 
 def _memo(e: ScalarExpr) -> dict:
     """The per-node memo of derived canonical nodes, created on first use."""
-    try:
-        return e._memo
-    except AttributeError:
-        return e.__dict__.setdefault("_memo", {})
+    d = e.__dict__
+    memo = d.get("_memo")
+    return d.setdefault("_memo", {}) if memo is None else memo
 
 
 # ---------------------------------------------------------------------------

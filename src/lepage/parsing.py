@@ -135,7 +135,9 @@ class _Parser:
         return e
 
     def expression(self, min_prec: int) -> ScalarExpr:
-        left = self.atom()
+        # a chain of + and - is one Add and a chain of * one Mul, so a long
+        # sum is a flat node and not one nesting level per operator
+        operands, kind = [self.atom()], None
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in "+-*/^":
@@ -146,18 +148,17 @@ class _Parser:
                 break
             self.advance()
             if tok.text == "^":
-                left = Pow(left, self.integer_exponent())
+                operands, kind = [Pow(_chain(operands, kind), self.integer_exponent())], None
                 continue
             right = self.expression(prec + 1)
-            if tok.text == "+":
-                left = Add((left, right))
-            elif tok.text == "-":
-                left = Add((left, Mul((Rat(Fraction(-1)), right))))
-            elif tok.text == "*":
-                left = Mul((left, right))
-            else:
-                left = Div(left, right)
-        return left
+            if tok.text == "/":
+                operands, kind = [Div(_chain(operands, kind), right)], None
+                continue
+            chain_kind = Mul if tok.text == "*" else Add
+            if kind is not chain_kind:
+                operands, kind = [_chain(operands, kind)], chain_kind
+            operands.append(Mul((Rat(Fraction(-1)), right)) if tok.text == "-" else right)
+        return _chain(operands, kind)
 
     def atom(self) -> ScalarExpr:
         tok = self.advance()
@@ -201,6 +202,12 @@ class _Parser:
         if parenthesized:
             self.expect(")")
         return -value if negative else value
+
+
+def _chain(operands: list, kind: type | None) -> ScalarExpr:
+    """The node of an operator chain: kind (Add or Mul) of the operands, or
+    the one operand when no chain is open."""
+    return operands[0] if kind is None else kind(tuple(operands))
 
 
 def parse_expression(src: str, ctx: ChartContext) -> ScalarExpr:

@@ -77,61 +77,70 @@ def expr_to_latex(e: ScalarExpr, fiber_count: Optional[int] = None) -> str:
 def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
     # prec is 0, _P_ADD + 1 (a term of a sum) or _P_MUL (a factor); a power
     # base is printed at 0 and parenthesized whole unless it is bare
-    if isinstance(e, (Rat, Mul)) and prec <= _P_ADD:
-        sign, body = _signed(e, m, st)
-        if sign == "-":
-            return f"-{body}"
-    if isinstance(e, Rat):
-        v = e.value
-        s = str(v.numerator)
-        if v.denominator != 1:
-            s = ("-" if v < 0 else "") + st.fraction.format(abs(v.numerator), v.denominator)
-        if prec >= _P_MUL and (v < 0 or (st.wrap_fractions and v.denominator != 1)):
-            return st.paren.format(s)
-        return s
-    if isinstance(e, Var):
+    cls = e.__class__
+    if prec <= _P_ADD:
+        negated = _negated(e, m, st)
+        if negated is not None:
+            return f"-{negated}"
+    if cls is Mul:
+        return st.times.join([_emit(f, _P_MUL, m, st) for f in e.factors])
+    if cls is Var:
         return st.var(e.ref, m)
-    if isinstance(e, Add):
-        parts = []
-        for idx, t in enumerate(e.terms):
-            sign, body = _signed(t, m, st)
-            if idx == 0:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        s = "".join(parts)
-        return st.paren.format(s) if prec > _P_ADD else s
-    if isinstance(e, Mul):
-        return st.times.join(_emit(f, _P_MUL, m, st) for f in e.factors)
-    if isinstance(e, Div):
-        return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
-    if isinstance(e, Pow):
+    if cls is Pow:
         base = _emit(e.base, 0, m, st)
-        if not isinstance(e.base, st.bare_bases):
+        if e.base.__class__ not in st.bare_bases:
             base = st.paren.format(base)
         elif "^" in base:
             # a superscripted LaTeX coordinate is braced: {x^{2}}^{2}
             base = f"{{{base}}}"
         return f"{base}^{st.exponent(e.exponent)}"
-    if isinstance(e, Fn):
+    if cls is Rat:
+        return _rational(e.value.numerator, e.value.denominator, prec, st)
+    if cls is Add:
+        parts = []
+        for t in e.terms:
+            negated = _negated(t, m, st)
+            if negated is not None:
+                parts.append(f" - {negated}" if parts else f"-{negated}")
+            else:
+                body = _emit(t, _P_ADD + 1, m, st)
+                parts.append(f" + {body}" if parts else body)
+        s = "".join(parts)
+        return st.paren.format(s) if prec > _P_ADD else s
+    if cls is Div:
+        return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
+    if cls is Fn:
         return st.fn.format(e.name, _emit(e.arg, 0, m, st))
     raise TypeError(f"unknown node {e!r}")
 
 
-def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> tuple[str, str]:
-    """Split a leading negative rational factor off an additive term."""
-    if isinstance(t, Rat) and t.value < 0:
-        return "-", _emit(Rat(-t.value), _P_ADD + 1, m, st)
-    if isinstance(t, Mul) and t.factors and isinstance(t.factors[0], Rat):
+def _rational(num: int, den: int, prec: int, st: _Style) -> str:
+    """The rational num/den (den > 0) at precedence prec."""
+    if den == 1:
+        s = str(num)
+    else:
+        s = ("-" if num < 0 else "") + st.fraction.format(abs(num), den)
+    if prec >= _P_MUL and (num < 0 or (st.wrap_fractions and den != 1)):
+        return st.paren.format(s)
+    return s
+
+
+def _negated(t: ScalarExpr, m: Optional[int], st: _Style) -> Optional[str]:
+    """The text of -t if t is a negative rational or a product led by one,
+    else None; a leading -1 is dropped from a product of more factors."""
+    cls = t.__class__
+    if cls is Rat:
+        v = t.value
+        if v.numerator < 0:
+            return _rational(-v.numerator, v.denominator, _P_ADD + 1, st)
+    elif cls is Mul and t.factors and t.factors[0].__class__ is Rat:
         head = t.factors[0].value
-        if head < 0:
-            rest = t.factors[1:]
-            if head == -1 and rest:
-                body = Mul(rest) if len(rest) > 1 else rest[0]
-            else:
-                body = Mul((Rat(-head),) + rest)
-            return "-", _emit(body, _P_MUL, m, st)
-    return "+", _emit(t, _P_ADD + 1, m, st)
+        if head.numerator < 0:
+            parts = [_emit(f, _P_MUL, m, st) for f in t.factors[1:]]
+            if head.numerator != -1 or head.denominator != 1 or not parts:
+                parts.insert(0, _rational(-head.numerator, head.denominator, _P_MUL, st))
+            return st.times.join(parts)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -301,23 +301,27 @@ def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
     vol_key = tuple(Dx(i) for i in base)
     entries: list = [(vol_key, lam.L)]
     empty = MultiIndex()
+    # the nonzero partials by (sigmas, js), the js distinct: eps vanishes on
+    # a repeated index, so a partial is extended only by a new direction j
+    partials = [((), (), lam.L)]
     for k in range(1, n + 1):
         scale = Fraction(1, factorial(n - k) * factorial(k) ** 2)
-        for sigmas in itertools.product(fibers, repeat=k):
-            for js in itertools.product(base, repeat=k):
-                partial = lam.L
-                for sigma, j in zip(sigmas, js):
-                    partial = diff(partial, FiberVar(sigma, MultiIndex((j,))))
-                    if is_zero_expr(partial):
-                        break
-                if is_zero_expr(partial):
-                    continue
-                for rest in itertools.product(base, repeat=n - k):
-                    eps = levi_civita(js + rest)
-                    if eps == 0:
+        deeper = []
+        for sigmas, js, partial in partials:
+            for sigma in fibers:
+                for j in base:
+                    if j in js:
                         continue
-                    key = tuple(Omega(s, empty) for s in sigmas) + tuple(Dx(i) for i in rest)
-                    entries.append((key, Rat(scale * eps) * partial))
+                    d = diff(partial, FiberVar(sigma, MultiIndex((j,))))
+                    if not is_zero_expr(d):
+                        deeper.append((sigmas + (sigma,), js + (j,), d))
+        # the entries in the order of product(fibers) x product(base) x
+        # permutations of the remaining base indices
+        partials = sorted(deeper, key=lambda entry: entry[:2])
+        for sigmas, js, partial in partials:
+            for rest in itertools.permutations([i for i in base if i not in js]):
+                key = tuple(Omega(s, empty) for s in sigmas) + tuple(Dx(i) for i in rest)
+                entries.append((key, Rat(scale * levi_civita(js + rest)) * partial))
     return make_form(ctx, n, entries, 1)
 
 

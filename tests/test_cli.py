@@ -58,7 +58,7 @@ class TestEl:
         assert out.strip().endswith("/(y_1^10 + 5*y_1^8 + 10*y_1^6 + 10*y_1^4 + 5*y_1^2 + 1)")
 
     def test_a_long_sum(self, capsys):
-        # the parser folds the 600 terms into a left-nested sum
+        # the parser reads the 600 terms as one flat sum
         source = " + ".join(f"{k}*y_1^{k}" for k in range(1, 601))
         code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", source)
         assert code == 0

@@ -1,4 +1,5 @@
 """Expression kernel: canonicalization, differentiation, evaluation, zero-testing."""
+import copy
 import dataclasses
 import math
 import pickle
@@ -60,6 +61,7 @@ from lepage.expr import (
     _render,
     _rf_diff,
     _to_rf,
+    _tree_fields,
     constant_value,
     is_zero_expr,
     scale,
@@ -357,6 +359,116 @@ class TestMemo:
         assert len(got) == 8 and all(all(r.values()) for r in got)
 
 
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """The kinds of the canonical trees built from their quotients, in order."""
+    from lepage import expr
+
+    builds = []
+    real = expr._tree_fields
+
+    def counted(kind, rf):
+        builds.append(kind)
+        return real(kind, rf)
+
+    monkeypatch.setattr(expr, "_tree_fields", counted)
+    return builds
+
+
+def _built(node):
+    """True iff any of the node's fields is stored."""
+    return any(f.name in node.__dict__ for f in dataclasses.fields(node))
+
+
+class TestLazyTree:
+    """A canonical sum or quotient holds its quotient, and builds its tree on
+    the first read of a field."""
+
+    # fresh raw trees, so that no other test has read a memoized result
+    RAW = {
+        "quotient": lambda: (Y1 + 2) ** 2 / (Y2 ** 2 + YY + 1) + X(1) * Y1,
+        "sum": lambda: (Y1 + X(1) - 3) ** 2,
+    }
+
+    def results(self):
+        quotient = self.RAW["quotient"]()
+        return [
+            canonicalize(quotient),
+            diff(quotient, fiber(2)),
+            substitute(quotient, {fiber(2): X(1) + X(2)}),
+            canonicalize(self.RAW["sum"]()),
+        ]
+
+    def test_results_build_no_tree_until_read(self, tree_builds):
+        got = self.results()
+        assert [node.__class__ for node in got] == [Div, Div, Div, Add]
+        assert tree_builds == [] and not any(_built(node) for node in got)
+        texts = [expr_to_text(node) for node in got]
+        assert tree_builds == [Div, Div, Div, Add]
+        assert [expr_to_text(node) for node in got] == texts
+        assert len(tree_builds) == 4
+
+    @pytest.mark.parametrize("name", ["quotient", "sum"])
+    def test_an_unread_node_is_its_tree(self, name):
+        def unread():
+            node = canonicalize(self.RAW[name]())
+            assert not _built(node)
+            return node
+
+        kind = unread().__class__
+        eager = kind(**_tree_fields(kind, _to_rf(unread())))
+        plain = kind(*(getattr(eager, f.name) for f in dataclasses.fields(eager)))
+        assert "_rfc" not in plain.__dict__
+        for tree in (eager, plain):
+            assert unread() == tree and tree == unread()
+            assert hash(unread()) == hash(tree)
+        assert repr(unread()) == repr(eager)
+        assert unread() == unread()
+
+    def test_pickles_and_copies_carry_the_fields_only(self):
+        quotient = self.RAW["quotient"]
+        want = canonicalize(quotient())
+        clones = [pickle.loads(pickle.dumps(canonicalize(quotient()))),
+                  copy.copy(canonicalize(quotient())),
+                  copy.deepcopy(canonicalize(quotient()))]
+        for clone in clones:
+            assert set(clone.__dict__) == {"num", "den"}
+            assert clone == want
+
+    def test_threads_reading_one_node_agree(self):
+        shared = canonicalize(self.RAW["quotient"]())
+        want = canonicalize(self.RAW["quotient"]())
+        want = (want.num, want.den)
+        start = threading.Barrier(8)
+        got = []
+
+        def work():
+            start.wait(timeout=60)
+            got.append((shared.num, shared.den))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(tree == want for tree in got)
+
+    def test_other_names_are_missing(self, tree_builds):
+        quotient, total = (canonicalize(raw()) for raw in self.RAW.values())
+        for node, name in [(total, "num"), (total, "factors"), (quotient, "terms"),
+                           (quotient, "base"), (total, "nonsense"), (quotient, "_memo")]:
+            with pytest.raises(AttributeError):
+                getattr(node, name)
+            assert not hasattr(node, name)
+        assert tree_builds == [] and not _built(quotient) and not _built(total)
+
+
 def _subtrees(e):
     yield e
     if isinstance(e, Add):
@@ -417,11 +529,13 @@ class TestRepresentationBoundary:
 
     def test_expanded_denominators_are_kept_for_quotients_only(self):
         # the partial products a sum multiplies its numerators by are not
-        # kept, and the kept expansions are bounded in number
+        # kept, and the kept expansions are bounded in number; the quotient's
+        # own expansion is made when its tree is built, on first read
         b = 1 + Y(3, 1, 1) ** 2
         e = Add((Y1 / b, Y2 / b ** 3))
         _den_entry.cache_clear()
         got = canonicalize(e)
+        expr_to_text(got)
         assert _den_entry.cache_info().currsize == 1
         assert _den_poly(_to_rf(got).den) == _den_poly(_to_rf(b ** -3).den)
         assert _den_entry.cache_info().maxsize is not None

@@ -1,4 +1,8 @@
 """Expression grammar and Lagrangian specs."""
+import math
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from lepage import (
@@ -11,13 +15,15 @@ from lepage import (
     canonicalize,
     const,
     equals_zero,
+    eval_numeric,
     exp,
+    expr_to_text,
     ln,
     parse_expression,
     parse_lagrangian,
     sin,
 )
-from lepage.expr import PROVEN_NONZERO, is_zero_expr
+from lepage.expr import PROVEN_NONZERO, Add, Div, Mul, Rat, expr_key, is_zero_expr
 
 CTX = ChartContext(2, 1, 2)
 CTX22 = ChartContext(2, 2, 2)
@@ -70,12 +76,58 @@ class TestGrammar:
 
 class TestFoldedSums:
     def test_a_parsed_sum_cancels_like_a_flat_one(self):
-        # the parser folds a - b + c into nested sums; they are read as one
-        # sum, so the group over 1 + y_2 cancels and leaves the constant 2
+        # the parser reads a - b + c as one sum, so the group over 1 + y_2
+        # cancels and leaves the constant 2
         e = parse_expression("y_1/(1+y_2) + 2 - y_1/(1+y_2)", CTX)
         assert canonicalize(e) == canonicalize(const(2))
         verdict = equals_zero(e)
         assert verdict.kind == PROVEN_NONZERO and verdict.witness == {}
+
+
+class TestOperatorChains:
+    """A chain of + and - parses to one Add, a chain of * to one Mul."""
+
+    LONG = " + ".join(f"{k}*y_1^{k}" for k in range(1, 1201))
+    CTX11 = ChartContext(2, 1, 1)
+
+    def long_sum(self):
+        return parse_expression(self.LONG, self.CTX11)
+
+    def test_a_chain_is_one_node(self):
+        y1, y2, y11, y12 = Y(1, 1), Y(1, 2), Y(1, 1, 1), Y(1, 1, 2)
+        minus = Rat(Fraction(-1))
+        assert parse_expression("y_1 + y_2 - y_11*y_12*y_1 + 1", CTX) == Add(
+            (y1, y2, Mul((minus, Mul((y11, y12, y1)))), Rat(Fraction(1)))
+        )
+        # a division closes the product before it and opens a new one
+        assert parse_expression("y_1*y_2/y_11*y_12*y_1", CTX) == Mul(
+            (Div(Mul((y1, y2)), y11), y12, y1)
+        )
+        assert parse_expression("y_1*y_2 + y_11", CTX) == Add((Mul((y1, y2)), y11))
+        long = self.long_sum()
+        assert long.__class__ is Add and len(long.terms) == 1200
+
+    def test_raw_text_of_a_sum_is_flat(self):
+        assert expr_to_text(parse_expression("y_1 + y_2 + y_11", CTX)) == "y1_1 + y1_2 + y1_11"
+
+    def test_eval_numeric_of_a_long_sum(self):
+        got = eval_numeric(self.long_sum(), {Y(1, 1).ref: 0.5})
+        assert math.isclose(got, sum(k * 0.5 ** k for k in range(1, 1201)))
+
+    def test_expr_key_of_a_long_sum(self):
+        key = expr_key(self.long_sum())
+        assert key[0] == 5 and len(key[1]) == 1200
+        assert key == expr_key(self.long_sum())
+
+    def test_expr_to_text_of_a_long_sum(self):
+        assert expr_to_text(self.long_sum(), 1) == self.LONG
+
+    def test_hash_of_a_long_sum(self):
+        assert hash(self.long_sum()) == hash(self.long_sum())
+
+    def test_pickle_of_a_long_sum(self):
+        long = self.long_sum()
+        assert pickle.loads(pickle.dumps(long)) == long
 
 
 class TestErrors:

@@ -1,4 +1,9 @@
 """Euler-Lagrange operator and the Lepage-equivalent constructors."""
+import itertools
+import random
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from lepage import (
@@ -10,6 +15,8 @@ from lepage import (
     Omega,
     OrderReducibilityError,
     UndefinedFormError,
+    FiberVar,
+    Rat,
     X,
     Y,
     canonicalize,
@@ -27,18 +34,22 @@ from lepage import (
     fundamental_coefficients,
     fundamental_first_order,
     fundamental_second_order_n2,
+    form_to_text,
     horizontalization,
     hessian_determinant,
     camassa_holm,
     is_lepage_equivalent,
     lagrangian_form,
+    levi_civita,
+    make_form,
     null_divergence_m2,
     omega_basis,
     parse_lagrangian,
     principal_lepage,
     wedge,
 )
-from lepage.expr import is_zero_expr
+from lepage.expr import diff, is_zero_expr
+from lepage.verification import first_order_corpus, random_polynomial
 
 CTX21 = ChartContext(2, 1, 1)
 CTX22 = ChartContext(2, 1, 2)
@@ -213,6 +224,46 @@ class TestCaratheodorySecond:
         assert is_lepage_equivalent(caratheodory_second(lam), lam).passed
 
 
+def _fundamental_by_products(lam):
+    """The first-order fundamental form summed over every index tuple, eps = 0 included."""
+    ctx, n = lam.ctx, lam.ctx.n
+    base, fibers = list(ctx.base_indices), list(ctx.fiber_indices)
+    entries = [(tuple(Dx(i) for i in base), lam.L)]
+    for k in range(1, n + 1):
+        scale = Fraction(1, factorial(n - k) * factorial(k) ** 2)
+        for sigmas in itertools.product(fibers, repeat=k):
+            for js in itertools.product(base, repeat=k):
+                partial = lam.L
+                for sigma, j in zip(sigmas, js):
+                    partial = diff(partial, FiberVar(sigma, MultiIndex((j,))))
+                if is_zero_expr(partial):
+                    continue
+                for rest in itertools.product(base, repeat=n - k):
+                    eps = levi_civita(js + rest)
+                    if eps:
+                        key = tuple(Omega(s, MultiIndex()) for s in sigmas)
+                        entries.append((key + tuple(Dx(i) for i in rest),
+                                        Rat(scale * eps) * partial))
+    return make_form(ctx, n, entries, 1)
+
+
+def _seeded_first_order(n, m):
+    """A seeded first-order Lagrangian with a term of one derivative per base direction."""
+    ctx = ChartContext(n, m, 1)
+    rng = random.Random(f"fundamental/{n}/{m}")
+    pool = [v for v in ctx.coordinates() if isinstance(v, FiberVar) or rng.random() < 0.5]
+    full = 1
+    for j in ctx.base_indices:
+        full = full * Y(rng.choice(list(ctx.fiber_indices)), j)
+    return Lagrangian(ctx, 1, canonicalize(random_polynomial(rng, pool, 5, n) + full))
+
+
+FIRST_ORDER = first_order_corpus() + [
+    _seeded_first_order(n, m) for n in (2, 3, 4) for m in (1, 2)]
+FIRST_ORDER_IDS = [f"corpus{i}" for i in range(len(first_order_corpus()))] + [
+    f"n{n}m{m}" for n in (2, 3, 4) for m in (1, 2)]
+
+
 class TestFundamentalFirstOrder:
     def test_m1_reduces_to_theta(self):
         for lam in (dirichlet(), lag(2, 1, 1, Y(1, 1) * Y(1, 2) + Y(1))):
@@ -238,6 +289,12 @@ class TestFundamentalFirstOrder:
     def test_wrong_order_refused(self):
         with pytest.raises(UndefinedFormError):
             fundamental_first_order(dirichlet(r=2))
+
+    @pytest.mark.parametrize("lam", FIRST_ORDER, ids=FIRST_ORDER_IDS)
+    def test_only_nonvanishing_eps_terms_are_built(self, lam):
+        m = lam.ctx.m
+        want = form_to_text(_fundamental_by_products(lam), m)
+        assert form_to_text(fundamental_first_order(lam), m) == want
 
 
 class TestFundamentalSecondOrder:
