@@ -6,9 +6,9 @@ expression as a quotient of Laurent polynomials over "atoms" (coordinates
 and elementary-function applications):
 
 * sums and products are flattened, sorted under a fixed total order and
-  constant-folded; a sum (product) is read in one pass however it was
-  folded, so the nested sums that a parser or a loop of ``+`` builds are
-  one sum, held on an explicit stack and not by recursion;
+  constant-folded.  The operators extend a raw chain: ``a + b + c`` is one
+  ``Add`` of three terms however long the chain, so no walk over a tree that
+  a loop of ``+`` or the parser builds recurses once per operator;
 * single-term denominators are folded into negative exponents;
 * multi-term denominators are kept as a single quotient node, normalized
   monic with trivial monomial content, with no polynomial cancellation.
@@ -127,22 +127,22 @@ class ScalarExpr:
     """Base node; subclasses form the expression tree."""
 
     def __add__(self, other) -> "ScalarExpr":
-        return Add((self, as_expr(other)))
+        return _chain(Add, self, as_expr(other))
 
     def __radd__(self, other) -> "ScalarExpr":
-        return Add((as_expr(other), self))
+        return _chain(Add, as_expr(other), self)
 
     def __sub__(self, other) -> "ScalarExpr":
-        return Add((self, Mul((Rat(Fraction(-1)), as_expr(other)))))
+        return _chain(Add, self, -as_expr(other))
 
     def __rsub__(self, other) -> "ScalarExpr":
-        return Add((as_expr(other), Mul((Rat(Fraction(-1)), self))))
+        return _chain(Add, as_expr(other), -self)
 
     def __mul__(self, other) -> "ScalarExpr":
-        return Mul((self, as_expr(other)))
+        return _chain(Mul, self, as_expr(other))
 
     def __rmul__(self, other) -> "ScalarExpr":
-        return Mul((as_expr(other), self))
+        return _chain(Mul, as_expr(other), self)
 
     def __truediv__(self, other) -> "ScalarExpr":
         return Div(self, as_expr(other))
@@ -220,6 +220,19 @@ class Fn(ScalarExpr):
 
 ZERO = Rat(Fraction(0))
 ONE = Rat(Fraction(1))
+
+
+def _chain(kind: type, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
+    """kind (Add or Mul) of left and right, with the operands of either side
+    that is a raw chain of the same kind taken in: a chain of operators is one
+    flat node.  A canonical node stays whole, so its tree is not built."""
+    items = []
+    for e in (left, right):
+        if e.__class__ is kind and "_canonical" not in e.__dict__:
+            items.extend(e.terms if kind is Add else e.factors)
+        else:
+            items.append(e)
+    return kind(tuple(items))
 
 
 def as_expr(value) -> ScalarExpr:
@@ -673,10 +686,10 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Var):
         rf = _RF(_p_atom(e))
     elif isinstance(e, Add):
-        rf = _rf_sum([_to_rf(t) for t in _operands(e.terms, Add)])
+        rf = _rf_sum([_to_rf(t) for t in e.terms])
     elif isinstance(e, Mul):
         rf = _rf_const(1)
-        for f in _operands(e.factors, Mul):
+        for f in e.factors:
             rf = _rf_mul(rf, _to_rf(f))
     elif isinstance(e, Pow):
         rf = _rf_pow(_to_rf(e.base), e.exponent)
@@ -698,25 +711,6 @@ def _to_rf(e: ScalarExpr) -> _RF:
         raise ExprError(f"unknown node {e!r}")
     object.__setattr__(e, "_rfc", rf)
     return rf
-
-
-def _operands(items: tuple, kind: type) -> Sequence[ScalarExpr]:
-    """The operands of a sum (kind Add) or product (kind Mul) left to right, each
-    nested raw one opened by an explicit stack.  A canonical Add or Mul stays
-    whole: it is a polynomial, so opening it gives the same quotient."""
-    for t in items:
-        if t.__class__ is kind and "_canonical" not in t.__dict__:
-            break
-    else:
-        return items
-    out, stack = [], list(reversed(items))
-    while stack:
-        t = stack.pop()
-        if t.__class__ is kind and "_canonical" not in t.__dict__:
-            stack.extend(reversed(t.terms if kind is Add else t.factors))
-        else:
-            out.append(t)
-    return out
 
 
 def _render_poly(p: Poly, k: int) -> ScalarExpr:
@@ -967,6 +961,13 @@ class ZeroPolicy:
     samples: int = 25
     abs_tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # a nan or inf tolerance calls every sampled value zero, a negative one none
+        if not 0 <= self.abs_tol < math.inf:
+            raise ExprError(f"sampling tolerance must be finite and >= 0, got {self.abs_tol}")
+        if self.samples < 1:
+            raise ExprError(f"sample count must be >= 1, got {self.samples}")
 
 
 # The fixed part of the sampling: coordinates are drawn from _SAMPLE_BOX, a

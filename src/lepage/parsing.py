@@ -8,12 +8,13 @@ Implicit multiplication is not allowed.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import BaseVar, ChartContext, FiberVar, MultiIndex
-from .expr import FUNCTIONS, Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, canonicalize
+from .expr import FUNCTIONS, Div, Fn, Pow, Rat, ScalarExpr, Var, canonicalize
 from .variational import Lagrangian
 
 
@@ -107,6 +108,10 @@ class _Parser:
     P_MUL = 20
     P_UNARY = 25
     P_POW = 30
+    # each binary operator's precedence and the node it builds; + and * extend
+    # a chain, so a chain of either is one node
+    BINARY = {"+": (P_ADD, operator.add), "-": (P_ADD, operator.sub),
+              "*": (P_MUL, operator.mul), "/": (P_MUL, Div), "^": (P_POW, Pow)}
 
     def __init__(self, tokens: list[_Token], ctx: ChartContext):
         self.tokens = tokens
@@ -135,30 +140,20 @@ class _Parser:
         return e
 
     def expression(self, min_prec: int) -> ScalarExpr:
-        # a chain of + and - is one Add and a chain of * one Mul, so a long
-        # sum is a flat node and not one nesting level per operator
-        operands, kind = [self.atom()], None
+        left = self.atom()
         while True:
             tok = self.peek()
-            if tok.kind != "op" or tok.text not in "+-*/^":
+            if tok.kind != "op" or tok.text not in self.BINARY:
                 break
-            prec = {"+": self.P_ADD, "-": self.P_ADD, "*": self.P_MUL,
-                    "/": self.P_MUL, "^": self.P_POW}[tok.text]
+            prec, build = self.BINARY[tok.text]
             if prec < min_prec:
                 break
             self.advance()
-            if tok.text == "^":
-                operands, kind = [Pow(_chain(operands, kind), self.integer_exponent())], None
-                continue
-            right = self.expression(prec + 1)
-            if tok.text == "/":
-                operands, kind = [Div(_chain(operands, kind), right)], None
-                continue
-            chain_kind = Mul if tok.text == "*" else Add
-            if kind is not chain_kind:
-                operands, kind = [_chain(operands, kind)], chain_kind
-            operands.append(Mul((Rat(Fraction(-1)), right)) if tok.text == "-" else right)
-        return _chain(operands, kind)
+            if build is Pow:
+                left = Pow(left, self.integer_exponent())
+            else:
+                left = build(left, self.expression(prec + 1))
+        return left
 
     def atom(self) -> ScalarExpr:
         tok = self.advance()
@@ -178,7 +173,7 @@ class _Parser:
             self.expect(")")
             return e
         if tok.text == "-":
-            return Mul((Rat(Fraction(-1)), self.expression(self.P_UNARY)))
+            return -self.expression(self.P_UNARY)
         if tok.text == "+":
             return self.expression(self.P_UNARY)
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
@@ -202,12 +197,6 @@ class _Parser:
         if parenthesized:
             self.expect(")")
         return -value if negative else value
-
-
-def _chain(operands: list, kind: type | None) -> ScalarExpr:
-    """The node of an operator chain: kind (Add or Mul) of the operands, or
-    the one operand when no chain is open."""
-    return operands[0] if kind is None else kind(tuple(operands))
 
 
 def parse_expression(src: str, ctx: ChartContext) -> ScalarExpr:

@@ -58,10 +58,7 @@ class OrderReducibilityError(ValueError):
     """The second-order fundamental form was requested for a non-reducible Lagrangian."""
 
     def __init__(self, report):
-        super().__init__(
-            f"Lagrangian is not order-reducible: {report.label} fails "
-            f"(witness {report.witness!r})"
-        )
+        super().__init__(f"Lagrangian is not order-reducible: {report.describe()}")
         self.report = report
 
 
@@ -99,15 +96,13 @@ def euler_lagrange_expressions(lam: Lagrangian) -> list[ScalarExpr]:
     for sigma in ctx.fiber_indices:
         pieces = []
         for k in range(lam.r + 1):
-            sign = Fraction((-1) ** k)
             for jj in ctx.multi_indices(k):
                 partial = diff(lam.L, FiberVar(sigma, jj))
                 if is_zero_expr(partial):
                     continue
                 term = iterated_total_derivative(partial, jj, ctx)
-                pieces.append(Rat(sign) * term)
-        total = canonicalize(Add(tuple(pieces))) if pieces else canonicalize(Rat(Fraction(0)))
-        out.append(total)
+                pieces.append((-1) ** k * term)
+        out.append(canonicalize(Add(tuple(pieces))))
     return out
 
 
@@ -116,10 +111,8 @@ def euler_lagrange_form(lam: Lagrangian) -> ExteriorForm:
     ctx = lam.ctx
     order = max(2 * lam.r, 1)
     vol = tuple(Dx(i) for i in ctx.base_indices)
-    entries = []
-    for sigma, e_sigma in enumerate(euler_lagrange_expressions(lam), start=1):
-        if not is_zero_expr(e_sigma):
-            entries.append(((Omega(sigma, MultiIndex()),) + vol, e_sigma))
+    entries = [((Omega(sigma, MultiIndex()),) + vol, e_sigma)
+               for sigma, e_sigma in enumerate(euler_lagrange_expressions(lam), start=1)]
     return make_form(ctx, ctx.n + 1, entries, order)
 
 
@@ -147,7 +140,6 @@ def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTIO
                 for sigma in ctx.fiber_indices:
                     pieces = []
                     for l in range(r - k):
-                        sign = Fraction((-1) ** l)
                         for ps in itertools.product(base, repeat=l):
                             partial = sym_partial(
                                 lam.L, sigma, label + ps + (i,), convention
@@ -155,12 +147,8 @@ def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTIO
                             if is_zero_expr(partial):
                                 continue
                             term = iterated_total_derivative(partial, ps, ctx)
-                            pieces.append(Rat(sign) * term)
-                    if not pieces:
-                        continue
+                            pieces.append((-1) ** l * term)
                     coeff = canonicalize(Add(tuple(pieces)))
-                    if is_zero_expr(coeff):
-                        continue
                     contact = Omega(sigma, label_sorted)
                     for key, c in omegas[i - 1].terms.items():
                         entries.append(((contact,) + key, coeff * c))
@@ -179,8 +167,7 @@ def _caratheodory(lam: Lagrangian, contact: list, order: int) -> ExteriorForm:
     ctx = lam.ctx
     factors = []
     for j, entries in zip(ctx.base_indices, contact):
-        nonzero = [(key, c) for key, c in entries if not is_zero_expr(c)]
-        factors.append(make_form(ctx.at_order(order), 1, [((Dx(j),), lam.L)] + nonzero, order))
+        factors.append(make_form(ctx.at_order(order), 1, [((Dx(j),), lam.L)] + entries, order))
     product = wedge_all(factors)
     return product if ctx.n == 1 else product.scaled(Pow(lam.L, 1 - ctx.n))
 
@@ -358,11 +345,9 @@ def fundamental_coefficients(
     Q1: dict = {}
     Q2: dict = {}
     R12: dict = {}
-    half = Rat(Fraction(1, 2))
-    two = Rat(Fraction(2))
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
-            p_term = half * (
+            p_term = Fraction(1, 2) * (
                 pp(sigma, (1,), nu, (2,)) - pp(nu, (1,), sigma, (2,))
             )
             p_d1 = cut_derivative(
@@ -382,18 +367,18 @@ def fundamental_coefficients(
             P[(sigma, nu)] = canonicalize(p_term + p_d1 + p_d2)
             r_core = pp(sigma, (1, 2), nu, (1, 2))
             Q1[(sigma, nu)] = canonicalize(
-                two * pp(sigma, (1,), nu, (1, 2))
+                2 * pp(sigma, (1,), nu, (1, 2))
                 - pp(nu, (1,), sigma, (1, 2))
                 - pp(nu, (2,), sigma, (1, 1))
-                - two * cut_derivative(r_core, 2, ctx)
+                - 2 * cut_derivative(r_core, 2, ctx)
             )
             Q2[(sigma, nu)] = canonicalize(
-                Rat(Fraction(-2)) * pp(sigma, (2,), nu, (1, 2))
+                -2 * pp(sigma, (2,), nu, (1, 2))
                 + pp(nu, (1,), sigma, (2, 2))
                 + pp(nu, (2,), sigma, (1, 2))
-                + two * cut_derivative(r_core, 1, ctx)
+                + 2 * cut_derivative(r_core, 1, ctx)
             )
-            R12[(sigma, nu)] = canonicalize(Rat(Fraction(-2)) * r_core)
+            R12[(sigma, nu)] = canonicalize(-2 * r_core)
     return FundamentalCoefficients(P, Q1, Q2, R12)
 
 
@@ -425,27 +410,17 @@ def fundamental_second_order_n2(
     coeffs = fundamental_coefficients(lam, coeff_convention)
     empty = MultiIndex()
     entries: list = []
-    half = Rat(Fraction(1, 2))
+    half = Fraction(1, 2)
     for sigma in ctx.fiber_indices:
+        w = Omega(sigma, empty)
         for nu in ctx.fiber_indices:
-            p = coeffs.P[(sigma, nu)]
-            if not is_zero_expr(p):
-                entries.append(((Omega(sigma, empty), Omega(nu, empty)), half * p))
+            entries.append(((w, Omega(nu, empty)), half * coeffs.P[(sigma, nu)]))
             for j in ctx.base_indices:
-                q = coeffs.Q(j)[(sigma, nu)]
-                if not is_zero_expr(q):
-                    entries.append(
-                        ((Omega(sigma, empty), Omega(nu, MultiIndex((j,)))), q)
-                    )
+                w_nu_j = Omega(nu, MultiIndex((j,)))
+                entries.append(((w, w_nu_j), coeffs.Q(j)[(sigma, nu)]))
                 for i in ctx.base_indices:
-                    r = coeffs.R(i, j, sigma, nu)
-                    if not is_zero_expr(r):
-                        entries.append(
-                            (
-                                (Omega(sigma, MultiIndex((i,))), Omega(nu, MultiIndex((j,)))),
-                                half * r,
-                            )
-                        )
+                    r = half * coeffs.R(i, j, sigma, nu)
+                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), r))
     theta = principal_lepage(lam, theta_convention)
     contact = make_form(ctx.at_order(3), 2, entries, 3)
     return theta.at_order(3) + contact, coeffs

@@ -26,10 +26,12 @@ from .expr import (
     Add,
     DEFAULT_POLICY,
     EvalDomainError,
-    Mul,
     Rat,
     ScalarExpr,
     Var,
+    X,
+    Y,
+    ZERO,
     ZeroPolicy,
     as_expr,
     canonicalize,
@@ -56,6 +58,7 @@ from .jets import (
     sym_partial,
     total_derivative,
 )
+from .parsing import LagrangianSpec, parse_expression, parse_lagrangian
 from .serialize import coframe_label, expr_to_text
 from .variational import (
     Lagrangian,
@@ -186,7 +189,7 @@ def _pqi_coefficient(
     """The y^nu_{pqi} coefficient in E_sigma: the head plus 2 d_j' of the second partials."""
     coeff = _pqi_head(pp, sigma, nu, p, q, i)
     for j in ctx.base_indices:
-        coeff = coeff + Rat(Fraction(2)) * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, ctx)
+        coeff = coeff + 2 * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, ctx)
     return coeff
 
 
@@ -212,11 +215,12 @@ def _triviality_conditions(lam: Lagrangian, convention: Convention):
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for triple in itertools.combinations_with_replacement(base, 3):
-                pieces = [
+                # each piece is a raw sum, so + joins them into one sum
+                pieces = (
                     _pqi_coefficient(pp, ctx, sigma, nu, p, q, i)
                     for p, q, i in itertools.permutations(triple)
-                ]
-                yield "triviality[2]", canonicalize(Add(tuple(pieces))), ""
+                )
+                yield "triviality[2]", canonicalize(sum(pieces, ZERO)), ""
     # third family: symmetrized third derivatives
     for mu in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
@@ -277,7 +281,7 @@ def _reducibility_conditions(lam: Lagrangian, convention: Convention):
                         "order-reducibility[5]",
                         canonicalize(
                             pp(sigma, (2, 2), nu, (1, 1))
-                            + Rat(Fraction(2)) * pp(sigma, (1, 2), nu, (1, 2))
+                            + 2 * pp(sigma, (1, 2), nu, (1, 2))
                         ),
                         "",
                     ),
@@ -314,7 +318,6 @@ def _combination_conditions(lam: Lagrangian, convention: Convention):
     for sigma in ctx.fiber_indices:
         yield "combination[1]", _tc1(lam, sigma, convention), ""
     if ctx.n == 2:
-        two = Rat(Fraction(2))
         for sigma in ctx.fiber_indices:
             for nu in ctx.fiber_indices:
                 displays = [
@@ -322,15 +325,15 @@ def _combination_conditions(lam: Lagrangian, convention: Convention):
                     ("combination[2]", pp(sigma, (2, 2), nu, (2,)) - pp(nu, (2, 2), sigma, (2,))),
                     (
                         "combination[3]",
-                        two * pp(sigma, (1, 2), nu, (1,))
-                        - two * pp(nu, (1, 2), sigma, (1,))
+                        2 * pp(sigma, (1, 2), nu, (1,))
+                        - 2 * pp(nu, (1, 2), sigma, (1,))
                         + pp(sigma, (1, 1), nu, (2,))
                         - pp(nu, (1, 1), sigma, (2,)),
                     ),
                     (
                         "combination[4]",
-                        two * pp(sigma, (1, 2), nu, (2,))
-                        - two * pp(nu, (1, 2), sigma, (2,))
+                        2 * pp(sigma, (1, 2), nu, (2,))
+                        - 2 * pp(nu, (1, 2), sigma, (2,))
                         + pp(sigma, (2, 2), nu, (1,))
                         - pp(nu, (2, 2), sigma, (1,)),
                     ),
@@ -342,10 +345,10 @@ def _combination_conditions(lam: Lagrangian, convention: Convention):
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
             for triple in itertools.combinations_with_replacement(base, 3):
-                pieces = [
+                pieces = (
                     _pqi_head(pp, sigma, nu, p, q, i) for p, q, i in itertools.permutations(triple)
-                ]
-                yield "combination[sym]", canonicalize(Add(tuple(pieces))), ""
+                )
+                yield "combination[sym]", canonicalize(sum(pieces, ZERO)), ""
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +443,7 @@ def _expansion_gaps(lam: Lagrangian, convention: Convention):
         for nu in ctx.fiber_indices:
             for p, q, i in itertools.product(base, repeat=3):
                 coeff = _pqi_coefficient(pp, ctx, sigma, nu, p, q, i)
-                expansion = expansion + coeff * Var(FiberVar(nu, MultiIndex((p, q, i))))
+                expansion = expansion + coeff * Y(nu, p, q, i)
         for mu in ctx.fiber_indices:
             for nu in ctx.fiber_indices:
                 for s, t, p, q, i, j in itertools.product(base, repeat=6):
@@ -449,15 +452,13 @@ def _expansion_gaps(lam: Lagrangian, convention: Convention):
                     )
                     if is_zero_expr(third):
                         continue
-                    expansion = expansion + third * Var(
-                        FiberVar(mu, MultiIndex((s, t, i)))
-                    ) * Var(FiberVar(nu, MultiIndex((p, q, j))))
+                    expansion = expansion + third * Y(mu, s, t, i) * Y(nu, p, q, j)
         for nu in ctx.fiber_indices:
             for p, q, i, j in itertools.product(base, repeat=4):
                 second = pp(sigma, (i, j), nu, (p, q))
                 if is_zero_expr(second):
                     continue
-                expansion = expansion + second * Var(FiberVar(nu, MultiIndex((p, q, i, j))))
+                expansion = expansion + second * Y(nu, p, q, i, j)
         yield f"el-expansion[{sigma}]", canonicalize(direct[sigma - 1] - expansion), ""
 
 
@@ -467,19 +468,16 @@ def _expansion_gaps(lam: Lagrangian, convention: Convention):
 
 
 def _random_section_polynomial(ctx: ChartContext, rng: random.Random, degree: int = 4) -> ScalarExpr:
-    terms = []
+    total = ZERO
     for exponents in itertools.product(range(degree + 1), repeat=ctx.n):
         if sum(exponents) > degree:
             continue
-        c = Fraction(rng.randint(-16, 16), 16)
-        if c == 0:
-            continue
-        factors: list[ScalarExpr] = [Rat(c)]
+        term = Rat(Fraction(rng.randint(-16, 16), 16))
         for i, e in enumerate(exponents, start=1):
             if e:
-                factors.append(Var(BaseVar(i)) if e == 1 else Var(BaseVar(i)) ** e)
-        terms.append(Mul(tuple(factors)) if len(factors) > 1 else factors[0])
-    return canonicalize(Add(tuple(terms))) if terms else canonicalize(Rat(Fraction(0)))
+                term = term * (X(i) if e == 1 else X(i) ** e)
+        total = total + term
+    return canonicalize(total)
 
 
 def prolongation_bindings(
@@ -572,40 +570,37 @@ def random_section_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _lagrangian(n: int, m: int, r: int, L: ScalarExpr) -> Lagrangian:
-    return Lagrangian(ChartContext(n, m, r), r, canonicalize(L))
+def _lagrangian(n: int, m: int, r: int, source: str) -> Lagrangian:
+    return parse_lagrangian(LagrangianSpec(n, m, r, source))
+
+
+def _divergence(m: int, *g: str) -> Lagrangian:
+    """The trivial Lagrangian d_i g^i of first-order generator sources g^i (n = 2)."""
+    ctx = ChartContext(2, m, 1)
+    gen = DivergenceGenerator(ctx, tuple(parse_expression(gi, ctx) for gi in g), 1)
+    return make_divergence_lagrangian(gen)
+
+
+_NULL_M2 = "y1_1*y2_2 - y1_2*y2_1"
 
 
 def camassa_holm() -> Lagrangian:
     """L = (1/2)(y1 y2^2 + y12^2 / y1), the quadratic-in-y12 counterexample."""
-    y1 = Var(FiberVar(1, MultiIndex((1,))))
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    y12 = Var(FiberVar(1, MultiIndex((1, 2))))
-    L = Rat(Fraction(1, 2)) * (y1 * y2 * y2 + y12 * y12 / y1)
-    return _lagrangian(2, 1, 2, L)
+    return _lagrangian(2, 1, 2, "1/2*(y_1*y_2^2 + y_12^2/y_1)")
 
 
 def hessian_determinant() -> Lagrangian:
     """L = y11 y22 - y12^2, variationally trivial and nonlinear in second derivatives."""
-    y11 = Var(FiberVar(1, MultiIndex((1, 1))))
-    y22 = Var(FiberVar(1, MultiIndex((2, 2))))
-    y12 = Var(FiberVar(1, MultiIndex((1, 2))))
-    return _lagrangian(2, 1, 2, y11 * y22 - y12 * y12)
+    return _lagrangian(2, 1, 2, "y_11*y_22 - y_12^2")
 
 
 def dirichlet(r: int = 1) -> Lagrangian:
-    y1 = Var(FiberVar(1, MultiIndex((1,))))
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    return _lagrangian(2, 1, r, Rat(Fraction(1, 2)) * (y1 * y1 + y2 * y2))
+    return _lagrangian(2, 1, r, "1/2*(y_1^2 + y_2^2)")
 
 
 def null_divergence_m2() -> Lagrangian:
     """L = y^1_1 y^2_2 - y^1_2 y^2_1, the m = 2 first-order null Lagrangian."""
-    a1 = Var(FiberVar(1, MultiIndex((1,))))
-    a2 = Var(FiberVar(1, MultiIndex((2,))))
-    b1 = Var(FiberVar(2, MultiIndex((1,))))
-    b2 = Var(FiberVar(2, MultiIndex((2,))))
-    return _lagrangian(2, 2, 1, a1 * b2 - a2 * b1)
+    return _lagrangian(2, 2, 1, _NULL_M2)
 
 
 def random_polynomial(
@@ -619,13 +614,13 @@ def random_polynomial(
         Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(-1, 3),
         Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
     )
-    parts = []
+    total = ZERO
     for _ in range(terms):
-        factors: list[ScalarExpr] = [Rat(rng.choice(coeffs))]
+        term = Rat(rng.choice(coeffs))
         for _ in range(rng.randint(1, degree)):
-            factors.append(Var(rng.choice(pool)))
-        parts.append(Mul(tuple(factors)))
-    return canonicalize(Add(tuple(parts)))
+            term = term * Var(rng.choice(pool))
+        total = total + term
+    return canonicalize(total)
 
 
 def _order1_pool(ctx: ChartContext) -> list:
@@ -649,126 +644,62 @@ def random_divergence_lagrangian(
 
 def builtin_calibration_corpus() -> list[Lagrangian]:
     """Trivial order-reducible candidates, including the Hessian determinant."""
-    y = Var(FiberVar(1, MultiIndex()))
-    y1 = Var(FiberVar(1, MultiIndex((1,))))
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    ctx21 = ChartContext(2, 1, 1)
-    half = Rat(Fraction(1, 2))
-    members = [hessian_determinant()]
-    # d1( y2^2 / 2 )
-    members.append(
-        make_divergence_lagrangian(DivergenceGenerator(ctx21, (half * y2 * y2, Rat(Fraction(0))), 1))
-    )
-    # d1( y1 y2^2 / 2 ): produces y1 y2 y12 cross terms
-    members.append(
-        make_divergence_lagrangian(
-            DivergenceGenerator(ctx21, (half * y1 * y2 * y2, Rat(Fraction(0))), 1)
-        )
-    )
-    # d2( y1^3 / 3 )
-    members.append(
-        make_divergence_lagrangian(
-            DivergenceGenerator(ctx21, (Rat(Fraction(0)), Rat(Fraction(1, 3)) * y1 * y1 * y1), 1)
-        )
-    )
-    # x-dependent generator
-    members.append(
-        make_divergence_lagrangian(
-            DivergenceGenerator(ctx21, (Var(BaseVar(2)) * y1, half * y * y), 1)
-        )
-    )
-    # m = 2 generator with cross-fiber coupling
-    u = Var(FiberVar(1, MultiIndex()))
-    v = Var(FiberVar(2, MultiIndex()))
-    v2 = Var(FiberVar(2, MultiIndex((2,))))
-    ctx22 = ChartContext(2, 2, 1)
-    members.append(
-        make_divergence_lagrangian(DivergenceGenerator(ctx22, (half * v * v + u * v2, u * v), 1))
-    )
-    # seeded random generator
-    members.append(random_divergence_lagrangian(ChartContext(2, 1, 1), random.Random(7)))
-    return members
+    return [
+        hessian_determinant(),
+        # d1( y2^2 / 2 )
+        _divergence(1, "1/2*y_2^2", "0"),
+        # d1( y1 y2^2 / 2 ): produces y1 y2 y12 cross terms
+        _divergence(1, "1/2*y_1*y_2^2", "0"),
+        # d2( y1^3 / 3 )
+        _divergence(1, "0", "1/3*y_1^3"),
+        # x-dependent generator
+        _divergence(1, "x2*y_1", "1/2*y^2"),
+        # m = 2 generator with cross-fiber coupling
+        _divergence(2, "1/2*y2^2 + y1*y2_2", "y1*y2"),
+        # seeded random generator
+        random_divergence_lagrangian(ChartContext(2, 1, 1), random.Random(7)),
+    ]
 
 
 def first_order_corpus() -> list[Lagrangian]:
     """First-order Lagrangians (n = 2, m in {1, 2}) for the equivalence checks."""
-    y = Var(FiberVar(1, MultiIndex()))
-    y1 = Var(FiberVar(1, MultiIndex((1,))))
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    x1, x2 = Var(BaseVar(1)), Var(BaseVar(2))
-    half = Rat(Fraction(1, 2))
-    u1 = Var(FiberVar(1, MultiIndex((1,))))
-    u2 = Var(FiberVar(1, MultiIndex((2,))))
-    v = Var(FiberVar(2, MultiIndex()))
-    v1 = Var(FiberVar(2, MultiIndex((1,))))
-    v2 = Var(FiberVar(2, MultiIndex((2,))))
     return [
         dirichlet(),
-        _lagrangian(2, 1, 1, y1 * y2),
-        _lagrangian(2, 1, 1, y * y1),
-        _lagrangian(2, 1, 1, half * y * y),
-        _lagrangian(2, 1, 1, x1 * y1 + x2 * y2),
-        _lagrangian(2, 1, 1, y1 * y1 * y2),
-        _lagrangian(2, 1, 1, Rat(Fraction(1)) + y1),
+        _lagrangian(2, 1, 1, "y_1*y_2"),
+        _lagrangian(2, 1, 1, "y*y_1"),
+        _lagrangian(2, 1, 1, "1/2*y^2"),
+        _lagrangian(2, 1, 1, "x1*y_1 + x2*y_2"),
+        _lagrangian(2, 1, 1, "y_1^2*y_2"),
+        _lagrangian(2, 1, 1, "1 + y_1"),
         null_divergence_m2(),
-        _lagrangian(2, 2, 1, u1 * v2),
-        _lagrangian(2, 2, 1, Var(FiberVar(1, MultiIndex())) * v1),
+        _lagrangian(2, 2, 1, "y1_1*y2_2"),
+        _lagrangian(2, 2, 1, "y1*y2_1"),
     ]
 
 
 def second_order_corpus() -> list[Lagrangian]:
     """Second-order Lagrangians (n = 2), mixed trivial and nontrivial, with the
     quadratic-in-y12 counterexample included."""
-    y = Var(FiberVar(1, MultiIndex()))
-    y1 = Var(FiberVar(1, MultiIndex((1,))))
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    y11 = Var(FiberVar(1, MultiIndex((1, 1))))
-    y12 = Var(FiberVar(1, MultiIndex((1, 2))))
-    y22 = Var(FiberVar(1, MultiIndex((2, 2))))
-    x1 = Var(BaseVar(1))
-    half = Rat(Fraction(1, 2))
-    u1 = Var(FiberVar(1, MultiIndex((1,))))
-    u2 = Var(FiberVar(1, MultiIndex((2,))))
-    v1 = Var(FiberVar(2, MultiIndex((1,))))
-    v2 = Var(FiberVar(2, MultiIndex((2,))))
-    ctx21 = ChartContext(2, 1, 1)
-    corpus = [
+    product, dirichlet2, x_dependent, y_y12 = nontrivial_order_reducible_corpus()
+    return [
         camassa_holm(),
         hessian_determinant(),
-        _lagrangian(2, 1, 2, y2 * y12),
-        _lagrangian(2, 1, 2, half * y11 * y11),
-        _lagrangian(2, 1, 2, y1 * y2),
-        dirichlet(r=2),
-        make_divergence_lagrangian(
-            DivergenceGenerator(ctx21, (half * y1 * y2 * y2, Rat(Fraction(0))), 1)
-        ),
-        _lagrangian(2, 1, 2, x1 * y11 + y2 * y2),
-        _lagrangian(2, 1, 2, y * y12),
-        _lagrangian(2, 2, 2, u1 * v2 - u2 * v1),
-        make_divergence_lagrangian(
-            DivergenceGenerator(
-                ChartContext(2, 2, 1),
-                (
-                    half * Var(FiberVar(2, MultiIndex())) * Var(FiberVar(2, MultiIndex())),
-                    Var(FiberVar(1, MultiIndex())) * Var(FiberVar(2, MultiIndex())),
-                ),
-                1,
-            )
-        ),
-        _lagrangian(2, 1, 2, Rat(Fraction(1))),
+        _lagrangian(2, 1, 2, "y_2*y_12"),
+        _lagrangian(2, 1, 2, "1/2*y_11^2"),
+        product,
+        dirichlet2,
+        _divergence(1, "1/2*y_1*y_2^2", "0"),
+        x_dependent,
+        y_y12,
+        _lagrangian(2, 2, 2, _NULL_M2),
+        _divergence(2, "1/2*y2^2", "y1*y2"),
+        _lagrangian(2, 1, 2, "1"),
     ]
-    return corpus
 
 
 def trivial_order_reducible_corpus(count: int = 6, seed: int = 0) -> list[Lagrangian]:
     """Divergence-generated trivial second-order Lagrangians plus the Hessian determinant."""
-    members = [hessian_determinant()]
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    members.append(
-        make_divergence_lagrangian(
-            DivergenceGenerator(ChartContext(2, 1, 1), (Rat(Fraction(1, 2)) * y2 * y2, Rat(Fraction(0))), 1)
-        )
-    )
+    members = [hessian_determinant(), _divergence(1, "1/2*y_2^2", "0")]
     rng = random.Random(seed)
     while len(members) < count:
         members.append(random_divergence_lagrangian(ChartContext(2, 1, 1), rng))
@@ -777,17 +708,11 @@ def trivial_order_reducible_corpus(count: int = 6, seed: int = 0) -> list[Lagran
 
 def nontrivial_order_reducible_corpus() -> list[Lagrangian]:
     """Nontrivial second-order Lagrangians whose principal equivalent keeps order two."""
-    y = Var(FiberVar(1, MultiIndex()))
-    y1 = Var(FiberVar(1, MultiIndex((1,))))
-    y2 = Var(FiberVar(1, MultiIndex((2,))))
-    y11 = Var(FiberVar(1, MultiIndex((1, 1))))
-    y12 = Var(FiberVar(1, MultiIndex((1, 2))))
-    x1 = Var(BaseVar(1))
     return [
-        _lagrangian(2, 1, 2, y1 * y2),
+        _lagrangian(2, 1, 2, "y_1*y_2"),
         dirichlet(r=2),
-        _lagrangian(2, 1, 2, x1 * y11 + y2 * y2),
-        _lagrangian(2, 1, 2, y * y12),
+        _lagrangian(2, 1, 2, "x1*y_11 + y_2^2"),
+        _lagrangian(2, 1, 2, "y*y_12"),
     ]
 
 

@@ -302,6 +302,17 @@ class TestUsageErrors:
         self._assert_one_error_line(code, out, err)
         assert "y_1 is assigned twice" in err
 
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--tol", "nan", "nan"), ("--tol", "inf", "inf"), ("--tol", "-1", "-1.0"),
+        ("--samples", "0", "0"),
+    ])
+    def test_sampling_policy_that_decides_nothing(self, capsys, flag, value, shown):
+        # sin(y_1)*y is not trivial; a nan or inf tolerance used to pass it
+        code, out, err = run(capsys, "check", "trivial", "--order", "1",
+                             "--lagrangian", "sin(y_1)*y", flag, value)
+        self._assert_one_error_line(code, out, err)
+        assert err.rstrip().endswith(f"got {shown}")
+
     def test_file_that_is_not_utf8(self, capsys, tmp_path):
         source = tmp_path / "lagrangian.txt"
         source.write_bytes(b"y_1\xff^2")

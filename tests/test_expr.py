@@ -63,6 +63,7 @@ from lepage.expr import (
     _to_rf,
     _tree_fields,
     constant_value,
+    expr_key,
     is_zero_expr,
     scale,
 )
@@ -172,7 +173,7 @@ class TestCanonicalize:
         assert verdict.kind == PROVEN_NONZERO and verdict.witness == {}
 
     def test_a_long_folded_product(self):
-        # 1,500 factors multiplied one at a time nest 1,500 products deep
+        # 1,500 factors multiplied one at a time, as a loop with * builds them
         e = Y1
         for k in range(1, 1500):
             e = e * (Y2 if k % 2 else Y1)
@@ -308,6 +309,15 @@ class TestEqualsZero:
         a = equals_zero(Y1 + Y2, policy)
         b = equals_zero(Y1 + Y2, policy)
         assert a.witness == b.witness and a.value == b.value
+
+    @pytest.mark.parametrize("fields", [
+        {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-9}, {"samples": 0},
+    ], ids=["nan", "inf", "negative", "no-samples"])
+    def test_a_policy_that_decides_nothing_is_refused(self, fields):
+        # a nan or inf tolerance calls sin(y_1)*y zero, a negative one calls
+        # every sample nonzero, and no sample decides nothing
+        with pytest.raises(ExprError, match=f"got {next(iter(fields.values()))}$"):
+            ZeroPolicy(**fields)
 
 
 class TestMemo:
@@ -485,6 +495,52 @@ def _subtrees(e):
         kids = ()
     for kid in kids:
         yield from _subtrees(kid)
+
+
+class TestOperatorChains:
+    """The operators extend a raw sum or product, so a chain folded one operand
+    at a time is one flat node and no walk over it recurses per operand."""
+
+    @staticmethod
+    def long_sum():
+        out = Y1
+        for k in range(2, 1201):
+            out = out + k * Y1 ** k
+        return out
+
+    @staticmethod
+    def long_product():
+        out = Y1
+        for k in range(1, 1500):
+            out = out * (Y2 if k % 2 else Y1)
+        return out
+
+    def test_a_folded_chain_is_one_node(self):
+        assert len(self.long_sum().terms) == 1200
+        assert len(self.long_product().factors) == 1500
+        assert (Y1 + Y2) - Y12 == Add((Y1, Y2, Mul((Rat(Fraction(-1)), Y12))))
+        assert Y1 * Y2 * (Y12 * YY) == Mul((Y1, Y2, Y12, YY))
+        assert 2 + (Y1 + Y2) == Add((Rat(Fraction(2)), Y1, Y2))
+
+    @pytest.mark.parametrize("chain", ["long_sum", "long_product"])
+    @pytest.mark.parametrize("reader", [
+        lambda e: eval_numeric(e, {fiber(1): 0.5, fiber(2): 1.5}),
+        lambda e: expr_key(e),
+        lambda e: expr_to_text(e),
+        lambda e: hash(e),
+        lambda e: pickle.loads(pickle.dumps(e)),
+    ], ids=["eval_numeric", "expr_key", "expr_to_text", "hash", "pickle"])
+    def test_a_folded_chain_is_read_without_recursion(self, chain, reader):
+        build = getattr(self, chain)
+        assert reader(build()) == reader(build())
+
+    def test_a_canonical_operand_is_not_opened(self, tree_builds):
+        total = canonicalize(TestLazyTree.RAW["sum"]())
+        monomial = canonicalize(Y1 * Y2)
+        assert (total + Y12).terms == (total, Y12)
+        assert (Y12 + total).terms == (Y12, total)
+        assert (monomial * Y12).factors == (monomial, Y12)
+        assert tree_builds == [] and not _built(total)
 
 
 class TestRepresentationBoundary:

@@ -48,3 +48,12 @@ CORPUS = workloads.corpus_items(workloads.DEFAULT_SEED)
 def test_acceptance_corpus(item):
     output = workloads.run_item("acceptance-corpus", item, workloads.prepare("acceptance-corpus", item))
     assert workloads.judge(item, output) is None
+
+
+def test_library_corpora_are_the_golden_corpus():
+    # the acceptance corpus is recorded as source text; the library builds
+    # the same members, in order, from its own source text
+    golden = json.loads((BENCH / "golden" / "acceptance_corpus.json").read_text(encoding="utf-8"))
+    members = lp.first_order_corpus() + lp.second_order_corpus()
+    got = [(lp.expr_to_text(lam.L), lam.ctx.n, lam.ctx.m, lam.r) for lam in members]
+    assert got == [(item["source"], item["n"], item["m"], item["order"]) for item in golden]

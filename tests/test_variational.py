@@ -338,6 +338,17 @@ class TestFundamentalSecondOrder:
         assert report.label == "order-reducibility[5]"
         assert is_zero_expr(report.witness - const(1, 2) / Y(1, 1))
 
+    def test_camassa_holm_refusal_spells_the_witness(self):
+        with pytest.raises(OrderReducibilityError) as err:
+            fundamental_second_order_n2(camassa_holm())
+        assert str(err.value) == (
+            "Lagrangian is not order-reducible: "
+            + err.value.report.describe()
+        )
+        assert str(err.value).startswith(
+            "Lagrangian is not order-reducible: FAIL order-reducibility[5]: witness (1/2)*y1_1^(-1)"
+        )
+
     def test_hessian_z_is_theta_plus_unit_block(self):
         lam = hessian_determinant()
         z, _ = fundamental_second_order_n2(lam)

@@ -241,7 +241,7 @@ class TestElExpansion:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_cube_of_all_second_order_coordinates(self, m):
-        # the expansion is summed one term at a time into a deeply nested sum
+        # the expansion is summed one term at a time into one long sum
         coords = " + ".join(f"y1_{a}{b}" for a in range(1, 4) for b in range(a, 4))
         lam = parse_lagrangian(LagrangianSpec(3, m, 2, f"({coords})^3"))
         assert el_expansion_crosscheck(lam).passed
