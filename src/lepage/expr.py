@@ -60,9 +60,10 @@ node:
 * ``_rfc``: its canonical quotient.  A canonical sum or quotient starts as an
   ``Add`` or ``Div`` that holds only ``_rfc``; its tree, the fields, is built
   from the quotient on the first read of a field (``ScalarExpr.__getattr__``)
-  and then kept, so a result that is never printed, compared, hashed or
-  evaluated tree by tree is never built.  A canonical monomial is built at
-  once.  Threads that read one unbuilt node build equal trees;
+  and then kept, so a result that is never compared, hashed or evaluated
+  tree by tree is never built; the printers read the quotient.  A canonical
+  monomial is built at once.  Threads that read one unbuilt node build equal
+  trees;
 * ``_aid``: the intern id of an atom;
 * ``_vars``: its coordinates (``variables``), the atoms of ``_rfc``, so a raw
   tree has those of its canonical form;
@@ -713,20 +714,33 @@ def _to_rf(e: ScalarExpr) -> _RF:
     return rf
 
 
+def _poly_terms(p: Poly, k: int):
+    """The terms of the polynomial p / k (k a nonzero int) in output order,
+    monomial sort key descending: (num, den, ((atom id, e), ...)), with
+    num/den the coefficient as Fraction(c, k) normalizes it (lowest terms,
+    den > 0) and the pairs in the atoms' sort-key order.  The canonical tree
+    (_render_poly) and the printer both read a polynomial through this."""
+    for mono in sorted(p, key=_key, reverse=True) if len(p) > 1 else p:
+        c = p[mono]
+        g = math.gcd(c, k)
+        if k < 0:
+            g = -g
+        yield c // g, k // g, _ordered(mono)
+
+
 def _render_poly(p: Poly, k: int) -> ScalarExpr:
     """The polynomial p / k for a nonzero int k."""
     if not p:
         return ZERO
     nodes = []
-    for mono in sorted(p, key=_key, reverse=True):
-        c = p[mono]
-        factors = [_ATOMS[i] if e == 1 else Pow(_ATOMS[i], e) for i, e in _ordered(mono)]
+    for num, den, mono in _poly_terms(p, k):
+        factors = [_ATOMS[i] if e == 1 else Pow(_ATOMS[i], e) for i, e in mono]
         if not factors:
-            nodes.append(Rat(Fraction(c, k)))
-        elif c == k:
+            nodes.append(Rat(Fraction(num, den)))
+        elif num == 1 == den:
             nodes.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
         else:
-            nodes.append(Mul((Rat(Fraction(c, k)), *factors)))
+            nodes.append(Mul((Rat(Fraction(num, den)), *factors)))
     return nodes[0] if len(nodes) == 1 else Add(tuple(nodes))
 
 

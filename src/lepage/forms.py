@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .charts import ChartContext, ChartError, FiberVar, MultiIndex, jet_order, var_key
 from .expr import (
     Add,
+    Mul,
     Rat,
     ScalarExpr,
     Var,
@@ -152,6 +153,8 @@ def make_form(
     for elements, coeff in entries:
         if len(elements) != degree:
             raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
+        if _structurally_zero(coeff):
+            continue
         normal = _normal_tuple(elements)
         if normal is None:
             continue
@@ -166,6 +169,24 @@ def make_form(
         _validate_term(ctx, key, total, order)
         terms[key] = total
     return ExteriorForm(ctx.at_order(order), degree, terms, order)
+
+
+def _structurally_zero(coeff) -> bool:
+    """The zero test that needs no canonicalization: a Rat 0, or a raw product
+    with a Rat 0 factor whose other factors are rationals or canonical nodes,
+    so that the product is defined.  Anything else is left to canonicalize."""
+    cls = coeff.__class__
+    if cls is Rat:
+        return not coeff.value
+    if cls is not Mul or "_canonical" in coeff.__dict__:
+        return False
+    zero = False
+    for f in coeff.factors:
+        if f.__class__ is Rat:
+            zero = zero or not f.value
+        elif "_canonical" not in f.__dict__:
+            return False
+    return zero
 
 
 def _validate_term(ctx: ChartContext, key: tuple, coeff: ScalarExpr, order: int) -> None:

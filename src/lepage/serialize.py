@@ -4,6 +4,12 @@ Text output round-trips through the expression grammar; the JSON document
 is versioned and stable (sorted term order, exact rational coefficients).
 The LaTeX emitter mirrors the usual jet-coordinate notation (omega^sigma_J,
 dx^i) so printed forms can be checked visually.
+
+A canonical sum or quotient prints straight from its kernel quotient, term
+by term in the kernel's term order, so printing builds no tree; the factors
+of its terms are spelled once per atom, exponent, fiber count and style.  A
+raw tree (parser output, a tree built by hand) prints node by node.  Both
+routes share one speller of signed terms, so they write the same text.
 """
 from __future__ import annotations
 
@@ -12,7 +18,9 @@ import re
 from typing import Callable, NamedTuple, Optional
 
 from .charts import BaseVar, ChartContext, MultiIndex, var_key
-from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var
+from .expr import (
+    _ATOMS, Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _den_poly, _poly_terms, _rf_scales,
+)
 from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
 
 SCHEMA_VERSION = "lepage.form/1"
@@ -42,6 +50,7 @@ def _latex_var(ref, m: Optional[int]) -> str:
 class _Style(NamedTuple):
     """How one output language spells each node kind; ``_emit`` does the rest."""
 
+    name: str  # keys the spelling table
     var: Callable[[object, Optional[int]], str]
     fraction: str  # format string with numerator and denominator slots, signed in front
     wrap_fractions: bool  # a positive non-integral rational factor is parenthesized
@@ -54,12 +63,12 @@ class _Style(NamedTuple):
 
 
 _TEXT = _Style(
-    var=variable_name, fraction="{}/{}", wrap_fractions=True, paren="({})", times="*",
-    quotient="({})/({})", bare_bases=(Var, Fn),
+    name="text", var=variable_name, fraction="{}/{}", wrap_fractions=True, paren="({})",
+    times="*", quotient="({})/({})", bare_bases=(Var, Fn),
     exponent=lambda k: str(k) if k >= 0 else f"({k})", fn="{}({})",
 )
 _LATEX = _Style(
-    var=_latex_var, fraction="\\tfrac{{{}}}{{{}}}", wrap_fractions=False,
+    name="latex", var=_latex_var, fraction="\\tfrac{{{}}}{{{}}}", wrap_fractions=False,
     paren="\\left({}\\right)", times="\\,", quotient="\\frac{{{}}}{{{}}}", bare_bases=(Var,),
     exponent="{{{}}}".format, fn="\\{}\\left({}\\right)",
 )
@@ -78,10 +87,23 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
     # prec is 0, _P_ADD + 1 (a term of a sum) or _P_MUL (a factor); a power
     # base is printed at 0 and parenthesized whole unless it is bare
     cls = e.__class__
+    if cls is Add or cls is Div:
+        d = e.__dict__
+        if "_canonical" in d:
+            # a canonical sum or quotient prints from its quotient, so its
+            # tree is not built
+            rf = d["_rfc"]
+            kn, kd = _rf_scales(rf)
+            s = _poly_text(rf.num, kn, m, st)
+            if cls is Div:
+                return st.quotient.format(s, _poly_text(_den_poly(rf.den), kd, m, st))
+        elif cls is Div:
+            return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
+        else:
+            s = _signed_sum([_signed(t, m, st) for t in e.terms])
+        return st.paren.format(s) if prec > _P_ADD else s
     if prec <= _P_ADD:
-        negated = _negated(e, m, st)
-        if negated is not None:
-            return f"-{negated}"
+        return _signed_sum([_signed(e, m, st)])
     if cls is Mul:
         return st.times.join([_emit(f, _P_MUL, m, st) for f in e.factors])
     if cls is Var:
@@ -96,19 +118,6 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
         return f"{base}^{st.exponent(e.exponent)}"
     if cls is Rat:
         return _rational(e.value.numerator, e.value.denominator, prec, st)
-    if cls is Add:
-        parts = []
-        for t in e.terms:
-            negated = _negated(t, m, st)
-            if negated is not None:
-                parts.append(f" - {negated}" if parts else f"-{negated}")
-            else:
-                body = _emit(t, _P_ADD + 1, m, st)
-                parts.append(f" + {body}" if parts else body)
-        s = "".join(parts)
-        return st.paren.format(s) if prec > _P_ADD else s
-    if cls is Div:
-        return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
     if cls is Fn:
         return st.fn.format(e.name, _emit(e.arg, 0, m, st))
     raise TypeError(f"unknown node {e!r}")
@@ -125,22 +134,68 @@ def _rational(num: int, den: int, prec: int, st: _Style) -> str:
     return s
 
 
-def _negated(t: ScalarExpr, m: Optional[int], st: _Style) -> Optional[str]:
-    """The text of -t if t is a negative rational or a product led by one,
-    else None; a leading -1 is dropped from a product of more factors."""
+def _signed_sum(terms: list) -> str:
+    """The sum of (negative, text of the magnitude) terms: the first is led by
+    "-" when negative, the others joined by " - " or " + "."""
+    parts = []
+    for negative, body in terms:
+        if parts:
+            parts.append(" - " if negative else " + ")
+        elif negative:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts)
+
+
+def _term(num: int, den: int, factors: list, st: _Style) -> str:
+    """The text of the positive coefficient num/den times the factor texts;
+    a coefficient of 1 is dropped before factors."""
+    if not factors:
+        return _rational(num, den, 0, st)
+    if num == 1 == den:
+        return st.times.join(factors)
+    return st.times.join([_rational(num, den, _P_MUL, st), *factors])
+
+
+def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> tuple:
+    """t as a term of a sum: (negative, text of its magnitude).  A negative
+    rational or a product led by one is negative, and a leading -1 is dropped
+    from a product of more factors."""
     cls = t.__class__
     if cls is Rat:
         v = t.value
         if v.numerator < 0:
-            return _rational(-v.numerator, v.denominator, _P_ADD + 1, st)
+            return True, _term(-v.numerator, v.denominator, [], st)
     elif cls is Mul and t.factors and t.factors[0].__class__ is Rat:
         head = t.factors[0].value
         if head.numerator < 0:
-            parts = [_emit(f, _P_MUL, m, st) for f in t.factors[1:]]
-            if head.numerator != -1 or head.denominator != 1 or not parts:
-                parts.insert(0, _rational(-head.numerator, head.denominator, _P_MUL, st))
-            return st.times.join(parts)
-    return None
+            rest = [_emit(f, _P_MUL, m, st) for f in t.factors[1:]]
+            return True, _term(-head.numerator, head.denominator, rest, st)
+    return False, _emit(t, _P_ADD + 1, m, st)
+
+
+# The spelling of each factor a canonical polynomial prints, by (atom id,
+# exponent, fiber count, style).  Like the kernel's intern tables it lives as
+# long as the process and only grows; threads that race on one entry store
+# equal text.
+_SPELLINGS: dict = {}
+
+
+def _spelled(i: int, e: int, m: Optional[int], st: _Style) -> str:
+    key = (i, e, m, st.name)
+    s = _SPELLINGS.get(key)
+    if s is None:
+        atom = _ATOMS[i]
+        s = _SPELLINGS[key] = _emit(atom if e == 1 else Pow(atom, e), _P_MUL, m, st)
+    return s
+
+
+def _poly_text(p: dict, k: int, m: Optional[int], st: _Style) -> str:
+    """The text of the kernel polynomial p / k, term by term (expr._poly_terms)."""
+    return _signed_sum([
+        (num < 0, _term(abs(num), den, [_spelled(i, e, m, st) for i, e in mono], st))
+        for num, den, mono in _poly_terms(p, k)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -413,9 +413,16 @@ class TestLazyTree:
         got = self.results()
         assert [node.__class__ for node in got] == [Div, Div, Div, Add]
         assert tree_builds == [] and not any(_built(node) for node in got)
+        # printing reads the quotient: no tree is built
         texts = [expr_to_text(node) for node in got]
+        assert tree_builds == [] and not any(_built(node) for node in got)
+        # reading a field builds the tree once, and it prints the same
+        for node in got:
+            _ = node.num if node.__class__ is Div else node.terms
         assert tree_builds == [Div, Div, Div, Add]
-        assert [expr_to_text(node) for node in got] == texts
+        for node, text in zip(got, texts):
+            raw = Div(node.num, node.den) if node.__class__ is Div else Add(node.terms)
+            assert expr_to_text(raw) == text
         assert len(tree_builds) == 4
 
     @pytest.mark.parametrize("name", ["quotient", "sum"])

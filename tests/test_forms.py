@@ -30,7 +30,7 @@ from lepage import (
     wedge,
     zero_form,
 )
-from lepage.expr import is_zero_expr
+from lepage.expr import ExprError, is_zero_expr
 from lepage.charts import var_key as coframe_key
 from lepage.verification import random_polynomial
 
@@ -270,6 +270,23 @@ class TestValidation:
         q = Y(1, 1) / (1 + Y(1, 1, 2))
         form = make_form(CTX, 0, [((), q), ((), const(1)), ((), -q)], 1)
         assert form.coefficient(()) == canonicalize(const(1))
+
+    def test_structural_zeros_are_dropped_uncanonicalized(self, monkeypatch):
+        from lepage import forms
+
+        canonicalized = []
+        real = forms.canonicalize
+        monkeypatch.setattr(forms, "canonicalize", lambda e: canonicalized.append(e) or real(e))
+        zero = canonicalize(const(0))
+        other = Y(1) * 0  # a raw factor: left to canonicalization
+        entries = [((Dx(1),), zero), ((Dx(2),), const(1, 2) * zero),
+                   ((Dx(1),), const(0) * canonicalize(Y(1, 1))), ((Dx(2),), other)]
+        assert make_form(CTX, 1, entries, 1).is_structurally_zero()
+        assert canonicalized == [other]
+
+    def test_an_undefined_zero_product_is_refused(self):
+        with pytest.raises(ExprError, match="identically zero denominator"):
+            make_form(CTX, 1, [((Dx(1),), const(0) * (X(1) / (X(2) - X(2))))], 1)
 
     def test_degree_mismatch(self):
         with pytest.raises(FormError):

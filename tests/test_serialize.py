@@ -1,8 +1,12 @@
 """Printers and the JSON form document round-trip."""
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lepage import (
     ChartContext,
@@ -23,6 +27,7 @@ from lepage import (
     forms_equal,
     fundamental_first_order,
     hessian_determinant,
+    ln,
     parse_expression,
     principal_lepage,
     second_order_corpus,
@@ -252,3 +257,82 @@ class TestPinnedRenderings:
             " + \\left(y^{1}_{2}\\right) dx^{2} \\wedge \\omega^{2}"
             " + \\left(1\\right) \\omega^{1} \\wedge \\omega^{2}"
         )
+
+
+# hypothesis strategies for canonical sums and quotients: fractional and
+# negative coefficients, Laurent exponents, function atoms, and denominators
+# of one or more multi-term factors, some raised to a power
+_ATOM_POOL = [X(1), X(2), Y(1), Y(1, 1), Y(2, 2), Y(2, 1, 2),
+              sin(X(1) + Y(1)), ln(Y(1, 1)), sin(const(-1, 2) * Y(2) ** -1)]
+_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool).map(const)
+_monomials = st.tuples(
+    _coefficients,
+    st.lists(st.tuples(st.sampled_from(_ATOM_POOL), st.integers(-2, 3)), max_size=3),
+).map(lambda cf: Mul((cf[0], *(Pow(a, e) for a, e in cf[1]))))
+_polynomials = st.lists(_monomials, min_size=2, max_size=5).map(lambda ts: Add(tuple(ts)))
+_denominators = st.lists(st.tuples(_polynomials, st.integers(1, 2)), min_size=1, max_size=2).map(
+    lambda fs: Mul(tuple(Pow(f, k) for f, k in fs)))
+_canonical_nodes = st.one_of(
+    _polynomials, st.tuples(_polynomials, _denominators).map(lambda nd: Div(*nd)),
+).map(canonicalize).filter(lambda node: node.__class__ in (Add, Div))
+
+
+def _raw_copy(node):
+    """A tree equal to the canonical node, without its quotient."""
+    return Div(node.num, node.den) if node.__class__ is Div else Add(node.terms)
+
+
+class TestCanonicalPrintsAsItsTree:
+    """A canonical sum or quotient prints from its quotient, and the text is
+    that of its tree, in every style, spelling and position."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(node=_canonical_nodes)
+    def test_node(self, node):
+        printed = [(m, expr_to_text(node, m), expr_to_latex(node, m)) for m in (None, 1, 2)]
+        raw = _raw_copy(node)
+        for m, text, latex in printed:
+            assert text == expr_to_text(raw, m)
+            assert latex == expr_to_latex(raw, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(node=_canonical_nodes)
+    def test_node_inside_a_raw_tree(self, node):
+        raw = _raw_copy(node)
+        for wrap in (lambda e: Mul((X(2), e)), lambda e: Mul((const(-1), e, Y(1))),
+                     lambda e: Add((Y(1), e)), lambda e: Pow(e, 2), lambda e: sin(e)):
+            for m in (None, 1, 2):
+                assert expr_to_text(wrap(node), m) == expr_to_text(wrap(raw), m)
+                assert expr_to_latex(wrap(node), m) == expr_to_latex(wrap(raw), m)
+
+    def test_a_canonical_sum_in_a_product_is_parenthesized(self):
+        total = canonicalize(Y(1, 1) - const(1, 2) * Y(1) ** -1)
+        assert total.__class__ is Add and "_canonical" in total.__dict__
+        assert expr_to_text(Mul((X(1), total)), 1) == "x1*(y_1 - (1/2)*y^(-1))"
+        assert expr_to_latex(Mul((X(1), total)), 1) == (
+            "x^{1}\\,\\left(y_{1} - \\tfrac{1}{2}\\,y^{-1}\\right)")
+
+    def test_threads_spelling_new_atoms_agree(self):
+        # atoms no other test prints, so the threads race on missing spellings
+        atoms = [ln(X(1) + k) for k in range(101, 113)]
+        node = canonicalize(sum((a ** k for k, a in enumerate(atoms, 1)), Y(1)) / (X(2) + 1))
+        want = [expr_to_text(_raw_copy(node), m) for m in (None, 1)]
+        start = threading.Barrier(8)
+        got = []
+
+        def work():
+            start.wait(timeout=60)
+            got.append([expr_to_text(node, m) for m in (None, 1)])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
