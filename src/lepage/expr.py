@@ -719,13 +719,16 @@ def _poly_terms(p: Poly, k: int):
     monomial sort key descending: (num, den, ((atom id, e), ...)), with
     num/den the coefficient as Fraction(c, k) normalizes it (lowest terms,
     den > 0) and the pairs in the atoms' sort-key order.  The canonical tree
-    (_render_poly) and the printer both read a polynomial through this."""
-    for mono in sorted(p, key=_key, reverse=True) if len(p) > 1 else p:
-        c = p[mono]
+    (_render_poly) and the printer both read a polynomial through this.
+    Each monomial's pairs are ordered once, and the monomials compare by them."""
+    terms = [(_ordered(mono), c) for mono, c in p.items()]
+    if len(terms) > 1:
+        terms.sort(key=lambda t: tuple([(_KEYS[i], e) for i, e in t[0]]), reverse=True)
+    for mono, c in terms:
         g = math.gcd(c, k)
         if k < 0:
             g = -g
-        yield c // g, k // g, _ordered(mono)
+        yield c // g, k // g, mono
 
 
 def _render_poly(p: Poly, k: int) -> ScalarExpr:

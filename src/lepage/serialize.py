@@ -112,7 +112,7 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
         base = _emit(e.base, 0, m, st)
         if e.base.__class__ not in st.bare_bases:
             base = st.paren.format(base)
-        elif "^" in base:
+        elif e.base.__class__ is Var and "^" in base:
             # a superscripted LaTeX coordinate is braced: {x^{2}}^{2}
             base = f"{{{base}}}"
         return f"{base}^{st.exponent(e.exponent)}"

@@ -6,6 +6,12 @@ generalization), the Caratheodory forms of first and second order, the
 first-order fundamental (Krupka-Betounes) form, and the second-order
 fundamental form over a 2-dimensional base for order-reducible
 Lagrangians.
+
+The Lepage equivalents agree with Theta up to 2-contact terms, so they share
+one table of momenta, ``_momenta``: p_sigma^{Ji} = sum_l (-1)^l d_{p1}..d_{pl}
+dL/dy^sigma_{J p1..pl i} for |J| < r.  ``principal_lepage``, both Caratheodory
+forms and ``caratheodory_second_blocks`` (A^sigma_j = p_sigma^j,
+B^sigma_{ij} = p_sigma^{ij}) take their contact coefficients from it.
 """
 from __future__ import annotations
 
@@ -46,7 +52,6 @@ from .jets import (
     iterated_total_derivative,
     second_partials,
     sym_partial,
-    total_derivative,
 )
 
 
@@ -116,156 +121,119 @@ def euler_lagrange_form(lam: Lagrangian) -> ExteriorForm:
     return make_form(ctx, ctx.n + 1, entries, order)
 
 
+def _momenta(lam: Lagrangian, convention: Convention) -> dict:
+    """The momenta p_sigma^{Ji} = sum_{l=0}^{r-1-|J|} (-1)^l d_{p1}..d_{pl}
+    dL/dy^sigma_{J p1..pl i}, keyed (sigma, J, i) for every free index tuple J
+    with |J| < r, the derivative indices resolved by sym_partial."""
+    ctx = lam.ctx
+    base = list(ctx.base_indices)
+    table: dict = {}
+    for k in range(lam.r):
+        for J in itertools.product(base, repeat=k):
+            for i in base:
+                for sigma in ctx.fiber_indices:
+                    pieces = []
+                    for l in range(lam.r - k):
+                        for ps in itertools.product(base, repeat=l):
+                            partial = sym_partial(lam.L, sigma, J + ps + (i,), convention)
+                            if is_zero_expr(partial):
+                                continue
+                            term = iterated_total_derivative(partial, ps, ctx)
+                            pieces.append(-term if l % 2 else term)
+                    # a lone unsigned piece is already canonical: kept as it is
+                    table[(sigma, J, i)] = canonicalize(
+                        pieces[0] if len(pieces) == 1 else Add(tuple(pieces))
+                    )
+    return table
+
+
 def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTION) -> ExteriorForm:
     """The principal Lepage equivalent (generalized Poincare-Cartan form).
 
-    Theta = L omega_0
-          + sum_{k=0}^{r-1} ( sum_{l=0}^{r-1-k} (-1)^l d_{p1}..d_{pl}
-            dL/dy^sigma_{j1..jk p1..pl i} ) omega^sigma_{j1..jk} ^ omega_i
-    with all free derivative indices resolved by sym_partial.
+    Theta = L omega_0 + p_sigma^{Ji} omega^sigma_J ^ omega_i over the momenta
+    of _momenta, at order 2r - 1.
     """
     if lam.r > 3:
         raise UndefinedFormError(f"principal Lepage equivalent implemented for r <= 3, got {lam.r}")
     ctx = lam.ctx
-    r = lam.r
-    order = max(2 * r - 1, 0)
     _, omegas = omega_basis(ctx)
-    vol_key = tuple(Dx(i) for i in ctx.base_indices)
-    entries: list = [(vol_key, lam.L)]
-    base = list(ctx.base_indices)
-    for k in range(r):
-        for label in itertools.product(base, repeat=k):
-            label_sorted = MultiIndex(label)
-            for i in base:
-                for sigma in ctx.fiber_indices:
-                    pieces = []
-                    for l in range(r - k):
-                        for ps in itertools.product(base, repeat=l):
-                            partial = sym_partial(
-                                lam.L, sigma, label + ps + (i,), convention
-                            )
-                            if is_zero_expr(partial):
-                                continue
-                            term = iterated_total_derivative(partial, ps, ctx)
-                            pieces.append((-1) ** l * term)
-                    coeff = canonicalize(Add(tuple(pieces)))
-                    contact = Omega(sigma, label_sorted)
-                    for key, c in omegas[i - 1].terms.items():
-                        entries.append(((contact,) + key, coeff * c))
-    return make_form(ctx, ctx.n, entries, order)
+    entries: list = [(tuple(Dx(i) for i in ctx.base_indices), lam.L)]
+    for (sigma, J, i), p in _momenta(lam, convention).items():
+        contact = Omega(sigma, MultiIndex(J))
+        for key, c in omegas[i - 1].terms.items():
+            entries.append(((contact,) + key, p * c))
+    return make_form(ctx, ctx.n, entries, max(2 * lam.r - 1, 0))
 
 
-def _nonvanishing_guard(lam: Lagrangian, policy: ZeroPolicy | None) -> None:
-    verdict = equals_zero(lam.L, policy or DEFAULT_POLICY)
-    if verdict.is_zero:
+def _require_order(lam: Lagrangian, r: int) -> None:
+    if lam.r != r:
+        raise UndefinedFormError(f"{('first', 'second')[r - 1]}-order constructor got order {lam.r}")
+
+
+def _nonvanishing_guard(lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> None:
+    if equals_zero(lam.L, policy).is_zero:
         raise UndefinedFormError("Lagrange function vanishes; the form is undefined")
 
 
-def _caratheodory(lam: Lagrangian, contact: list, order: int) -> ExteriorForm:
-    """L^{1-n} wedge_j (L dx^j + contact[j-1]), where contact[j-1] holds the
-    (coframe tuple, coefficient) entries of the j-th one-form's contact part."""
+def _caratheodory(lam: Lagrangian, convention: Convention, policy: ZeroPolicy) -> ExteriorForm:
+    """L^{1-n} wedge_j (L dx^j + p_sigma^{Jj} omega^sigma_J) at order 2r - 1."""
+    _nonvanishing_guard(lam, policy)
     ctx = lam.ctx
+    order = 2 * lam.r - 1
+    momenta = _momenta(lam, convention)
     factors = []
-    for j, entries in zip(ctx.base_indices, contact):
-        factors.append(make_form(ctx.at_order(order), 1, [((Dx(j),), lam.L)] + entries, order))
+    for j in ctx.base_indices:
+        entries = [((Dx(j),), lam.L)] + [
+            ((Omega(sigma, MultiIndex(J)),), p) for (sigma, J, i), p in momenta.items() if i == j
+        ]
+        factors.append(make_form(ctx.at_order(order), 1, entries, order))
     product = wedge_all(factors)
     return product if ctx.n == 1 else product.scaled(Pow(lam.L, 1 - ctx.n))
 
 
-def caratheodory_first(lam: Lagrangian, policy: ZeroPolicy | None = None) -> ExteriorForm:
+def caratheodory_first(lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> ExteriorForm:
     """The Caratheodory form L^{1-n} wedge_j (L dx^j + dL/dy^sigma_j omega^sigma)."""
-    if lam.r != 1:
-        raise UndefinedFormError(f"first-order constructor got order {lam.r}")
-    _nonvanishing_guard(lam, policy)
-    contact = [
-        [
-            ((Omega(sigma, MultiIndex()),), diff(lam.L, FiberVar(sigma, MultiIndex((j,)))))
-            for sigma in lam.ctx.fiber_indices
-        ]
-        for j in lam.ctx.base_indices
-    ]
-    return _caratheodory(lam, contact, 1)
-
-
-def _second_order_factor_coeffs(
-    lam: Lagrangian, convention: Convention
-) -> tuple[dict, dict]:
-    """A^sigma_j = dL/dy^sigma_j - d_i dL/dy^sigma_{ij} and B^sigma_{ij} = dL/dy^sigma_{ij}."""
-    ctx = lam.ctx.at_order(2)
-    A: dict = {}
-    B: dict = {}
-    for sigma in ctx.fiber_indices:
-        for j in ctx.base_indices:
-            for i in ctx.base_indices:
-                B[(sigma, i, j)] = sym_partial(lam.L, sigma, (i, j), convention)
-            corr = [
-                total_derivative(B[(sigma, i, j)], i, ctx) for i in ctx.base_indices
-            ]
-            A[(sigma, j)] = canonicalize(
-                diff(lam.L, FiberVar(sigma, MultiIndex((j,))))
-                - Add(tuple(corr))
-            )
-    return A, B
+    _require_order(lam, 1)
+    return _caratheodory(lam, DEFAULT_CONVENTION, policy)
 
 
 def caratheodory_second(
     lam: Lagrangian,
     convention: Convention = DEFAULT_CONVENTION,
-    policy: ZeroPolicy | None = None,
+    policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> ExteriorForm:
     """The second-order Caratheodory form, a wedge product of n corrected 1-forms."""
-    if lam.r != 2:
-        raise UndefinedFormError(f"second-order constructor got order {lam.r}")
-    _nonvanishing_guard(lam, policy)
-    ctx = lam.ctx
-    A, B = _second_order_factor_coeffs(lam, convention)
-    contact = []
-    for j in ctx.base_indices:
-        entries: list = []
-        for sigma in ctx.fiber_indices:
-            entries.append(((Omega(sigma, MultiIndex()),), A[(sigma, j)]))
-            for i in ctx.base_indices:
-                entries.append(((Omega(sigma, MultiIndex((i,))),), B[(sigma, i, j)]))
-        contact.append(entries)
-    return _caratheodory(lam, contact, 3)
+    _require_order(lam, 2)
+    return _caratheodory(lam, convention, policy)
 
 
 def caratheodory_second_blocks(
     lam: Lagrangian,
     convention: Convention = DEFAULT_CONVENTION,
-    policy: ZeroPolicy | None = None,
+    policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> ExteriorForm:
-    """The explicit n=2 decomposition: Theta plus the three 2-contact blocks."""
+    """The explicit n=2 decomposition: Theta plus the three 2-contact blocks,
+    with A^sigma_j = p_sigma^j and B^sigma_{ij} = p_sigma^{ij}."""
     if lam.ctx.n != 2:
         raise UndefinedFormError("explicit decomposition is for a 2-dimensional base")
-    if lam.r != 2:
-        raise UndefinedFormError(f"second-order constructor got order {lam.r}")
+    _require_order(lam, 2)
     _nonvanishing_guard(lam, policy)
     ctx = lam.ctx
     inv_l = Pow(lam.L, -1)
-    A, B = _second_order_factor_coeffs(lam, convention)
+    p = _momenta(lam, convention)
     entries: list = []
     empty = MultiIndex()
     for sigma in ctx.fiber_indices:
+        a1, a2 = p[(sigma, (), 1)], p[(sigma, (), 2)]
         for nu in ctx.fiber_indices:
-            entries.append(
-                (
-                    (Omega(sigma, empty), Omega(nu, empty)),
-                    inv_l * A[(sigma, 1)] * A[(nu, 2)],
-                )
-            )
+            entries.append(((Omega(sigma, empty), Omega(nu, empty)), inv_l * a1 * p[(nu, (), 2)]))
             for j in ctx.base_indices:
-                coeff = B[(nu, j, 2)] * A[(sigma, 1)] - B[(nu, j, 1)] * A[(sigma, 2)]
-                entries.append(
-                    ((Omega(sigma, empty), Omega(nu, MultiIndex((j,)))), inv_l * coeff)
-                )
+                w_nu_j = Omega(nu, MultiIndex((j,)))
+                coeff = p[(nu, (j,), 2)] * a1 - p[(nu, (j,), 1)] * a2
+                entries.append(((Omega(sigma, empty), w_nu_j), inv_l * coeff))
                 for i in ctx.base_indices:
-                    entries.append(
-                        (
-                            (Omega(sigma, MultiIndex((i,))), Omega(nu, MultiIndex((j,)))),
-                            inv_l * B[(sigma, i, 1)] * B[(nu, j, 2)],
-                        )
-                    )
+                    b = p[(sigma, (i,), 1)] * p[(nu, (j,), 2)]
+                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), inv_l * b))
     blocks = make_form(ctx.at_order(3), 2, entries, 3)
     return principal_lepage(lam, convention).at_order(3) + blocks
 
@@ -277,8 +245,7 @@ def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
         d^k L / dy^{s1}_{j1} .. dy^{sk}_{jk} eps_{j1..jk i_{k+1}..i_n}
         omega^{s1} ^ .. ^ omega^{sk} ^ dx^{i_{k+1}} ^ .. ^ dx^{i_n}.
     """
-    if lam.r != 1:
-        raise UndefinedFormError(f"first-order constructor got order {lam.r}")
+    _require_order(lam, 1)
     ctx = lam.ctx
     n = ctx.n
     if n > 4:
@@ -386,7 +353,7 @@ def fundamental_second_order_n2(
     lam: Lagrangian,
     theta_convention: Convention = DEFAULT_CONVENTION,
     coeff_convention: Convention | None = None,
-    policy: ZeroPolicy | None = None,
+    policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> tuple[ExteriorForm, FundamentalCoefficients]:
     """The second-order fundamental form over a 2-dimensional base.
 
@@ -401,8 +368,7 @@ def fundamental_second_order_n2(
         coeff_convention = theta_convention
     if lam.ctx.n != 2:
         raise UndefinedFormError("second-order fundamental form is for a 2-dimensional base")
-    if lam.r != 2:
-        raise UndefinedFormError(f"second-order constructor got order {lam.r}")
+    _require_order(lam, 2)
     report = order_reducible(lam, convention=theta_convention, policy=policy)
     if not report.passed:
         raise OrderReducibilityError(report)

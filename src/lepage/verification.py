@@ -256,13 +256,13 @@ def _triviality_conditions(lam: Lagrangian, convention: Convention):
 def order_reducible(
     lam: Lagrangian,
     convention: Convention = DEFAULT_CONVENTION,
-    policy: ZeroPolicy | None = None,
+    policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Pass iff the principal Lepage equivalent stays at the Lagrangian's order."""
     if lam.r != 2:
         raise PreconditionError(f"order-reducibility check got order {lam.r}")
     conditions = _reducibility_conditions(lam, convention)
-    return _judge(conditions, policy or DEFAULT_POLICY, "order-reducibility")
+    return _judge(conditions, policy, "order-reducibility")
 
 
 def _reducibility_conditions(lam: Lagrangian, convention: Convention):

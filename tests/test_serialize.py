@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lepage import (
     ChartContext,
     FormError,
+    Lagrangian,
     X,
     Y,
     camassa_holm,
@@ -27,13 +28,14 @@ from lepage import (
     forms_equal,
     fundamental_first_order,
     hessian_determinant,
+    lagrangian_form,
     ln,
     parse_expression,
     principal_lepage,
     second_order_corpus,
     sin,
 )
-from lepage.expr import Add, Div, Fn, Mul, Pow, Rat
+from lepage.expr import Add, Div, Fn, Mul, Pow, Rat, is_zero_expr
 from lepage.serialize import SCHEMA_VERSION
 
 CTX = ChartContext(2, 1, 2)
@@ -65,6 +67,14 @@ class TestTextRoundTrip:
     def test_functions(self):
         e = sin(X(1)) ** 2 + const(1, 3) * Y(1)
         assert roundtrip(e) == canonicalize(e)
+
+    def test_power_of_a_function_whose_argument_has_a_power(self):
+        # a bare function base is not braced: {sin(y1_1^2)}^2 would not parse
+        e = canonicalize(sin(Y(1, 1) ** 2) ** 2 + X(1))
+        assert expr_to_text(e) == "sin(y1_1^2)^2 + x1"
+        assert roundtrip(e) == e
+        form = lagrangian_form(Lagrangian(ChartContext(2, 1, 1), 1, e))
+        assert forms_equal(form_from_json(form_to_json(form)), form)
 
     def test_m1_spelling(self):
         text = expr_to_text(canonicalize(Y(1, 1, 2) * Y(1)), 1)
@@ -261,7 +271,8 @@ class TestPinnedRenderings:
 
 # hypothesis strategies for canonical sums and quotients: fractional and
 # negative coefficients, Laurent exponents, function atoms, and denominators
-# of one or more multi-term factors, some raised to a power
+# of one or more multi-term factors, some raised to a power; a denominator
+# whose terms cancel is not drawn, since dividing by it is an error
 _ATOM_POOL = [X(1), X(2), Y(1), Y(1, 1), Y(2, 2), Y(2, 1, 2),
               sin(X(1) + Y(1)), ln(Y(1, 1)), sin(const(-1, 2) * Y(2) ** -1)]
 _coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool).map(const)
@@ -271,7 +282,7 @@ _monomials = st.tuples(
 ).map(lambda cf: Mul((cf[0], *(Pow(a, e) for a, e in cf[1]))))
 _polynomials = st.lists(_monomials, min_size=2, max_size=5).map(lambda ts: Add(tuple(ts)))
 _denominators = st.lists(st.tuples(_polynomials, st.integers(1, 2)), min_size=1, max_size=2).map(
-    lambda fs: Mul(tuple(Pow(f, k) for f, k in fs)))
+    lambda fs: Mul(tuple(Pow(f, k) for f, k in fs))).filter(lambda den: not is_zero_expr(den))
 _canonical_nodes = st.one_of(
     _polynomials, st.tuples(_polynomials, _denominators).map(lambda nd: Div(*nd)),
 ).map(canonicalize).filter(lambda node: node.__class__ in (Add, Div))

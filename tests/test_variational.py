@@ -46,6 +46,7 @@ from lepage import (
     omega_basis,
     parse_lagrangian,
     principal_lepage,
+    second_order_corpus,
     wedge,
 )
 from lepage.expr import diff, is_zero_expr
@@ -198,6 +199,13 @@ class TestCaratheodorySecond:
     def test_explicit_decomposition(self):
         for lam in (camassa_holm(), lag(2, 1, 2, Y(1) * Y(1, 1, 2)), dirichlet(r=2)):
             assert forms_equal(caratheodory_second(lam), caratheodory_second_blocks(lam))
+
+    def test_difference_from_theta_is_2_contact(self):
+        # both forms read their contact coefficients from one momentum table
+        for lam in second_order_corpus():
+            gap = caratheodory_second(lam) - principal_lepage(lam)
+            assert form_is_zero(contact_component(gap, 0))
+            assert form_is_zero(contact_component(gap, 1))
 
     def test_constant_lagrangian(self):
         lam = lag(2, 1, 2, const(1))

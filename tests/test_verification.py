@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lepage import (
     ChartContext,
@@ -27,6 +29,7 @@ from lepage import (
     is_trivial,
     lagrangian_form,
     make_divergence_lagrangian,
+    nontrivial_order_reducible_corpus,
     order_reducible,
     parse_lagrangian,
     principal_lepage,
@@ -145,6 +148,43 @@ class TestOrderReducibility:
         for lam in trivial_order_reducible_corpus():
             assert order_reducible(lam).passed
             assert principal_lepage(lam).max_coeff_order() <= 2
+
+
+def _generated(m, seed, member):
+    """A seeded divergence d_i g^i at n = 2, plus the member-th nontrivial
+    order-reducible Lagrangian unless member is None; with whether it is trivial."""
+    lam = random_divergence_lagrangian(ChartContext(2, m, 1), random.Random(seed))
+    if member is None:
+        return lam, True
+    extra = nontrivial_order_reducible_corpus()[member].L
+    return Lagrangian(lam.ctx, 2, lam.L + extra), False
+
+
+_order_reducible_lagrangians = st.builds(
+    _generated, st.sampled_from([1, 2]), st.integers(0, 2**16),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+
+
+class TestPaperClaims:
+    """The paper's characterizations on generated order-reducible second-order
+    Lagrangians over a 2-dimensional base."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_order_reducible_lagrangians)
+    def test_fundamental_form_closed_iff_trivial(self, case):
+        # claim (i): d Z_lambda = 0 exactly when lambda is trivial
+        lam, trivial = case
+        z, _ = fundamental_second_order_n2(lam)
+        assert closure_check(z).passed == is_trivial(lam).passed == trivial
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_order_reducible_lagrangians)
+    def test_theta_keeps_the_order(self, case):
+        # condition (ii): the principal component stays at order two
+        lam, _ = case
+        assert order_reducible(lam).passed
+        assert principal_lepage(lam).max_coeff_order() <= 2
 
 
 class TestCombinationConditions:
