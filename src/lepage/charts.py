@@ -7,13 +7,71 @@ sorted multi-index over {1..n} of length at most the chart's jet order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Union
 
 
 class ChartError(ValueError):
     """An index or expression does not fit the chart."""
+
+
+class Record:
+    """An immutable value with named fields, the base of the package's records.
+
+    A subclass declares its fields as class annotations, in constructor order,
+    and a field's default as its class value (``label: str = ""``);
+    ``_fields`` holds their names.  The base gives:
+
+    * a constructor that takes the fields by position or keyword and fills the
+      rest from the defaults.  A class whose constructor is hot or checks its
+      arguments writes its own, which stores each field into ``__dict__``;
+    * immutability: assigning or deleting an attribute raises
+      ``AttributeError``.  The package's caches write ``__dict__`` directly;
+    * ``==`` by class and field values, ``NotImplemented`` across classes, and
+      a hash of the field values; both read the fields through one
+      ``operator.attrgetter`` per class;
+    * ``repr`` as ``Name(field=value, ...)``.
+
+    Pickling and copying carry the instance ``__dict__``.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        rest = names[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest) or any(
+                name not in kwargs and not hasattr(cls, name) for name in rest):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, "
+                            f"got {len(args)} by position and {', '.join(kwargs) or 'none'} by name")
+        d = self.__dict__
+        d.update(zip(names, args))
+        for name in rest:
+            d[name] = kwargs[name] if name in kwargs else getattr(cls, name)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class MultiIndex(tuple):
@@ -72,8 +130,7 @@ def var_key(v: JetVariable) -> tuple:
     return (1, sigma, len(jj), tuple(jj))
 
 
-@dataclass(frozen=True)
-class ChartContext:
+class ChartContext(Record):
     """Dimensions and jet order of the ambient chart.
 
     n: base dimension, m: fiber dimension, max_order: highest jet order
@@ -84,16 +141,13 @@ class ChartContext:
     m: int
     max_order: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1 or self.max_order < 0:
-            raise ChartError(
-                f"need n >= 1, m >= 1, max_order >= 0, got ({self.n}, {self.m}, {self.max_order})"
-            )
-        if self.n > 9:
+    def __init__(self, n: int, m: int, max_order: int) -> None:
+        if n < 1 or m < 1 or max_order < 0:
+            raise ChartError(f"need n >= 1, m >= 1, max_order >= 0, got ({n}, {m}, {max_order})")
+        if n > 9:
             # a jet index J is spelled as its digits run together (y1_12)
-            raise ChartError(
-                f"need n <= 9, got n = {self.n}: jet indices are spelled as single digits"
-            )
+            raise ChartError(f"need n <= 9, got n = {n}: jet indices are spelled as single digits")
+        self.__dict__.update(n=n, m=m, max_order=max_order)
 
     @property
     def base_indices(self) -> range:

@@ -87,11 +87,10 @@ import functools
 import math
 import random
 import threading
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, jet_order, var_key
+from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, Record, jet_order, var_key
 
 Number = Union[int, Fraction]
 
@@ -123,9 +122,9 @@ class SamplingFailure(ExprError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarExpr:
-    """Base node; subclasses form the expression tree."""
+class ScalarExpr(Record):
+    """Base node; subclasses form the expression tree.  Each writes out its
+    constructor: nodes are the records built most often."""
 
     def __add__(self, other) -> "ScalarExpr":
         return _chain(Add, self, as_expr(other))
@@ -162,61 +161,75 @@ class ScalarExpr:
     def __getstate__(self) -> dict:
         # the caches hold ids of this process's atom and factor tables, so a
         # pickled node carries its fields only
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
     def __getattr__(self, name: str):
         # only a missing name gets here: a field of a canonical sum or
         # quotient that was made without its tree (_render) is built on
         # first read; anything else is missing
         d = self.__dict__
-        if name in self.__dataclass_fields__ and "_rfc" in d:
+        if name in self._fields and "_rfc" in d:
             d.update(_tree_fields(self.__class__, d["_rfc"]))
             return d[name]
         raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
 class Rat(ScalarExpr):
     """Arbitrary-precision rational constant."""
 
     value: Fraction
 
+    def __init__(self, value: Fraction) -> None:
+        self.__dict__["value"] = value
 
-@dataclass(frozen=True)
+
 class Var(ScalarExpr):
     """Reference to a jet coordinate."""
 
     ref: JetVariable
 
+    def __init__(self, ref: JetVariable) -> None:
+        self.__dict__["ref"] = ref
 
-@dataclass(frozen=True)
+
 class Add(ScalarExpr):
     terms: tuple[ScalarExpr, ...]
 
+    def __init__(self, terms: tuple[ScalarExpr, ...]) -> None:
+        self.__dict__["terms"] = terms
 
-@dataclass(frozen=True)
+
 class Mul(ScalarExpr):
     factors: tuple[ScalarExpr, ...]
 
+    def __init__(self, factors: tuple[ScalarExpr, ...]) -> None:
+        self.__dict__["factors"] = factors
 
-@dataclass(frozen=True)
+
 class Pow(ScalarExpr):
     base: ScalarExpr
     exponent: int
 
+    def __init__(self, base: ScalarExpr, exponent: int) -> None:
+        self.__dict__.update(base=base, exponent=exponent)
 
-@dataclass(frozen=True)
+
 class Div(ScalarExpr):
     num: ScalarExpr
     den: ScalarExpr
 
+    def __init__(self, num: ScalarExpr, den: ScalarExpr) -> None:
+        self.__dict__.update(num=num, den=den)
 
-@dataclass(frozen=True)
+
 class Fn(ScalarExpr):
     """Unary elementary function application (sin, cos, exp, ln)."""
 
     name: str
     arg: ScalarExpr
+
+    def __init__(self, name: str, arg: ScalarExpr) -> None:
+        self.__dict__.update(name=name, arg=arg)
 
 
 ZERO = Rat(Fraction(0))
@@ -301,7 +314,7 @@ def variables(e: ScalarExpr) -> frozenset[JetVariable]:
         return found
     found = frozenset(ref for atom in _rf_atoms(_to_rf(e))
                       for ref in ((atom.ref,) if isinstance(atom, Var) else variables(atom.arg)))
-    object.__setattr__(e, "_vars", found)
+    e.__dict__["_vars"] = found
     return found
 
 
@@ -385,7 +398,7 @@ def _atom_id(atom: ScalarExpr) -> int:
         return i
     i = _intern(_IDS, _ATOMS, _KEYS, atom, atom, lambda: (0,) + var_key(atom.ref)
                 if isinstance(atom, Var) else (1, atom.name, expr_key(atom.arg)))
-    object.__setattr__(atom, "_aid", i)
+    atom.__dict__["_aid"] = i
     return i
 
 
@@ -687,7 +700,16 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Var):
         rf = _RF(_p_atom(e))
     elif isinstance(e, Add):
-        rf = _rf_sum([_to_rf(t) for t in e.terms])
+        # raw sums among the terms open in place, left to right and without
+        # recursion, so a denominator group cancels across any nesting
+        terms, stack = [], list(reversed(e.terms))
+        while stack:
+            t = stack.pop()
+            if t.__class__ is Add and "_canonical" not in t.__dict__:
+                stack.extend(reversed(t.terms))
+            else:
+                terms.append(_to_rf(t))
+        rf = _rf_sum(terms)
     elif isinstance(e, Mul):
         rf = _rf_const(1)
         for f in e.factors:
@@ -710,7 +732,7 @@ def _to_rf(e: ScalarExpr) -> _RF:
         rf = _RF(_p_atom(atom))
     else:
         raise ExprError(f"unknown node {e!r}")
-    object.__setattr__(e, "_rfc", rf)
+    e.__dict__["_rfc"] = rf
     return rf
 
 
@@ -971,20 +993,20 @@ def eval_numeric(e: ScalarExpr, point: Mapping[JetVariable, float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroPolicy:
+class ZeroPolicy(Record):
     """Sampling policy for the randomized zero test."""
 
-    samples: int = 25
-    abs_tol: float = 1e-9
-    seed: int = 0
+    samples: int
+    abs_tol: float
+    seed: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, samples: int = 25, abs_tol: float = 1e-9, seed: int = 0) -> None:
         # a nan or inf tolerance calls every sampled value zero, a negative one none
-        if not 0 <= self.abs_tol < math.inf:
-            raise ExprError(f"sampling tolerance must be finite and >= 0, got {self.abs_tol}")
-        if self.samples < 1:
-            raise ExprError(f"sample count must be >= 1, got {self.samples}")
+        if not 0 <= abs_tol < math.inf:
+            raise ExprError(f"sampling tolerance must be finite and >= 0, got {abs_tol}")
+        if samples < 1:
+            raise ExprError(f"sample count must be >= 1, got {samples}")
+        self.__dict__.update(samples=samples, abs_tol=abs_tol, seed=seed)
 
 
 # The fixed part of the sampling: coordinates are drawn from _SAMPLE_BOX, a
@@ -1004,8 +1026,7 @@ NUMERIC_ZERO = "numeric-zero"
 NUMERIC_NONZERO = "numeric-nonzero"
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(Record):
     kind: str
     witness: dict | None = None
     value: float | None = None

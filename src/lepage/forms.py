@@ -10,11 +10,10 @@ structural rule d(omega^sigma_J) = dx^i wedge omega^sigma_{J+i}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .charts import ChartContext, ChartError, FiberVar, MultiIndex, jet_order, var_key
+from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record, jet_order, var_key
 from .expr import (
     Add,
     Mul,
@@ -75,14 +74,16 @@ def levi_civita(indices: Sequence[int]) -> int:
     return 0 if normal is None else normal[1]
 
 
-@dataclass(frozen=True)
-class ExteriorForm:
+class ExteriorForm(Record):
     """Exterior polynomial with ScalarExpr coefficients at a declared jet order."""
 
     ctx: ChartContext
     degree: int
     terms: dict
     order: int
+
+    def __init__(self, ctx: ChartContext, degree: int, terms: dict, order: int) -> None:
+        self.__dict__.update(ctx=ctx, degree=degree, terms=terms, order=order)
 
     def __iter__(self):
         return iter(sorted(self.terms.items(), key=lambda kv: tuple(map(var_key, kv[0]))))

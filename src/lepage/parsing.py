@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import BaseVar, ChartContext, FiberVar, MultiIndex
+from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, Record
 from .expr import FUNCTIONS, Div, Fn, Pow, Rat, ScalarExpr, Var, canonicalize
 from .variational import Lagrangian
 
@@ -44,8 +43,7 @@ _VAR_X = re.compile(r"^x(\d+)$")
 _VAR_Y = re.compile(r"^y(\d*)(?:_(\d+))?$")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     text: str
     pos: int
@@ -204,8 +202,7 @@ def parse_expression(src: str, ctx: ChartContext) -> ScalarExpr:
     return _Parser(_tokenize(src), ctx).parse()
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
+class LagrangianSpec(Record):
     n: int
     m: int
     order: int

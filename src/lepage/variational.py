@@ -16,11 +16,10 @@ B^sigma_{ij} = p_sigma^{ij}) take their contact coefficients from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .charts import ChartContext, ChartError, FiberVar, MultiIndex
+from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record
 from .expr import (
     Add,
     DEFAULT_POLICY,
@@ -67,25 +66,24 @@ class OrderReducibilityError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Record):
     """A Lagrange function with its chart and declared order r."""
 
     ctx: ChartContext
     r: int
     L: ScalarExpr
 
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ChartError(f"negative order {self.r}")
-        object.__setattr__(self, "L", canonicalize(self.L))
-        actual = max_jet_order(self.L)
-        if actual > self.r:
-            raise ChartError(f"Lagrange function has order {actual}, declared {self.r}")
-        chart = self.ctx.at_order(self.r)
-        for v in variables(self.L):
+    def __init__(self, ctx: ChartContext, r: int, L: ScalarExpr) -> None:
+        if r < 0:
+            raise ChartError(f"negative order {r}")
+        L = canonicalize(L)
+        actual = max_jet_order(L)
+        if actual > r:
+            raise ChartError(f"Lagrange function has order {actual}, declared {r}")
+        chart = ctx.at_order(r)
+        for v in variables(L):
             chart.check_variable(v)
-        object.__setattr__(self, "ctx", chart)
+        self.__dict__.update(ctx=chart, r=r, L=L)
 
 
 def lagrangian_form(lam: Lagrangian) -> ExteriorForm:
@@ -279,8 +277,7 @@ def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
     return make_form(ctx, n, entries, 1)
 
 
-@dataclass(frozen=True)
-class FundamentalCoefficients:
+class FundamentalCoefficients(Record):
     """Contact coefficients of the second-order fundamental form (n = 2).
 
     P is skew in (sigma, nu); R^{1,2} = -R^{2,1} with R^{1,1} = R^{2,2} = 0.

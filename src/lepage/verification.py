@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, var_key
+from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, Record, var_key
 from .expr import (
     Add,
     DEFAULT_POLICY,
@@ -76,8 +75,7 @@ class CalibrationError(RuntimeError):
     """No convention combination passes the closure corpus."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a single check; failures carry a witness."""
 
     passed: bool
@@ -367,8 +365,7 @@ def closure_check(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> Che
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivergenceGenerator:
+class DivergenceGenerator(Record):
     """Functions g^i whose total divergence d_i g^i defines a trivial Lagrangian.
 
     For second-order components the cyclic condition
@@ -379,33 +376,35 @@ class DivergenceGenerator:
     ctx: ChartContext
     g: tuple
     s: int
-    convention: Convention = DEFAULT_CONVENTION
+    convention: Convention
 
-    def __post_init__(self) -> None:
-        if len(self.g) != self.ctx.n:
-            raise PreconditionError(f"need {self.ctx.n} components, got {len(self.g)}")
-        if self.s > 2:
-            raise PreconditionError(f"generator order {self.s} > 2 is unsupported")
-        object.__setattr__(self, "g", tuple(canonicalize(as_expr(gi)) for gi in self.g))
-        for gi in self.g:
-            if max_jet_order(gi) > self.s:
+    def __init__(self, ctx: ChartContext, g: tuple, s: int,
+                 convention: Convention = DEFAULT_CONVENTION) -> None:
+        if len(g) != ctx.n:
+            raise PreconditionError(f"need {ctx.n} components, got {len(g)}")
+        if s > 2:
+            raise PreconditionError(f"generator order {s} > 2 is unsupported")
+        g = tuple(canonicalize(as_expr(gi)) for gi in g)
+        for gi in g:
+            if max_jet_order(gi) > s:
                 raise PreconditionError(
-                    f"component of order {max_jet_order(gi)} exceeds declared order {self.s}"
+                    f"component of order {max_jet_order(gi)} exceeds declared order {s}"
                 )
-        if self.s == 2:
-            ctx = self.ctx.at_order(2)
-            for sigma in ctx.fiber_indices:
-                for i, j, k in itertools.product(ctx.base_indices, repeat=3):
+        if s == 2:
+            chart = ctx.at_order(2)
+            for sigma in chart.fiber_indices:
+                for i, j, k in itertools.product(chart.base_indices, repeat=3):
                     cyclic = canonicalize(
-                        sym_partial(self.g[i - 1], sigma, (j, k), self.convention)
-                        + sym_partial(self.g[j - 1], sigma, (k, i), self.convention)
-                        + sym_partial(self.g[k - 1], sigma, (i, j), self.convention)
+                        sym_partial(g[i - 1], sigma, (j, k), convention)
+                        + sym_partial(g[j - 1], sigma, (k, i), convention)
+                        + sym_partial(g[k - 1], sigma, (i, j), convention)
                     )
                     if not equals_zero(cyclic).is_zero:
                         raise PreconditionError(
                             "cyclic condition on dg^i/dy_{jk} fails at "
                             f"(i,j,k)=({i},{j},{k}): {expr_to_text(cyclic)}"
                         )
+        self.__dict__.update(ctx=ctx, g=g, s=s, convention=convention)
 
 
 def make_divergence_lagrangian(gen: DivergenceGenerator) -> Lagrangian:
@@ -721,16 +720,14 @@ def nontrivial_order_reducible_corpus() -> list[Lagrangian]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CalibrationOutcome:
+class CalibrationOutcome(Record):
     theta_convention: Convention
     coeff_convention: Convention
     passed: bool
     failures: tuple = ()
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(Record):
     outcomes: tuple
     passing: tuple
     unique: bool

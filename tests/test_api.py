@@ -78,13 +78,28 @@ def test_demos_are_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src`` on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    done = _run(str(demo), timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_cli_imports_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and every process
+    # that starts the CLI would pay for them
+    code = ("import lepage.cli, sys; "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    done = _run("-S", "-c", code, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
