@@ -645,21 +645,10 @@ def _rf_div(a: _RF, b: _RF) -> _RF:
     if len(p) == 1:
         (mono, c), = p.items()
         return _rf_reduce(_p_mono_shift(num, _mono_inv(mono)), den, d * c)
-    # factor the monomial content out of p
-    content: dict = {}
-    first = True
-    for mono in p:
-        if first:
-            content = dict(mono)
-            first = False
-        else:
-            seen = dict(mono)
-            for i in list(content):
-                content[i] = min(content[i], seen.get(i, 0))
-            for i, e in mono:
-                if i not in content and e < 0:
-                    content[i] = e
-    content_mono = tuple((i, e) for i, e in sorted(content.items()) if e != 0)
+    # factor out p's monomial content: each atom's least exponent, 0 if absent
+    monos = [dict(mono) for mono in p]
+    least = {i: min(m.get(i, 0) for m in monos) for i in sorted(set().union(*monos))}
+    content_mono = tuple((i, e) for i, e in least.items() if e)
     if content_mono:
         inv = _mono_inv(content_mono)
         p = _p_mono_shift(p, inv)
@@ -691,6 +680,23 @@ def _rf_pow(a: _RF, k: int) -> _RF:
     return _rf_reduce(_p_pow(a.num, k), tuple((f, e * k) for f, e in a.den), a.d ** k)
 
 
+def _chain_rfs(e: ScalarExpr) -> list[_RF]:
+    """The quotients of a raw sum's terms or a raw product's factors, in order.
+    Raw chains of the same kind among them open in place, left to right and
+    without recursion, so a denominator group cancels across any nesting."""
+    kind, rfs = e.__class__, []
+    stack = [iter(e.terms if kind is Add else e.factors)]
+    while stack:
+        for t in stack[-1]:
+            if t.__class__ is kind and "_canonical" not in t.__dict__:
+                stack.append(iter(t.terms if kind is Add else t.factors))
+                break
+            rfs.append(_to_rf(t))
+        else:
+            stack.pop()
+    return rfs
+
+
 def _to_rf(e: ScalarExpr) -> _RF:
     cached = e.__dict__.get("_rfc")
     if cached is not None:
@@ -700,20 +706,11 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Var):
         rf = _RF(_p_atom(e))
     elif isinstance(e, Add):
-        # raw sums among the terms open in place, left to right and without
-        # recursion, so a denominator group cancels across any nesting
-        terms, stack = [], list(reversed(e.terms))
-        while stack:
-            t = stack.pop()
-            if t.__class__ is Add and "_canonical" not in t.__dict__:
-                stack.extend(reversed(t.terms))
-            else:
-                terms.append(_to_rf(t))
-        rf = _rf_sum(terms)
+        rf = _rf_sum(_chain_rfs(e))
     elif isinstance(e, Mul):
         rf = _rf_const(1)
-        for f in e.factors:
-            rf = _rf_mul(rf, _to_rf(f))
+        for f in _chain_rfs(e):
+            rf = _rf_mul(rf, f)
     elif isinstance(e, Pow):
         rf = _rf_pow(_to_rf(e.base), e.exponent)
     elif isinstance(e, Div):

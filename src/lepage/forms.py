@@ -281,16 +281,13 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
 
 def horizontalization(a: ExteriorForm) -> ExteriorForm:
     """Projection onto the dx-only monomials."""
-    entries = [(k, c) for k, c in a.terms.items() if a.contact_count(k) == 0]
-    return make_form(a.ctx, a.degree, entries, a.order)
+    return contact_component(a, 0)
 
 
 def contact_component(a: ExteriorForm, k: int) -> ExteriorForm:
     """Terms with exactly k contact factors; the zero form when k > degree."""
     if k < 0:
         raise FormError(f"negative contact count {k}")
-    if k > a.degree:
-        return zero_form(a.ctx, a.degree, a.order)
     entries = [(key, c) for key, c in a.terms.items() if a.contact_count(key) == k]
     return make_form(a.ctx, a.degree, entries, a.order)
 

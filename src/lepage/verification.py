@@ -13,6 +13,12 @@ Each check raises its precondition errors at once and is otherwise a lazy
 stream of (label, expression, message) conditions, built in a fixed order;
 ``_judge`` zero-tests them in turn and turns the first nonzero one into the
 failing report, so every verdict is decided in that one place.
+
+The second-order checks share one expansion of E_sigma, ``_Expansion``,
+which writes each chart coefficient once.  Its symmetrizer sums a
+coefficient over the permutations within sorted index groups: the
+triviality and combination conditions are such sums, and the expansion
+cross-check sums the same coefficients against their coordinates.
 """
 from __future__ import annotations
 
@@ -159,36 +165,61 @@ def is_trivial(lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRep
     return _judge(conditions, policy, "euler-lagrange")
 
 
-def _first_partial(L: ScalarExpr, sigma: int, jj: tuple[int, ...] = ()) -> ScalarExpr:
-    return diff(L, FiberVar(sigma, MultiIndex(jj)))
+class _Expansion:
+    """E_sigma of an order-2 Lagrangian in cut derivatives, with free index sums:
 
+        E_sigma = tc1 + c2 y^nu_{pqi} + c3 y^mu_{sti} y^nu_{pqj} + c4 y^nu_{pqij}
 
-def _tc1(lam: Lagrangian, sigma: int, convention: Convention) -> ScalarExpr:
-    """dL/dy^s - d_i' dL/dy^s_i + d_i' d_j' dL/dy^s_{ij} with free sums."""
-    ctx = lam.ctx.at_order(2)
-    total = _first_partial(lam.L, sigma)
-    for i in ctx.base_indices:
-        total = total - cut_derivative(_first_partial(lam.L, sigma, (i,)), i, ctx)
-    for i in ctx.base_indices:
-        for j in ctx.base_indices:
-            inner = cut_derivative(sym_partial(lam.L, sigma, (i, j), convention), j, ctx)
+    Each coefficient is written once here and takes its partials when read.
+    """
+
+    def __init__(self, lam: Lagrangian, convention: Convention, check: str = "second-order"):
+        if lam.r != 2:
+            raise PreconditionError(f"{check} check got order {lam.r}")
+        self.L, self.ctx, self.base, self.convention = lam.L, lam.ctx, lam.ctx.base_indices, convention
+        self.pp = second_partials(lam.L, convention)
+
+    def tc1(self, sigma: int) -> ScalarExpr:
+        """dL/dy^s - d_i' dL/dy^s_i + d_i' d_j' dL/dy^s_{ij}."""
+        L, ctx, conv = self.L, self.ctx, self.convention
+        total = sym_partial(L, sigma, (), conv)
+        for i in self.base:
+            total = total - cut_derivative(sym_partial(L, sigma, (i,), conv), i, ctx)
+        for i, j in itertools.product(self.base, repeat=2):
+            inner = cut_derivative(sym_partial(L, sigma, (i, j), conv), j, ctx)
             total = total + cut_derivative(inner, i, ctx)
-    return canonicalize(total)
+        return canonicalize(total)
 
+    def c2(self, sigma: int, nu: int, p: int, q: int, i: int, cut: bool = True) -> ScalarExpr:
+        """The y^nu_{pqi} coefficient; without ``cut``, less its 2 d_j' part."""
+        pp = self.pp
+        coeff = pp(sigma, (i, q), nu, (p,)) - pp(sigma, (i,), nu, (p, q))
+        for j in self.base if cut else ():
+            coeff = coeff + 2 * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, self.ctx)
+        return coeff
 
-def _pqi_head(pp, sigma: int, nu: int, p: int, q: int, i: int) -> ScalarExpr:
-    """The first two terms of the y^nu_{pqi} coefficient in E_sigma."""
-    return pp(sigma, (i, q), nu, (p,)) - pp(sigma, (i,), nu, (p, q))
+    def c3(self, mu: int, nu: int, sigma: int, s: int, t: int, j: int, p: int, q: int, i: int) -> ScalarExpr:
+        """The y^mu_{sti} y^nu_{pqj} coefficient."""
+        return mixed_partial(self.L, [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))], self.convention)
 
+    def c4(self, sigma: int, nu: int, p: int, q: int, i: int, j: int) -> ScalarExpr:
+        """The y^nu_{pqij} coefficient."""
+        return self.pp(sigma, (i, j), nu, (p, q))
 
-def _pqi_coefficient(
-    pp, ctx: ChartContext, sigma: int, nu: int, p: int, q: int, i: int
-) -> ScalarExpr:
-    """The y^nu_{pqi} coefficient in E_sigma: the head plus 2 d_j' of the second partials."""
-    coeff = _pqi_head(pp, sigma, nu, p, q, i)
-    for j in ctx.base_indices:
-        coeff = coeff + 2 * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, ctx)
-    return coeff
+    def symmetrized(self, term, heads: int, sizes: tuple[int, ...]):
+        """For each head of ``heads`` fiber indices and each choice of sorted
+        index groups of the given sizes, the canonical sum of
+        term(*head, *indices) over all permutations within each group, the
+        last group permuting fastest."""
+        groups = itertools.product(
+            *(itertools.combinations_with_replacement(self.base, k) for k in sizes))
+        choices = [[sum(perm, ()) for perm in itertools.product(*map(itertools.permutations, group))]
+                   for group in groups]
+        for head in itertools.product(self.ctx.fiber_indices, repeat=heads):
+            for indices in choices:
+                # a repeated index repeats a term: each distinct one is taken once
+                value = {index: term(*head, *index) for index in dict.fromkeys(indices)}
+                yield canonicalize(Add(tuple(map(value.get, indices))))
 
 
 def trivial_conditions_second_order(
@@ -197,53 +228,18 @@ def trivial_conditions_second_order(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """The four explicit chart conditions equivalent to triviality at order two."""
-    if lam.r != 2:
-        raise PreconditionError(f"second-order check got order {lam.r}")
-    return _judge(_triviality_conditions(lam, convention), policy, "triviality")
+    return _judge(_triviality_conditions(_Expansion(lam, convention)), policy, "triviality")
 
 
-def _triviality_conditions(lam: Lagrangian, convention: Convention):
-    ctx = lam.ctx.at_order(2)
-    L = lam.L
-    pp = second_partials(L, convention)
-    base = list(ctx.base_indices)
-    for sigma in ctx.fiber_indices:
-        yield "triviality[1]", _tc1(lam, sigma, convention), ""
-    # second family: Sym(pqi) of the y_{pqi}-linear coefficient
-    for sigma in ctx.fiber_indices:
-        for nu in ctx.fiber_indices:
-            for triple in itertools.combinations_with_replacement(base, 3):
-                # each piece is a raw sum, so + joins them into one sum
-                pieces = (
-                    _pqi_coefficient(pp, ctx, sigma, nu, p, q, i)
-                    for p, q, i in itertools.permutations(triple)
-                )
-                yield "triviality[2]", canonicalize(sum(pieces, ZERO)), ""
-    # third family: symmetrized third derivatives
-    for mu in ctx.fiber_indices:
-        for nu in ctx.fiber_indices:
-            for sigma in ctx.fiber_indices:
-                for group_a in itertools.combinations_with_replacement(base, 3):
-                    for group_b in itertools.combinations_with_replacement(base, 3):
-                        pieces = []
-                        for s, t, j in itertools.permutations(group_a):
-                            for p, q, i in itertools.permutations(group_b):
-                                pieces.append(
-                                    mixed_partial(
-                                        L,
-                                        [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))],
-                                        convention,
-                                    )
-                                )
-                        yield "triviality[3]", canonicalize(Add(tuple(pieces))), ""
-    # fourth family: Sym(pqij) of the second derivatives
-    for sigma in ctx.fiber_indices:
-        for nu in ctx.fiber_indices:
-            for group in itertools.combinations_with_replacement(base, 4):
-                pieces = [
-                    pp(sigma, (i, j), nu, (p, q)) for p, q, i, j in itertools.permutations(group)
-                ]
-                yield "triviality[4]", canonicalize(Add(tuple(pieces))), ""
+def _triviality_conditions(ex: _Expansion):
+    for sigma in ex.ctx.fiber_indices:
+        yield "triviality[1]", ex.tc1(sigma), ""
+    # Sym(pqi) of c2, Sym(stj) Sym(pqi) of c3 and Sym(pqij) of c4
+    for label, term, heads, sizes in (("triviality[2]", ex.c2, 2, (3,)),
+                                      ("triviality[3]", ex.c3, 3, (3, 3)),
+                                      ("triviality[4]", ex.c4, 2, (4,))):
+        for condition in ex.symmetrized(term, heads, sizes):
+            yield label, condition, ""
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +253,15 @@ def order_reducible(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Pass iff the principal Lepage equivalent stays at the Lagrangian's order."""
-    if lam.r != 2:
-        raise PreconditionError(f"order-reducibility check got order {lam.r}")
-    conditions = _reducibility_conditions(lam, convention)
-    return _judge(conditions, policy, "order-reducibility")
+    ex = _Expansion(lam, convention, "order-reducibility")
+    return _judge(_reducibility_conditions(ex), policy, "order-reducibility")
 
 
-def _reducibility_conditions(lam: Lagrangian, convention: Convention):
-    ctx = lam.ctx.at_order(2)
-    pp = second_partials(lam.L, convention)
-    if ctx.n == 2:
-        for sigma in ctx.fiber_indices:
-            for nu in ctx.fiber_indices:
+def _reducibility_conditions(ex: _Expansion):
+    pp = ex.pp
+    if ex.ctx.n == 2:
+        for sigma in ex.ctx.fiber_indices:
+            for nu in ex.ctx.fiber_indices:
                 # the five partials of a (sigma, nu) pair are all taken before any is judged
                 yield from [
                     ("order-reducibility[1]", pp(sigma, (1, 1), nu, (1, 1)), ""),
@@ -285,9 +278,9 @@ def _reducibility_conditions(lam: Lagrangian, convention: Convention):
                     ),
                 ]
         return
-    for sigma in ctx.fiber_indices:
-        for nu in ctx.fiber_indices:
-            for p, q, i, j in itertools.product(ctx.base_indices, repeat=4):
+    for sigma in ex.ctx.fiber_indices:
+        for nu in ex.ctx.fiber_indices:
+            for p, q, i, j in itertools.product(ex.base, repeat=4):
                 cyclic = canonicalize(
                     pp(sigma, (i, j), nu, (p, q))
                     + pp(sigma, (q, j), nu, (i, p))
@@ -302,22 +295,20 @@ def combination_conditions(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Triviality conditions for order-reducible second-order Lagrangians."""
-    if lam.r != 2:
-        raise PreconditionError(f"second-order check got order {lam.r}")
+    ex = _Expansion(lam, convention)
     reducible = order_reducible(lam, convention, policy)
     if not reducible.passed:
         raise PreconditionError(f"Lagrangian is not order-reducible: {reducible.describe()}")
-    return _judge(_combination_conditions(lam, convention), policy, "combination")
+    return _judge(_combination_conditions(ex), policy, "combination")
 
 
-def _combination_conditions(lam: Lagrangian, convention: Convention):
-    ctx = lam.ctx.at_order(2)
-    pp = second_partials(lam.L, convention)
-    for sigma in ctx.fiber_indices:
-        yield "combination[1]", _tc1(lam, sigma, convention), ""
-    if ctx.n == 2:
-        for sigma in ctx.fiber_indices:
-            for nu in ctx.fiber_indices:
+def _combination_conditions(ex: _Expansion):
+    pp = ex.pp
+    for sigma in ex.ctx.fiber_indices:
+        yield "combination[1]", ex.tc1(sigma), ""
+    if ex.ctx.n == 2:
+        for sigma in ex.ctx.fiber_indices:
+            for nu in ex.ctx.fiber_indices:
                 displays = [
                     ("combination[2]", pp(sigma, (1, 1), nu, (1,)) - pp(nu, (1, 1), sigma, (1,))),
                     ("combination[2]", pp(sigma, (2, 2), nu, (2,)) - pp(nu, (2, 2), sigma, (2,))),
@@ -339,14 +330,12 @@ def _combination_conditions(lam: Lagrangian, convention: Convention):
                 for label, expr in displays:
                     yield label, canonicalize(expr), ""
         return
-    base = list(ctx.base_indices)
-    for sigma in ctx.fiber_indices:
-        for nu in ctx.fiber_indices:
-            for triple in itertools.combinations_with_replacement(base, 3):
-                pieces = (
-                    _pqi_head(pp, sigma, nu, p, q, i) for p, q, i in itertools.permutations(triple)
-                )
-                yield "combination[sym]", canonicalize(sum(pieces, ZERO)), ""
+    # Sym(pqi) of c2 less its 2 d_j' part
+    def head(sigma, nu, p, q, i):
+        return ex.c2(sigma, nu, p, q, i, cut=False)
+
+    for condition in ex.symmetrized(head, 2, (3,)):
+        yield "combination[sym]", condition, ""
 
 
 # ---------------------------------------------------------------------------
@@ -426,37 +415,23 @@ def el_expansion_crosscheck(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Euler-Lagrange expressions versus their cut-derivative expansion."""
-    if lam.r != 2:
-        raise PreconditionError(f"second-order check got order {lam.r}")
-    return _judge(_expansion_gaps(lam, convention), policy, "el-expansion")
+    return _judge(_expansion_gaps(_Expansion(lam, convention), lam), policy, "el-expansion")
 
 
-def _expansion_gaps(lam: Lagrangian, convention: Convention):
-    ctx = lam.ctx.at_order(2)
-    L = lam.L
-    pp = second_partials(L, convention)
-    base = list(ctx.base_indices)
+def _expansion_gaps(ex: _Expansion, lam: Lagrangian):
+    fibers, base = ex.ctx.fiber_indices, ex.base
     direct = euler_lagrange_expressions(lam)
-    for sigma in ctx.fiber_indices:
-        expansion = _tc1(lam, sigma, convention)
-        for nu in ctx.fiber_indices:
-            for p, q, i in itertools.product(base, repeat=3):
-                coeff = _pqi_coefficient(pp, ctx, sigma, nu, p, q, i)
-                expansion = expansion + coeff * Y(nu, p, q, i)
-        for mu in ctx.fiber_indices:
-            for nu in ctx.fiber_indices:
-                for s, t, p, q, i, j in itertools.product(base, repeat=6):
-                    third = mixed_partial(
-                        L, [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))], convention
-                    )
-                    if is_zero_expr(third):
-                        continue
-                    expansion = expansion + third * Y(mu, s, t, i) * Y(nu, p, q, j)
-        for nu in ctx.fiber_indices:
-            for p, q, i, j in itertools.product(base, repeat=4):
-                second = pp(sigma, (i, j), nu, (p, q))
-                if is_zero_expr(second):
-                    continue
+    for sigma in fibers:
+        expansion = ex.tc1(sigma)
+        for nu, p, q, i in itertools.product(fibers, *[base] * 3):
+            expansion = expansion + ex.c2(sigma, nu, p, q, i) * Y(nu, p, q, i)
+        for mu, nu, s, t, p, q, i, j in itertools.product(fibers, fibers, *[base] * 6):
+            third = ex.c3(mu, nu, sigma, s, t, j, p, q, i)
+            if not is_zero_expr(third):
+                expansion = expansion + third * Y(mu, s, t, i) * Y(nu, p, q, j)
+        for nu, p, q, i, j in itertools.product(fibers, *[base] * 4):
+            second = ex.c4(sigma, nu, p, q, i, j)
+            if not is_zero_expr(second):
                 expansion = expansion + second * Y(nu, p, q, i, j)
         yield f"el-expansion[{sigma}]", canonicalize(direct[sigma - 1] - expansion), ""
 

@@ -180,10 +180,14 @@ class TestCanonicalize:
 
     def test_a_long_folded_product(self):
         # 1,500 factors multiplied one at a time, as a loop with * builds them
-        e = Y1
+        # (one flat chain) and as the Mul constructor nests them, one level
+        # per factor
+        folded = nested = Y1
         for k in range(1, 1500):
-            e = e * (Y2 if k % 2 else Y1)
-        assert canonicalize(e) == canonicalize(Y1 ** 750 * Y2 ** 750)
+            factor = Y2 if k % 2 else Y1
+            folded, nested = folded * factor, Mul((nested, factor))
+        for e in (folded, nested):
+            assert canonicalize(e) == canonicalize(Y1 ** 750 * Y2 ** 750)
 
     def test_spellings_of_a_power_share_a_denominator(self):
         # 1/B^2, B^-2 and 1/(B*B) all sit over B^2, and so do their sums and

@@ -1,4 +1,5 @@
 """Verification checks: Lepage property, triviality, order-reducibility, closure."""
+import itertools
 import random
 
 import pytest
@@ -39,7 +40,7 @@ from lepage import (
     zero_form,
 )
 from lepage.expr import is_zero_expr
-from lepage.verification import random_divergence_lagrangian
+from lepage.verification import random_divergence_lagrangian, random_polynomial
 
 
 def lag(n, m, r, L):
@@ -284,6 +285,51 @@ class TestElExpansion:
         # the expansion is summed one term at a time into one long sum
         coords = " + ".join(f"y1_{a}{b}" for a in range(1, 4) for b in range(a, 4))
         lam = parse_lagrangian(LagrangianSpec(3, m, 2, f"({coords})^3"))
+        assert el_expansion_crosscheck(lam).passed
+
+
+def _hessian_minors(n, sigma):
+    """The sum of the 2x2 principal minors of the Hessian y^sigma_{ab}, a null Lagrangian."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return sum((Y(sigma, a, a) * Y(sigma, b, b) - Y(sigma, a, b) ** 2 for a, b in pairs), const(0))
+
+
+def _trivial(chart, seed, kind):
+    """A seeded divergence d_i g^i, a sum of Hessian minors, or both."""
+    n, m = chart
+    rng = random.Random(seed)
+    divergence = random_divergence_lagrangian(ChartContext(n, m, 1), rng)
+    minors = _hessian_minors(n, rng.randint(1, m))
+    L = {"divergence": divergence.L, "minors": minors, "sum": divergence.L + minors}[kind]
+    return lag(n, m, 2, L)
+
+
+def _random_second_order(chart, seed):
+    n, m = chart
+    ctx = ChartContext(n, m, 2)
+    pool = list(ctx.coordinates())
+    return Lagrangian(ctx, 2, random_polynomial(random.Random(seed), pool, terms=3, degree=3))
+
+
+_charts = st.tuples(st.sampled_from([2, 3]), st.sampled_from([1, 2]))
+_seeds = st.integers(0, 2**16)
+
+
+class TestSecondOrderFamilies:
+    """The chart conditions, the Euler-Lagrange expressions and their
+    expansion agree on generated second-order Lagrangians, n in {2, 3}."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(lam=st.builds(_trivial, _charts, _seeds, st.sampled_from(["divergence", "minors", "sum"])))
+    def test_trivial_families_pass(self, lam):
+        assert trivial_conditions_second_order(lam).passed
+        assert is_trivial(lam).passed
+        assert el_expansion_crosscheck(lam).passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(lam=st.builds(_random_second_order, _charts, _seeds))
+    def test_conditions_agree_with_euler_lagrange(self, lam):
+        assert trivial_conditions_second_order(lam).passed == is_trivial(lam).passed
         assert el_expansion_crosscheck(lam).passed
 
 
