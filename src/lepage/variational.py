@@ -12,6 +12,12 @@ one table of momenta, ``_momenta``: p_sigma^{Ji} = sum_l (-1)^l d_{p1}..d_{pl}
 dL/dy^sigma_{J p1..pl i} for |J| < r.  ``principal_lepage``, both Caratheodory
 forms and ``caratheodory_second_blocks`` (A^sigma_j = p_sigma^j,
 B^sigma_{ij} = p_sigma^{ij}) take their contact coefficients from it.
+
+Over a 2-dimensional base, ``_second_order_n2`` is the one assembler of Theta
+plus the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
+omega^n_j, fed coefficient functions by ``caratheodory_second_blocks`` and
+``fundamental_second_order_n2``; ``fundamental_coefficients`` writes each of
+P, Q^j and R^{ij} once with free indices.
 """
 from __future__ import annotations
 
@@ -205,6 +211,25 @@ def caratheodory_second(
     return _caratheodory(lam, convention, policy)
 
 
+def _second_order_n2(lam: Lagrangian, convention: Convention, a, b, c) -> ExteriorForm:
+    """Theta at order 3 plus the n = 2 blocks a(s, n) omega^s ^ omega^n +
+    b(s, n, j) omega^s ^ omega^n_j + c(s, n, j, i) omega^s_i ^ omega^n_j."""
+    ctx = lam.ctx
+    empty = MultiIndex()
+    entries: list = []
+    for sigma in ctx.fiber_indices:
+        w = Omega(sigma, empty)
+        for nu in ctx.fiber_indices:
+            entries.append(((w, Omega(nu, empty)), a(sigma, nu)))
+            for j in ctx.base_indices:
+                w_nu_j = Omega(nu, MultiIndex((j,)))
+                entries.append(((w, w_nu_j), b(sigma, nu, j)))
+                for i in ctx.base_indices:
+                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), c(sigma, nu, j, i)))
+    blocks = make_form(ctx.at_order(3), 2, entries, 3)
+    return principal_lepage(lam, convention).at_order(3) + blocks
+
+
 def caratheodory_second_blocks(
     lam: Lagrangian,
     convention: Convention = DEFAULT_CONVENTION,
@@ -216,24 +241,15 @@ def caratheodory_second_blocks(
         raise UndefinedFormError("explicit decomposition is for a 2-dimensional base")
     _require_order(lam, 2)
     _nonvanishing_guard(lam, policy)
-    ctx = lam.ctx
     inv_l = Pow(lam.L, -1)
     p = _momenta(lam, convention)
-    entries: list = []
-    empty = MultiIndex()
-    for sigma in ctx.fiber_indices:
-        a1, a2 = p[(sigma, (), 1)], p[(sigma, (), 2)]
-        for nu in ctx.fiber_indices:
-            entries.append(((Omega(sigma, empty), Omega(nu, empty)), inv_l * a1 * p[(nu, (), 2)]))
-            for j in ctx.base_indices:
-                w_nu_j = Omega(nu, MultiIndex((j,)))
-                coeff = p[(nu, (j,), 2)] * a1 - p[(nu, (j,), 1)] * a2
-                entries.append(((Omega(sigma, empty), w_nu_j), inv_l * coeff))
-                for i in ctx.base_indices:
-                    b = p[(sigma, (i,), 1)] * p[(nu, (j,), 2)]
-                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), inv_l * b))
-    blocks = make_form(ctx.at_order(3), 2, entries, 3)
-    return principal_lepage(lam, convention).at_order(3) + blocks
+    return _second_order_n2(
+        lam, convention,
+        lambda sigma, nu: inv_l * p[(sigma, (), 1)] * p[(nu, (), 2)],
+        lambda sigma, nu, j: inv_l * (p[(nu, (j,), 2)] * p[(sigma, (), 1)]
+                                      - p[(nu, (j,), 1)] * p[(sigma, (), 2)]),
+        lambda sigma, nu, j, i: inv_l * (p[(sigma, (i,), 1)] * p[(nu, (j,), 2)]),
+    )
 
 
 def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
@@ -302,48 +318,35 @@ class FundamentalCoefficients(Record):
 def fundamental_coefficients(
     lam: Lagrangian, convention: Convention = DEFAULT_CONVENTION
 ) -> FundamentalCoefficients:
-    """The P, Q, R coefficient family of the second-order fundamental form."""
+    """The P, Q, R coefficient family of the second-order fundamental form.
+
+    With pp the mixed partials, k = 3 - j, eps_1 = 1 and eps_2 = -1:
+      P = (1/2)(pp(s,1;n,2) - pp(n,1;s,2)) - eps_j d_j' (pp(s,j;n,12) - pp(n,j;s,12)),
+      Q^j = eps_j (2 pp(s,j;n,12) - pp(n,j;s,12) - pp(n,k;s,jj) - 2 d_k' pp(s,12;n,12)),
+      R^{12} = -2 pp(s,12;n,12).
+    """
     ctx = lam.ctx.at_order(2)
     pp = second_partials(lam.L, convention)
     P: dict = {}
-    Q1: dict = {}
-    Q2: dict = {}
+    Q: dict = {1: {}, 2: {}}
     R12: dict = {}
     for sigma in ctx.fiber_indices:
         for nu in ctx.fiber_indices:
-            p_term = Fraction(1, 2) * (
-                pp(sigma, (1,), nu, (2,)) - pp(nu, (1,), sigma, (2,))
-            )
-            p_d1 = cut_derivative(
-                canonicalize(
-                    pp(nu, (1,), sigma, (1, 2)) - pp(sigma, (1,), nu, (1, 2))
-                ),
-                1,
-                ctx,
-            )
-            p_d2 = cut_derivative(
-                canonicalize(
-                    pp(sigma, (2,), nu, (1, 2)) - pp(nu, (2,), sigma, (1, 2))
-                ),
-                2,
-                ctx,
-            )
-            P[(sigma, nu)] = canonicalize(p_term + p_d1 + p_d2)
             r_core = pp(sigma, (1, 2), nu, (1, 2))
-            Q1[(sigma, nu)] = canonicalize(
-                2 * pp(sigma, (1,), nu, (1, 2))
-                - pp(nu, (1,), sigma, (1, 2))
-                - pp(nu, (2,), sigma, (1, 1))
-                - 2 * cut_derivative(r_core, 2, ctx)
-            )
-            Q2[(sigma, nu)] = canonicalize(
-                -2 * pp(sigma, (2,), nu, (1, 2))
-                + pp(nu, (1,), sigma, (2, 2))
-                + pp(nu, (2,), sigma, (1, 2))
-                + 2 * cut_derivative(r_core, 1, ctx)
-            )
+            p_total = Fraction(1, 2) * (pp(sigma, (1,), nu, (2,)) - pp(nu, (1,), sigma, (2,)))
+            for j in ctx.base_indices:
+                k, eps = 3 - j, (-1) ** (j - 1)
+                skew = canonicalize(pp(sigma, (j,), nu, (1, 2)) - pp(nu, (j,), sigma, (1, 2)))
+                p_total = p_total - eps * cut_derivative(skew, j, ctx)
+                Q[j][(sigma, nu)] = canonicalize(eps * (
+                    2 * pp(sigma, (j,), nu, (1, 2))
+                    - pp(nu, (j,), sigma, (1, 2))
+                    - pp(nu, (k,), sigma, (j, j))
+                    - 2 * cut_derivative(r_core, k, ctx)
+                ))
+            P[(sigma, nu)] = canonicalize(p_total)
             R12[(sigma, nu)] = canonicalize(-2 * r_core)
-    return FundamentalCoefficients(P, Q1, Q2, R12)
+    return FundamentalCoefficients(P, Q[1], Q[2], R12)
 
 
 def fundamental_second_order_n2(
@@ -369,21 +372,12 @@ def fundamental_second_order_n2(
     report = order_reducible(lam, convention=theta_convention, policy=policy)
     if not report.passed:
         raise OrderReducibilityError(report)
-    ctx = lam.ctx
     coeffs = fundamental_coefficients(lam, coeff_convention)
-    empty = MultiIndex()
-    entries: list = []
     half = Fraction(1, 2)
-    for sigma in ctx.fiber_indices:
-        w = Omega(sigma, empty)
-        for nu in ctx.fiber_indices:
-            entries.append(((w, Omega(nu, empty)), half * coeffs.P[(sigma, nu)]))
-            for j in ctx.base_indices:
-                w_nu_j = Omega(nu, MultiIndex((j,)))
-                entries.append(((w, w_nu_j), coeffs.Q(j)[(sigma, nu)]))
-                for i in ctx.base_indices:
-                    r = half * coeffs.R(i, j, sigma, nu)
-                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), r))
-    theta = principal_lepage(lam, theta_convention)
-    contact = make_form(ctx.at_order(3), 2, entries, 3)
-    return theta.at_order(3) + contact, coeffs
+    z = _second_order_n2(
+        lam, theta_convention,
+        lambda sigma, nu: half * coeffs.P[(sigma, nu)],
+        lambda sigma, nu, j: coeffs.Q(j)[(sigma, nu)],
+        lambda sigma, nu, j, i: half * coeffs.R(i, j, sigma, nu),
+    )
+    return z, coeffs

@@ -425,14 +425,16 @@ def _expansion_gaps(ex: _Expansion, lam: Lagrangian):
         expansion = ex.tc1(sigma)
         for nu, p, q, i in itertools.product(fibers, *[base] * 3):
             expansion = expansion + ex.c2(sigma, nu, p, q, i) * Y(nu, p, q, i)
-        for mu, nu, s, t, p, q, i, j in itertools.product(fibers, fibers, *[base] * 6):
-            third = ex.c3(mu, nu, sigma, s, t, j, p, q, i)
-            if not is_zero_expr(third):
-                expansion = expansion + third * Y(mu, s, t, i) * Y(nu, p, q, j)
+        # c3 is a partial of c4 by (mu, (s, t)), so it vanishes with c4
         for nu, p, q, i, j in itertools.product(fibers, *[base] * 4):
             second = ex.c4(sigma, nu, p, q, i, j)
-            if not is_zero_expr(second):
-                expansion = expansion + second * Y(nu, p, q, i, j)
+            if is_zero_expr(second):
+                continue
+            for mu, s, t in itertools.product(fibers, base, base):
+                third = ex.c3(mu, nu, sigma, s, t, j, p, q, i)
+                if not is_zero_expr(third):
+                    expansion = expansion + third * Y(mu, s, t, i) * Y(nu, p, q, j)
+            expansion = expansion + second * Y(nu, p, q, i, j)
         yield f"el-expansion[{sigma}]", canonicalize(direct[sigma - 1] - expansion), ""
 
 

@@ -28,6 +28,7 @@ from lepage import (
     dirichlet,
     euler_lagrange_expressions,
     euler_lagrange_form,
+    expr_to_text,
     exterior_derivative,
     form_is_zero,
     forms_equal,
@@ -39,6 +40,7 @@ from lepage import (
     hessian_determinant,
     camassa_holm,
     is_lepage_equivalent,
+    is_trivial,
     lagrangian_form,
     levi_civita,
     make_form,
@@ -197,7 +199,13 @@ class TestCaratheodorySecond:
             assert forms_equal(horizontalization(form), lagrangian_form(lam).at_order(form.order))
 
     def test_explicit_decomposition(self):
-        for lam in (camassa_holm(), lag(2, 1, 2, Y(1) * Y(1, 1, 2)), dirichlet(r=2)):
+        # the m = 2 inputs carry the sigma != nu entries of the three blocks
+        m2 = [parse_lagrangian(LagrangianSpec(2, 2, 2, source)) for source in (
+            "1 + y1_1*y2_12 + y1_12*y2_2",
+            "1 + x1*y1_1*y2_12 + y1_12*y2_2*y1",
+            "1 + y1_11*y2_22 - y1_12*y2_12",
+        )]
+        for lam in [camassa_holm(), lag(2, 1, 2, Y(1) * Y(1, 1, 2)), dirichlet(r=2)] + m2:
             assert forms_equal(caratheodory_second(lam), caratheodory_second_blocks(lam))
 
     def test_difference_from_theta_is_2_contact(self):
@@ -324,6 +332,27 @@ class TestFundamentalSecondOrder:
         assert coeffs.P[(2, 1)] == canonicalize(const(-1))
         for table in (coeffs.Q1, coeffs.Q2, coeffs.R12):
             assert all(is_zero_expr(v) for v in table.values())
+
+    @pytest.mark.parametrize("m, source, want", [
+        (2, "x1*y1_1*y2_12 + y1_12*y2_2*y1", {
+            (1, 2): ("-(1/2)*y1_2 - 1/2", "x1", "(1/2)*y1", "0", "0"),
+            (2, 1): ("(1/2)*y1_2 + 1/2", "-(1/2)*x1", "-y1", "0", "0"),
+        }),
+        (1, "y_12^2 - y_11*y_22 + y_1*y_2*y_12", {
+            (1, 1): ("0", "(1/2)*y_2", "-(1/2)*y_1", "-1", "1"),
+        }),
+        (1, "y_1*y_12^2 - y_1*y_11*y_22 + x2*y_2*y_11", {
+            (1, 1): ("0", "-x2", "0", "-y_1", "y_1"),
+        }),
+    ], ids=["m2-cross-fiber", "m1-hessian-plus-cubic", "m1-weighted-hessian"])
+    def test_nonzero_coefficients(self, m, source, want):
+        # order-reducible and nontrivial: a sign or a j <-> k slip in P, Q^j or R^{ij} shows
+        lam = parse_lagrangian(LagrangianSpec(2, m, 2, source))
+        assert not is_trivial(lam).passed
+        _, coeffs = fundamental_second_order_n2(lam)
+        for key, texts in want.items():
+            got = (coeffs.P[key], coeffs.Q1[key], coeffs.Q2[key], coeffs.R12[key], coeffs.R(2, 1, *key))
+            assert tuple(expr_to_text(e, m) for e in got) == texts
 
     def test_p_skew_symmetry(self):
         lam = hessian_determinant()

@@ -1,6 +1,7 @@
 """Verification checks: Lepage property, triviality, order-reducibility, closure."""
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,11 @@ class TestCalibration:
         a = calibrate_convention().render()
         b = calibrate_convention().render()
         assert a == b
+
+    def test_documented_report_is_the_printed_one(self):
+        text = (Path(__file__).resolve().parents[1] / "docs" / "calibration.md").read_text(encoding="utf-8")
+        block = text.split("## Frozen result", 1)[1].split("```\n")[1]
+        assert block == calibrate_convention().render() + "\n"
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(PreconditionError):
