@@ -261,7 +261,8 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
     order = a.order + 1
     entries: list[tuple[tuple, ScalarExpr]] = []
     for key, coeff in a.terms.items():
-        for i in ctx.base_indices:
+        free = [i for i in ctx.base_indices if Dx(i) not in key]  # dx^i ^ key = 0 for the rest
+        for i in free:
             di = total_derivative(coeff, i, ctx)
             if not is_zero_expr(di):
                 entries.append(((Dx(i),) + key, di))
@@ -273,7 +274,7 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
         for pos, el in enumerate(key):
             if isinstance(el, Omega):
                 sign = (-1) ** pos
-                for i in ctx.base_indices:
+                for i in free:
                     new_key = key[:pos] + (Dx(i), Omega(el.sigma, el.jj.append(i))) + key[pos + 1:]
                     entries.append((new_key, Rat(Fraction(sign)) * coeff))
     return make_form(a.ctx, a.degree + 1, entries, order)

@@ -41,6 +41,7 @@ _TOKEN = re.compile(
 
 _VAR_X = re.compile(r"^x(\d+)$")
 _VAR_Y = re.compile(r"^y(\d*)(?:_(\d+))?$")
+_MAX_NESTING = 100  # parentheses, function calls and unary signs, counted together
 
 
 class _Token(Record):
@@ -137,8 +138,10 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
         return e
 
-    def expression(self, min_prec: int) -> ScalarExpr:
-        left = self.atom()
+    def expression(self, min_prec: int, depth: int = 0) -> ScalarExpr:
+        if depth > _MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING}", self.tokens[self.idx - 1].pos)
+        left = self.atom(depth)
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in self.BINARY:
@@ -150,10 +153,10 @@ class _Parser:
             if build is Pow:
                 left = Pow(left, self.integer_exponent())
             else:
-                left = build(left, self.expression(prec + 1))
+                left = build(left, self.expression(prec + 1, depth))
         return left
 
-    def atom(self) -> ScalarExpr:
+    def atom(self, depth: int) -> ScalarExpr:
         tok = self.advance()
         if tok.kind == "number":
             return Rat(Fraction(tok.text))
@@ -162,18 +165,18 @@ class _Parser:
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
                 self.expect("(")
-                arg = self.expression(0)
+                arg = self.expression(0, depth + 1)
                 self.expect(")")
                 return Fn(tok.text, arg)
             return _variable(tok.text, tok.pos, self.ctx)
         if tok.text == "(":
-            e = self.expression(0)
+            e = self.expression(0, depth + 1)
             self.expect(")")
             return e
         if tok.text == "-":
-            return -self.expression(self.P_UNARY)
+            return -self.expression(self.P_UNARY, depth + 1)
         if tok.text == "+":
-            return self.expression(self.P_UNARY)
+            return self.expression(self.P_UNARY, depth + 1)
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
 
     def integer_exponent(self) -> int:

@@ -7,14 +7,14 @@ first-order fundamental (Krupka-Betounes) form, and the second-order
 fundamental form over a 2-dimensional base for order-reducible
 Lagrangians.
 
-The Lepage equivalents agree with Theta up to 2-contact terms, so they share
+The Lepage equivalents agree with Theta up to 2-contact terms, so each builds
 one table of momenta, ``_momenta``: p_sigma^{Ji} = sum_l (-1)^l d_{p1}..d_{pl}
-dL/dy^sigma_{J p1..pl i} for |J| < r.  ``principal_lepage``, both Caratheodory
-forms and ``caratheodory_second_blocks`` (A^sigma_j = p_sigma^j,
-B^sigma_{ij} = p_sigma^{ij}) take their contact coefficients from it.
+dL/dy^sigma_{J p1..pl i} for |J| < r, once per call.  ``_theta_entries`` is
+the one writer of Theta's entries; both Caratheodory forms and the n = 2
+blocks (A^sigma_j = p_sigma^j, B^sigma_{ij} = p_sigma^{ij}) read the table.
 
-Over a 2-dimensional base, ``_second_order_n2`` is the one assembler of Theta
-plus the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
+Over a 2-dimensional base, ``_second_order_n2`` appends to Theta's entries
+the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
 omega^n_j, fed coefficient functions by ``caratheodory_second_blocks`` and
 ``fundamental_second_order_n2``; ``fundamental_coefficients`` writes each of
 P, Q^j and R^{ij} once with free indices.
@@ -47,7 +47,6 @@ from .forms import (
     Omega,
     levi_civita,
     make_form,
-    omega_basis,
     wedge_all,
 )
 from .jets import (
@@ -151,6 +150,15 @@ def _momenta(lam: Lagrangian, convention: Convention) -> dict:
     return table
 
 
+def _theta_entries(lam: Lagrangian, momenta: dict) -> list:
+    """L omega_0 and p_sigma^{Ji} omega^sigma_J ^ omega_i, omega_i = (-1)^(i-1) dx^1 ^ .. (no dx^i) .."""
+    base = lam.ctx.base_indices
+    return [(tuple(Dx(i) for i in base), lam.L)] + [
+        ((Omega(sigma, MultiIndex(J)),) + tuple(Dx(k) for k in base if k != i), p if i % 2 else -p)
+        for (sigma, J, i), p in momenta.items()
+    ]
+
+
 def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTION) -> ExteriorForm:
     """The principal Lepage equivalent (generalized Poincare-Cartan form).
 
@@ -159,14 +167,8 @@ def principal_lepage(lam: Lagrangian, convention: Convention = DEFAULT_CONVENTIO
     """
     if lam.r > 3:
         raise UndefinedFormError(f"principal Lepage equivalent implemented for r <= 3, got {lam.r}")
-    ctx = lam.ctx
-    _, omegas = omega_basis(ctx)
-    entries: list = [(tuple(Dx(i) for i in ctx.base_indices), lam.L)]
-    for (sigma, J, i), p in _momenta(lam, convention).items():
-        contact = Omega(sigma, MultiIndex(J))
-        for key, c in omegas[i - 1].terms.items():
-            entries.append(((contact,) + key, p * c))
-    return make_form(ctx, ctx.n, entries, max(2 * lam.r - 1, 0))
+    entries = _theta_entries(lam, _momenta(lam, convention))
+    return make_form(lam.ctx, lam.ctx.n, entries, max(2 * lam.r - 1, 0))
 
 
 def _require_order(lam: Lagrangian, r: int) -> None:
@@ -211,12 +213,12 @@ def caratheodory_second(
     return _caratheodory(lam, convention, policy)
 
 
-def _second_order_n2(lam: Lagrangian, convention: Convention, a, b, c) -> ExteriorForm:
-    """Theta at order 3 plus the n = 2 blocks a(s, n) omega^s ^ omega^n +
-    b(s, n, j) omega^s ^ omega^n_j + c(s, n, j, i) omega^s_i ^ omega^n_j."""
+def _second_order_n2(lam: Lagrangian, momenta: dict, a, b, c) -> ExteriorForm:
+    """Theta over ``momenta`` plus the n = 2 blocks a(s, n) omega^s ^ omega^n +
+    b(s, n, j) omega^s ^ omega^n_j + c(s, n, j, i) omega^s_i ^ omega^n_j, at order 3."""
     ctx = lam.ctx
     empty = MultiIndex()
-    entries: list = []
+    entries = _theta_entries(lam, momenta)
     for sigma in ctx.fiber_indices:
         w = Omega(sigma, empty)
         for nu in ctx.fiber_indices:
@@ -226,8 +228,7 @@ def _second_order_n2(lam: Lagrangian, convention: Convention, a, b, c) -> Exteri
                 entries.append(((w, w_nu_j), b(sigma, nu, j)))
                 for i in ctx.base_indices:
                     entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), c(sigma, nu, j, i)))
-    blocks = make_form(ctx.at_order(3), 2, entries, 3)
-    return principal_lepage(lam, convention).at_order(3) + blocks
+    return make_form(ctx, 2, entries, 3)
 
 
 def caratheodory_second_blocks(
@@ -244,7 +245,7 @@ def caratheodory_second_blocks(
     inv_l = Pow(lam.L, -1)
     p = _momenta(lam, convention)
     return _second_order_n2(
-        lam, convention,
+        lam, p,
         lambda sigma, nu: inv_l * p[(sigma, (), 1)] * p[(nu, (), 2)],
         lambda sigma, nu, j: inv_l * (p[(nu, (j,), 2)] * p[(sigma, (), 1)]
                                       - p[(nu, (j,), 1)] * p[(sigma, (), 2)]),
@@ -375,7 +376,7 @@ def fundamental_second_order_n2(
     coeffs = fundamental_coefficients(lam, coeff_convention)
     half = Fraction(1, 2)
     z = _second_order_n2(
-        lam, theta_convention,
+        lam, _momenta(lam, theta_convention),
         lambda sigma, nu: half * coeffs.P[(sigma, nu)],
         lambda sigma, nu, j: coeffs.Q(j)[(sigma, nu)],
         lambda sigma, nu, j, i: half * coeffs.R(i, j, sigma, nu),

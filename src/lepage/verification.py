@@ -1,13 +1,13 @@
 """Machine checks for the variational characterizations.
 
 Every "if and only if" of the theory is a runnable check here: the Lepage
-property of an n-form, variational triviality (directly via the
-Euler-Lagrange expressions and via the explicit second-order chart
-conditions), order-reducibility of the principal equivalent, the
-triviality conditions restricted to order-reducible Lagrangians, and
-closure of a form.  The module also houses the test-Lagrangian generators,
-the numeric random-section oracle for the formal derivative, and the
-calibration oracle that fixes the derivative-index convention.
+property of an n-form, which reads p1(d rho) and so differentiates only the
+0- and 1-contact terms of rho, variational triviality (by E_sigma and by
+the second-order chart conditions), order-reducibility of the principal
+equivalent, the triviality conditions restricted to order-reducible
+Lagrangians, and closure of a form, on the full d.  The module also houses
+the test-Lagrangian generators, the random-section oracle for the formal
+derivative, and the calibration oracle that fixes the index convention.
 
 Each check raises its precondition errors at once and is otherwise a lazy
 stream of (label, expression, message) conditions, built in a fixed order;
@@ -132,12 +132,17 @@ def _form_conditions(terms, label: str, where: str = ""):
 # ---------------------------------------------------------------------------
 
 
+def _p1_of_d(rho: ExteriorForm) -> ExteriorForm:
+    """p1(d rho) = d_V(rho_0) + p1(d_H rho_1): the 2- and more-contact terms never reach it."""
+    low = {key: c for key, c in rho.terms.items() if rho.contact_count(key) < 2}
+    return contact_component(exterior_derivative(ExteriorForm(rho.ctx, rho.degree, low, rho.order)), 1)
+
+
 def is_lepage_form(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
     """Pass iff the 1-contact part of d(rho) is generated by the omega^sigma alone."""
     if rho.degree != rho.ctx.n:
         raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
-    p1 = contact_component(exterior_derivative(rho), 1)
-    higher = ((key, c) for key, c in p1 if next(el for el in key if isinstance(el, Omega)).jj)
+    higher = ((key, c) for key, c in _p1_of_d(rho) if next(el for el in key if isinstance(el, Omega)).jj)
     conditions = _form_conditions(higher, "lepage-contact", "offending basis term")
     return _judge(conditions, policy, "lepage-contact")
 

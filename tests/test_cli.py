@@ -15,6 +15,7 @@ from lepage import (
 )
 from lepage.cli import run_command
 from lepage.expr import PROVEN_ZERO
+from lepage.parsing import _MAX_NESTING
 
 CH = "1/2*(y_1*y_2^2 + y_12^2/y_1)"
 DIRICHLET = "1/2*(y_1^2 + y_2^2)"
@@ -230,6 +231,35 @@ class TestCalibrate:
         plain = run(capsys, *argv, *common)
         auto = run(capsys, *argv, *common, "--convention", "auto")
         assert auto == plain
+
+
+_NESTED = {
+    "parentheses": lambda d: "(" * d + "y_1" + ")" * d,
+    "calls": lambda d: "sin(" * d + "y_1" + ")" * d,
+    "products": lambda d: "y_1*(1+" * d + "y_1" + ")" * d,
+    "unary-signs": lambda d: "0 -" + "-" * d + "y_1",
+}
+
+
+class TestNestingLimit:
+    """Parentheses, function calls and unary signs nest at most _MAX_NESTING
+    deep together; deeper input is a parse error, not a RecursionError."""
+
+    @pytest.mark.parametrize("depth", [_MAX_NESTING + 1, 1000, 5000])
+    @pytest.mark.parametrize("spelling", sorted(_NESTED))
+    def test_deeper_input_is_a_parse_error(self, capsys, spelling, depth):
+        source = _NESTED[spelling](depth)
+        code, out, err = run(capsys, "el", "--order", "1", f"--lagrangian={source}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: nesting deeper than {_MAX_NESTING}") and "position" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", ["parentheses", "products", "unary-signs"])
+    def test_input_at_the_limit_is_read(self, capsys, spelling):
+        code, out, _ = run(capsys, "el", "--order", "1", f"--lagrangian={_NESTED[spelling](_MAX_NESTING)}")
+        assert code == 0
+        assert out.startswith("E_1 = ")
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from lepage import variational
 from lepage import (
     ChartContext,
     Dx,
@@ -394,3 +395,17 @@ class TestFundamentalSecondOrder:
         key = (Omega(1, MultiIndex((1,))), Omega(1, MultiIndex((2,))))
         assert gap.coefficient(key) == canonicalize(const(1))
         assert len(gap.terms) == 1
+
+    @pytest.mark.parametrize("build", [
+        caratheodory_second_blocks,
+        lambda lam: fundamental_second_order_n2(lam)[0],
+    ], ids=["caratheodory-blocks", "fundamental"])
+    def test_one_momentum_table_per_call(self, monkeypatch, build):
+        # Theta and the 2-contact blocks read one table of momenta
+        calls = []
+        momenta = variational._momenta
+        monkeypatch.setattr(variational, "_momenta", lambda *a: calls.append(a) or momenta(*a))
+        lam = parse_lagrangian(LagrangianSpec(2, 2, 2, "1 + x1*y1_1*y2_12 + y1_12*y2_2*y1"))
+        for _ in range(3):
+            build(lam)
+        assert len(calls) == 3

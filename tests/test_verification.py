@@ -11,18 +11,28 @@ from lepage import (
     ChartContext,
     Convention,
     DivergenceGenerator,
+    Dx,
     Lagrangian,
     LagrangianSpec,
+    Omega,
     PreconditionError,
+    Var,
     X,
     Y,
     calibrate_convention,
     camassa_holm,
+    caratheodory_first,
+    caratheodory_second,
+    caratheodory_second_blocks,
     closure_check,
     combination_conditions,
     const,
+    contact_component,
     dirichlet,
     el_expansion_crosscheck,
+    exterior_derivative,
+    first_order_corpus,
+    form_to_json,
     fundamental_first_order,
     fundamental_second_order_n2,
     hessian_determinant,
@@ -31,6 +41,7 @@ from lepage import (
     is_trivial,
     lagrangian_form,
     make_divergence_lagrangian,
+    make_form,
     nontrivial_order_reducible_corpus,
     order_reducible,
     parse_lagrangian,
@@ -41,7 +52,7 @@ from lepage import (
     zero_form,
 )
 from lepage.expr import is_zero_expr
-from lepage.verification import random_divergence_lagrangian, random_polynomial
+from lepage.verification import _p1_of_d, random_divergence_lagrangian, random_polynomial
 
 
 def lag(n, m, r, L):
@@ -78,6 +89,59 @@ class TestLepageChecks:
         report = is_lepage_equivalent(principal_lepage(lam), doubled)
         assert not report.passed
         assert report.label == "horizontal-mismatch"
+
+
+def _constructors(lam):
+    """Every constructor that applies to lam, under both conventions."""
+    n, r = lam.ctx.n, lam.r
+    for conv in Convention:
+        yield principal_lepage(lam, conv)
+        if r == 2:
+            yield caratheodory_second(lam, conv)
+        if (n, r) == (2, 2):
+            yield caratheodory_second_blocks(lam, conv)
+            if order_reducible(lam, conv).passed:
+                yield fundamental_second_order_n2(lam, conv)[0]
+    if r == 1:
+        yield caratheodory_first(lam)
+        yield fundamental_first_order(lam)
+
+
+@st.composite
+def _n_forms(draw):
+    """An n-form at order 2 over n in {2, 3}, m in {1, 2}, with a 2-contact term
+    and terms of any other contact count."""
+    n, m = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    ctx = ChartContext(n, m, 2)
+    coords = [Var(v) for v in ctx.coordinates()]
+    labels = [Omega(s, jj) for s in ctx.fiber_indices for k in (0, 1) for jj in ctx.multi_indices(k)]
+    entries = []
+    for k in [2] + draw(st.lists(st.integers(0, n), max_size=3)):
+        contact = draw(st.lists(st.sampled_from(labels), min_size=k, max_size=k, unique=True))
+        base = draw(st.permutations(range(1, n + 1)))[:n - k]
+        a, b = draw(st.sampled_from(coords)), draw(st.sampled_from(coords))
+        coeff = const(draw(st.integers(-3, 3))) * a * b + draw(st.sampled_from([0, a ** 2, 1 / (1 + b ** 2)]))
+        entries.append((tuple(contact) + tuple(Dx(i) for i in base), coeff))
+    return make_form(ctx, n, entries, 2)
+
+
+class TestP1OfD:
+    """The Lepage check's p1(d rho) equals the 1-contact part of the full d."""
+
+    @staticmethod
+    def _assert_full_d_agrees(rho):
+        assert form_to_json(_p1_of_d(rho)) == form_to_json(contact_component(exterior_derivative(rho), 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=_n_forms())
+    def test_generated_forms(self, rho):
+        self._assert_full_d_agrees(rho)
+
+    @pytest.mark.parametrize("corpus", [first_order_corpus, second_order_corpus])
+    def test_constructors_over_the_corpora(self, corpus):
+        for lam in corpus():
+            for rho in _constructors(lam):
+                self._assert_full_d_agrees(rho)
 
 
 class TestTriviality:
