@@ -13,76 +13,64 @@ and elementary-function applications):
 * multi-term denominators are kept as a single quotient node, normalized
   monic with trivial monomial content, with no polynomial cancellation.
 
-A purely rational expression that is identically zero therefore
-canonicalizes to the zero constant, while quotients such as
-(y1^2 - 1)/(y1 - 1) stay quotients.  The canonical numerator of a purely
-rational expression is nonzero exactly when its value is, so zero-testing
-decides such expressions both ways; seeded random sampling decides only
-expressions with function atoms, and supplies witness points.
+So a purely rational expression that is identically zero canonicalizes to
+the zero constant, while (y1^2 - 1)/(y1 - 1) stays a quotient.  Its canonical
+numerator is nonzero exactly when its value is, so zero-testing decides it
+both ways; seeded random sampling decides only expressions with function
+atoms, and supplies witness points.
 
-Inside the kernel an atom is a small int: a module-level intern table maps
-each distinct atom to an id and keeps the atom and its sort key by id, so
-monomials are sorted tuples of (id, exponent) pairs and polynomial
-arithmetic compares and hashes ints.  Ids follow first use; everything that
-reaches the output is ordered by the atoms' sort keys (``_key``), never by
-id.  The table lives as long as the process and only grows, by one entry per
-distinct atom; entries are added under a lock (``_intern``), so every atom
-gets exactly one id whichever threads meet it first.
+Inside the kernel an atom is an int id from an intern table, and a monomial
+is one int, its packed exponent vector: a signed 20-bit field per atom id
+(Monagan and Pearce's packed exponents, with balanced fields for Laurent
+exponents), so a product of monomials is one integer addition and one
+decoder (``_pairs``) reads the (id, exponent) pairs back.  An exponent is at
+most 2^17 = 131,072 in magnitude; past that is an ``ExprError``, never a
+wrapped field.  Ids follow first use; the output orders atoms by their sort
+keys, compared as int ranks (``_RANKS``), never by id.  The table lives as
+long as the process and only grows; entries join under a lock
+(``_intern``), so every atom gets one id whichever threads meet it first.
 
-Inside the kernel every coefficient is an int: a quotient keeps one
-positive integer denominator beside its polynomials, and a multi-term
-denominator is a product of powers of factors, polynomials with integer
-coefficients with no common factor instead of monic ones.  So the cost of
-the arithmetic does not depend on whether the data's coefficients divide
-each other.  The monic form, with Fraction coefficients, is made only where
-a quotient is rendered or evaluated; constants leave the kernel (``Rat``
-nodes, ``constant_value``) as Fractions.
+Every kernel coefficient is an int: a quotient keeps one positive integer
+denominator beside its polynomials, and a multi-term denominator is a
+product of powers of factors, integer polynomials with no common factor, so
+the cost of the arithmetic does not depend on whether the coefficients
+divide each other.  The monic form, with Fraction coefficients, is made
+only where a quotient is rendered or evaluated, and constants leave the
+kernel as Fractions.
 
-The factors are interned in a second table, beside the atoms, and a
-denominator is a map from factor id to exponent.  Dividing by a multi-term
-polynomial, or raising it to a negative power, makes it a factor; a divisor
-written as a product of powers divides by each base, so 1/B^2 and B^-2 hold
-the same map.  A product adds exponents, and a sum goes over the least
-common multiple of its denominators, so a sum over B^i and B^j lands over
-B^max(i,j); a denominator whose numerators cancelled adds nothing to it.  A
-partial of N/(d D) raises by one each factor F of D that depends on the
-variable v: with P the product of those factors and e_F their exponents,
-it is (N_v P - N sum_F e_F F_v P/F) / (d D P).  No factor is ever divided
-out of a numerator, and two different factors are never related to each
-other, even where one divides the other.  A quotient renders its
-denominator expanded, so a node rebuilt from its rendering (parsed text, an
-unpickled node) holds that product as one factor: it has the same value and
-rendering, but its partials may sit over higher powers.
+The factors are interned in a second table, and a denominator maps factor
+id to exponent.  Dividing by a multi-term polynomial, or raising it to a
+negative power, makes it a factor; a divisor written as a product of powers
+divides by each base, so 1/B^2 and B^-2 hold the same map.  A product adds
+exponents, and a sum goes over the least common multiple of its
+denominators (B^i and B^j give B^max(i,j)); a denominator whose numerators
+cancelled adds nothing.  A partial of N/(d D) raises by one each factor F
+of D that depends on v: with P their product and e_F their exponents, it is
+(N_v P - N sum_F e_F F_v P/F) / (d D P).  No factor is ever divided out of
+a numerator, and factors are never related to each other.  A quotient
+renders its denominator expanded, so a node rebuilt from its rendering
+(parsed text, an unpickled node) holds that product as one factor: same
+value and rendering, but its partials may sit over higher powers.
 
-Each node caches what is derived from it, and the caches live as long as the
-node:
+Each node caches what is derived from it, for as long as the node lives:
 
 * ``_rfc``: its canonical quotient.  A canonical sum or quotient starts as an
-  ``Add`` or ``Div`` that holds only ``_rfc``; its tree, the fields, is built
-  from the quotient on the first read of a field (``ScalarExpr.__getattr__``)
-  and then kept, so a result that is never compared, hashed or evaluated
-  tree by tree is never built; the printers read the quotient.  A canonical
-  monomial is built at once.  Threads that read one unbuilt node build equal
-  trees;
-* ``_aid``: the intern id of an atom;
-* ``_vars``: its coordinates (``variables``), the atoms of ``_rfc``, so a raw
-  tree has those of its canonical form;
-* ``_memo``: one dict of derived canonical nodes, keyed by a coordinate
-  (``diff``), a Fraction (``scale``), and tagged tuples for the formal and
-  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
-  The keys cannot collide: a coordinate is a 1- or 2-tuple of ints, a tagged
-  key a 4-tuple that starts with a string.
+  ``Add`` or ``Div`` holding only ``_rfc``; its fields are built from the
+  quotient on first read (``ScalarExpr.__getattr__``), and the printers read
+  the quotient.  Threads that read one unbuilt node build equal trees;
+* ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
+* ``_memo``: derived canonical nodes, keyed by a coordinate (``diff``), a
+  Fraction (``scale``), and tagged tuples for the formal and symmetrized
+  derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
 
-So a repeated partial returns the same node.  Nodes built by
-canonicalization are marked, and ``canonicalize`` returns a marked node as
-it is.
-
-All values are immutable and the operations are pure; the caches are
-attached transparently and are safe to share across threads.  Threads that
-race on one memo entry compute equal values, and the last one stored wins.
+So a repeated partial returns the same node, and ``canonicalize`` returns a
+node it built as it is.  Values are immutable, operations pure and caches
+safe to share across threads; threads racing on one memo entry compute
+equal values, and the last one stored wins.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -328,44 +316,54 @@ def max_jet_order(e: ScalarExpr) -> int:
 # ---------------------------------------------------------------------------
 #
 # Atom       = Var node | Fn node with canonical argument, interned to an id
-# Monomial   = tuple of (atom id, exponent), sorted by id, exponents != 0
+# Monomial   = int, sum_i e_i * 2**(_W * i) over atom ids i, 0 for 1: a signed
+#              _W-bit field per id, borrowing from the fields above it when
+#              negative; _mono encodes and _pairs decodes.  |e_i| <= _MAX_EXP
 # Poly       = dict mapping monomial -> int coefficient (no zero coefficients)
 # Factor     = Poly with >= 2 terms, no monomial content, coefficients with
 #              gcd 1 and a positive leading coefficient, interned to an id
 # Den        = tuple of (factor id, exponent) pairs, sorted by id, exponents
 #              > 0: the product of those factor powers, () for 1
-# _RF        = (num: Poly, den: Den, d: int), the value num / (d * den).  A
-#              divisor's multi-term numerator joins den as one factor, after
-#              its monomial and integer content move to num and d; factors
-#              are never divided out of num.  d > 0 shares no factor with
-#              the coefficients of num; num == {} forces den == ().  The
-#              expanded den, a product of content-free primitive factors, is
-#              content-free and primitive too (_den_entry).
-#              The monic form, num / (d * lc) over den / lc with lc the
-#              leading coefficient of the expanded den, is what is rendered
-#              and evaluated (_rf_scales); lc may be negative, as the
-#              monomial order is not multiplicative.  Scaling by a constant
-#              keeps a Poly's terms and their dict order.
+# _RF        = (num: Poly, den: Den, d: int), the value num / (d * den); d > 0
+#              is coprime to num's coefficients, and num == {} forces
+#              den == ().  The monic form, num / (d * lc) over den / lc with
+#              lc the leading coefficient of the expanded den, is what is
+#              rendered and evaluated (_rf_scales); lc may be negative, as
+#              the monomial order is not multiplicative.  Scaling by a
+#              constant keeps a Poly's terms and their dict order.
 #
-# Ids follow first use, so anything that reaches the output (term and factor
-# order, the monic leading term, the order of cross-multiplication) orders
-# atoms by their sort key in _KEYS and factors by theirs in _FKEYS, never by
-# id.
+# The output orders atoms by their sort keys in _KEYS and factors by theirs
+# in _FKEYS, never by id.  Monomials compare through _RANKS, each atom's
+# position in _KEYS order: renumbered when an atom joins, so never stored.
 
-Mono = tuple
+Mono = int
 Poly = dict
 Den = tuple
 
-_EMPTY_MONO: Mono = ()
+_EMPTY_MONO: Mono = 0
 _P_ONE: Poly = {_EMPTY_MONO: 1}
 
+# The field width and the exponent bound: a sum of two exponents within the
+# bound stays inside its field, so a product is checked after it is formed.
+_W = 20
+_HALF = 1 << (_W - 1)
+_FIELD = (1 << _W) - 1
+_MAX_EXP = 1 << (_W - 3)
+
 # The intern tables: atom -> id, id -> atom, id -> sort key, and factor (as
-# the frozenset of its items) -> id, id -> factor, id -> sort key.  They live
-# as long as the process and only grow; entries are appended under the lock,
-# the lists before the dict, so a reader that finds an id finds its entries.
+# the frozenset of its items) -> id, id -> factor, id -> sort key.  They only
+# grow; entries are appended under the lock, the lists before the dict, so a
+# reader that finds an id finds its entries.  A new atom also extends, under
+# the lock (_grow_atoms): _ORDER, the ids in sort-key order; _RANKS, replaced
+# by a new list; _SAFE, the top three bits of each field (_p_mul); and
+# _FN_IDS, the ids of function atoms.
 _IDS: dict = {}
 _ATOMS: list = []
 _KEYS: list = []
+_ORDER: list = []
+_RANKS: list = []
+_SAFE = 0
+_FN_IDS: list = []
 _FIDS: dict = {}
 _FACTORS: list = []
 _FKEYS: list = []
@@ -377,8 +375,9 @@ class _RF(NamedTuple):
     d: int = 1
 
 
-def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key) -> int:
-    """handle's id in an intern table; a new entry and make_key() join it under the lock."""
+def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key, grow=None) -> int:
+    """handle's id in an intern table; a new entry and make_key() join it
+    under the lock, and grow(id, key) runs there before the id is published."""
     i = ids.get(handle)
     if i is None:
         key = make_key()
@@ -388,8 +387,20 @@ def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key) -> in
                 i = len(entries)
                 entries.append(entry)
                 keys.append(key)
+                if grow:
+                    grow(i, key)
                 ids[handle] = i
     return i
+
+
+def _grow_atoms(i, key):
+    global _RANKS, _SAFE
+    pos = bisect.bisect_right(_ORDER, key, key=_KEYS.__getitem__)
+    _ORDER.insert(pos, i)
+    _RANKS = [r + (r >= pos) for r in _RANKS] + [pos]
+    _SAFE |= 7 << (_W * i + _W - 3)
+    if key[0]:
+        _FN_IDS.append(i)
 
 
 def _atom_id(atom: ScalarExpr) -> int:
@@ -397,14 +408,14 @@ def _atom_id(atom: ScalarExpr) -> int:
     if i is not None:
         return i
     i = _intern(_IDS, _ATOMS, _KEYS, atom, atom, lambda: (0,) + var_key(atom.ref)
-                if isinstance(atom, Var) else (1, atom.name, expr_key(atom.arg)))
+                if isinstance(atom, Var) else (1, atom.name, expr_key(atom.arg)), _grow_atoms)
     atom.__dict__["_aid"] = i
     return i
 
 
 def _factor_id(p: Poly) -> int:
     return _intern(_FIDS, _FACTORS, _FKEYS, frozenset(p.items()), p,
-                   lambda: tuple(sorted((_key(m), c) for m, c in p.items())))
+                   lambda: tuple(sorted((_key(_pairs(m)), c) for m, c in p.items())))
 
 
 def _key(pairs: tuple, keys: list = _KEYS) -> tuple:
@@ -412,47 +423,55 @@ def _key(pairs: tuple, keys: list = _KEYS) -> tuple:
     return tuple(sorted([(keys[i], e) for i, e in pairs]))
 
 
-def _ordered(pairs, keys: list = _KEYS):
-    """The pairs (or longer tuples) of ids in their labels' sort-key order."""
+def _ordered(pairs):
+    """The (factor id, ...) tuples in their factors' sort-key order."""
     if len(pairs) < 2:
         return pairs
-    return sorted(pairs, key=lambda pair: keys[pair[0]])
+    return sorted(pairs, key=lambda pair: _FKEYS[pair[0]])
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia, ib = 0, 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        ka, ea = a[ia]
-        kb, eb = b[ib]
-        if ka == kb:
-            e = ea + eb
-            if e:
-                out.append((ka, e))
-            ia += 1
-            ib += 1
-        elif ka < kb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+# Printing and sampling read the same monomials in bursts; 128 recent decodes
+# keep most of the hits while the memo adds no measurable memory.
+@functools.lru_cache(maxsize=128)
+def _pairs(m: Mono) -> tuple:
+    """The (atom id, exponent) pairs of the monomial m, in the atoms'
+    sort-key order; each step jumps to the lowest nonzero field."""
+    pairs = []
+    i = 0
+    while m:
+        skip = ((m & -m).bit_length() - 1) // _W
+        m >>= _W * skip
+        e = ((m + _HALF) & _FIELD) - _HALF
+        pairs.append((i + skip, e))
+        m = (m - e) >> _W
+        i += skip + 1
+    if len(pairs) > 1:
+        pairs.sort(key=lambda pair: _RANKS[pair[0]])
+    return tuple(pairs)
 
 
-def _mono_inv(mono: Mono) -> Mono:
-    return tuple((i, -e) for i, e in mono)
+def _mono(pairs) -> Mono:
+    """The monomial of (atom id, exponent) pairs; _pairs decodes it."""
+    return sum(e << (_W * i) for i, e in pairs)
 
 
 def _p_atom(atom: ScalarExpr) -> Poly:
-    return {((_atom_id(atom), 1),): 1}
+    return {1 << (_W * _atom_id(atom)): 1}
+
+
+def _reach(p) -> int:
+    """The OR of m ^ (m << 1) over the monomials m of p: nonzero in each field
+    where an exponent is, top bits clear within the bound (_pairs reads it)."""
+    r = 0
+    for m in p:
+        r |= m ^ (m << 1)
+    return r
+
+
+def _check(exponents) -> None:
+    for e in exponents:
+        if abs(e) > _MAX_EXP:
+            raise ExprError(f"exponent {e} is past the bound of {_MAX_EXP} on an exponent's magnitude")
 
 
 def _p_add_into(acc: Poly, p: Poly) -> None:
@@ -475,6 +494,8 @@ _MAX_TERM_PRODUCTS = 1_000_000
 def _p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
+    if len(a) == 1 and _EMPTY_MONO in a:  # a constant moves no exponent
+        return _p_times(b, a[_EMPTY_MONO])
     if len(a) * len(b) > _MAX_TERM_PRODUCTS:
         raise ExprError(
             f"expression too large: a product of a {len(a)}-term and a {len(b)}-term "
@@ -483,16 +504,19 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = _mono_mul(ma, mb) if ma and mb else ma or mb
+            mono = ma + mb
             v = out.get(mono, 0) + ca * cb
             if v:
                 out[mono] = v
             elif mono in out:
                 del out[mono]
+    if (_reach(a) | _reach(b)) & _SAFE:
+        _check(e for m in out for _, e in _pairs(m))
     return out
 
 
 def _p_pow(a: Poly, k: int) -> Poly:
+    _check([k * max((e for m in a for _, e in _pairs(m)), key=abs, default=0)])
     out = dict(_P_ONE)
     base = a
     n = k
@@ -509,14 +533,8 @@ def _p_times(a: Poly, k: int) -> Poly:
     return a if k == 1 else {m: v * k for m, v in a.items()}
 
 
-def _p_mono_shift(a: Poly, mono: Mono) -> Poly:
-    if not mono:
-        return a
-    return {_mono_mul(m, mono): v for m, v in a.items()}
-
-
 def _p_leading(a: Poly) -> Mono:
-    return max(a, key=_key)
+    return _mono(next(_poly_terms(a, 1))[2])
 
 
 def _den_mul(a: Den, b: Den) -> Den:
@@ -534,7 +552,7 @@ def _den_mul(a: Den, b: Den) -> Den:
 def _den_expand(den: Den) -> Poly:
     """The expanded product of den's factor powers."""
     p = _P_ONE
-    for f, e in _ordered(den, _FKEYS):
+    for f, e in _ordered(den):
         power = _FACTORS[f] if e == 1 else _p_pow(_FACTORS[f], e)
         p = power if p is _P_ONE else _p_mul(p, power)
     return p
@@ -644,15 +662,13 @@ def _rf_div(a: _RF, b: _RF) -> _RF:
         num = _p_mul(num, _den_poly(b.den))
     if len(p) == 1:
         (mono, c), = p.items()
-        return _rf_reduce(_p_mono_shift(num, _mono_inv(mono)), den, d * c)
+        return _rf_reduce(_p_mul(num, {-mono: 1}), den, d * c)
     # factor out p's monomial content: each atom's least exponent, 0 if absent
-    monos = [dict(mono) for mono in p]
-    least = {i: min(m.get(i, 0) for m in monos) for i in sorted(set().union(*monos))}
-    content_mono = tuple((i, e) for i, e in least.items() if e)
-    if content_mono:
-        inv = _mono_inv(content_mono)
-        p = _p_mono_shift(p, inv)
-        num = _p_mono_shift(num, inv)
+    monos = [dict(_pairs(mono)) for mono in p]
+    content = _mono((i, min(m.get(i, 0) for m in monos)) for i in set().union(*monos))
+    if content:
+        p = _p_mul(p, {-content: 1})
+        num = _p_mul(num, {-content: 1})
     # move the coefficients' common factor, signed by the leading one, into d
     g = math.gcd(*p.values())
     if p[_p_leading(p)] < 0:
@@ -661,11 +677,6 @@ def _rf_div(a: _RF, b: _RF) -> _RF:
         p = {m: v // g for m, v in p.items()}
         d *= g
     return _rf_reduce(num, _den_mul(den, ((_factor_id(p), 1),)), d)
-
-
-def _rf_scale_down(a: _RF, k: int) -> _RF:
-    """a / k for a positive int k."""
-    return a if k == 1 else _rf_reduce(a.num, a.den, a.d * k)
 
 
 def _rf_neg(a: _RF) -> _RF:
@@ -738,11 +749,11 @@ def _poly_terms(p: Poly, k: int):
     monomial sort key descending: (num, den, ((atom id, e), ...)), with
     num/den the coefficient as Fraction(c, k) normalizes it (lowest terms,
     den > 0) and the pairs in the atoms' sort-key order.  The canonical tree
-    (_render_poly) and the printer both read a polynomial through this.
-    Each monomial's pairs are ordered once, and the monomials compare by them."""
-    terms = [(_ordered(mono), c) for mono, c in p.items()]
+    (_render_poly) and the printer both read a polynomial through this."""
+    terms = [(_pairs(mono), c) for mono, c in p.items()]
     if len(terms) > 1:
-        terms.sort(key=lambda t: tuple([(_KEYS[i], e) for i, e in t[0]]), reverse=True)
+        ranks = _RANKS
+        terms.sort(key=lambda t: [(ranks[i], e) for i, e in t[0]], reverse=True)
     for mono, c in terms:
         g = math.gcd(c, k)
         if k < 0:
@@ -839,24 +850,29 @@ def _fn_derivative(name: str, arg: ScalarExpr, arg_rf: _RF) -> _RF:
 
 
 def _poly_diff(p: Poly, v: JetVariable) -> _RF:
-    plain: Poly = {}
-    extras: list[_RF] = []
-    for mono, c in p.items():
-        for i, e in _ordered(mono):
-            atom = _ATOMS[i]
-            rest = _mono_mul(mono, ((i, -1),))
-            if isinstance(atom, Var):
-                if atom.ref == v:
-                    _p_add_into(plain, {rest: c * e})
-            else:
-                arg_rf = _to_rf(atom.arg)
-                darg = _rf_diff(arg_rf, v)
-                if not darg.num:
-                    continue
-                piece = _rf_mul(_RF({rest: c * e}),
-                                _fn_derivative(atom.name, atom.arg, arg_rf))
-                extras.append(_rf_mul(piece, darg))
-    return _rf_sum([_RF(plain)] + extras)
+    plain = {}
+    i = _IDS.get(Var(v))
+    if i is not None:
+        # v's exponent is its field, rounded past the borrow of the fields below
+        s = _W * i
+        offset = (1 << s >> 1) + (_HALF << s)
+        for mono, c in p.items():
+            e = ((mono + offset) >> s & _FIELD) - _HALF
+            if e:
+                plain[mono] = c * e
+        plain = _p_mul(plain, {-1 << s: 1})
+    extras = []
+    if _FN_IDS and any(_ATOMS[i].__class__ is Fn for i, _ in _pairs(_reach(p))):
+        for mono, c in p.items():
+            for i, e in _pairs(mono):
+                atom = _ATOMS[i]
+                if atom.__class__ is Fn:
+                    arg_rf = _to_rf(atom.arg)
+                    darg = _rf_diff(arg_rf, v)
+                    if darg.num:
+                        rest = _RF(_p_mul({mono: c * e}, {-1 << _W * i: 1}))
+                        extras.append(_rf_mul(_rf_mul(rest, _fn_derivative(atom.name, atom.arg, arg_rf)), darg))
+    return _rf_sum([_RF(plain)] + extras) if extras else _RF(plain)
 
 
 def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
@@ -871,7 +887,7 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
         return _rf_reduce(dnum.num, _den_mul(dnum.den, rf.den), dnum.d * rf.d)
     # the quotient rule over D P, P the product of the moving factors:
     # (N_v P - N sum_f e_f F_f' P / F_f) / (d D P)
-    moving = _ordered(moving, _FKEYS)
+    moving = _ordered(moving)
     p_den = tuple(sorted((f, 1) for f, _, _ in moving))
     terms = []
     for f, e, df in moving:
@@ -909,27 +925,23 @@ def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> Sca
 
 def _rf_subst(rf: _RF, rfs: Mapping[JetVariable, _RF]) -> _RF:
     num = _poly_subst(rf.num, rfs)
-    for f, e in _ordered(rf.den, _FKEYS):
+    for f, e in _ordered(rf.den):
         num = _rf_mul(num, _rf_pow(_poly_subst(_FACTORS[f], rfs), -e))
-    return _rf_scale_down(num, rf.d)
+    return _rf_reduce(num.num, num.den, num.d * rf.d)
 
 
 def _poly_subst(p: Poly, rfs: Mapping[JetVariable, _RF]) -> _RF:
     pieces: list[_RF] = []
     for mono, c in p.items():
         term = _rf_const(c)
-        for i, e in _ordered(mono):
+        for i, e in _pairs(mono):
             atom = _ATOMS[i]
-            if isinstance(atom, Var) and atom.ref in rfs:
-                target = rfs[atom.ref]
-            elif isinstance(atom, Fn):
-                new_arg = _render(_rf_subst(_to_rf(atom.arg), rfs))
-                target = _RF(_p_atom(Fn(atom.name, new_arg)))
-            else:
-                target = _RF({((i, 1),): 1})
+            if isinstance(atom, Fn):
+                atom = Fn(atom.name, _render(_rf_subst(_to_rf(atom.arg), rfs)))
+            target = rfs[atom.ref] if isinstance(atom, Var) and atom.ref in rfs else _RF(_p_atom(atom))
             term = _rf_mul(term, _rf_pow(target, e))
         pieces.append(term)
-    return _rf_sum(pieces) if pieces else _rf_const(0)
+    return _rf_sum(pieces)
 
 
 def eval_pole_guarded(e: ScalarExpr, point: Mapping[JetVariable, float], guard: float) -> float:
@@ -1063,7 +1075,7 @@ def _poly_eval(p: Poly, k: int, point, guard: float) -> tuple[float, float]:
     mag = 0.0
     for mono, c in p.items():
         term = c / k  # correctly rounded, as float(Fraction(c, k)) is
-        for i, e in _ordered(mono):
+        for i, e in _pairs(mono):
             av = _atom_eval(_ATOMS[i], point, guard)
             if e < 0:
                 av = _guarded(av, guard)
@@ -1132,8 +1144,10 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
 
 def _rf_atoms(rf: _RF) -> list:
     """The atoms of a quotient: those of its numerator and of its denominator's factors."""
-    polys = [rf.num] + [_FACTORS[f] for f, _ in rf.den]
-    return [_ATOMS[i] for i in {i for p in polys for mono in p for i, _ in mono}]
+    r = _reach(rf.num)
+    for f, _ in rf.den:
+        r |= _reach(_FACTORS[f])
+    return [_ATOMS[i] for i, _ in _pairs(r)]
 
 
 def _is_rational(rf: _RF) -> bool:

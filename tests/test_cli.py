@@ -262,6 +262,27 @@ class TestNestingLimit:
         assert out.startswith("E_1 = ")
 
 
+class TestExponentBound:
+    """An exponent past 2^17 is an input error with exit code 2, not a wrapped field."""
+
+    @pytest.mark.parametrize("source, exponent", [
+        ("y_1^1099511627776", 1099511627776),
+        ("y_1^(-131073)", -131073),
+        ("(y_1^2*y_2)^65537", 131074),
+        ("y_1^131072*y_1", 131073),
+    ])
+    def test_past_the_bound_exits_2(self, capsys, source, exponent):
+        code, out, err = run(capsys, "el", "--order", "1", "--lagrangian", source)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: exponent {exponent} is past the bound of 131072 on an exponent's magnitude\n"
+
+    def test_the_bound_is_read(self, capsys):
+        code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", "y_1^131072")
+        assert code == 0
+        assert out == "E_1 = -17179738112*y_1^131070*y_11\n"
+
+
 class TestUsageErrors:
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "el", "--order", "1")

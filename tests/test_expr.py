@@ -33,6 +33,7 @@ from lepage import (
     exp,
     expr_to_text,
     ln,
+    parse_expression,
     sin,
     substitute,
     variables,
@@ -48,15 +49,22 @@ from lepage.expr import (
     _FIDS,
     _FKEYS,
     _KEYS,
+    _MAX_EXP,
     Add,
     Div,
     Fn,
     Mul,
     Pow,
     Var,
+    _atom_id,
     _den_entry,
     _den_poly,
+    _key,
+    _mono,
     _p_leading,
+    _p_mul,
+    _pairs,
+    _poly_terms,
     _render,
     _rf_diff,
     _to_rf,
@@ -814,3 +822,108 @@ class TestProductBound:
 
     def test_monomial_powers_are_not_limited(self):
         assert canonicalize(YY ** 100000) == YY ** 100000
+
+
+# atoms of every kind, interned once: the encoder tests draw their ids
+_PACKED_POOL = [X(1), X(3), YY, Y1, Y12, Y(2, 2, 2), Y(4), sin(Y1), exp(X(2) * Y2), ln(YY ** 2 + 1)]
+_PACKED_IDS = sorted({_atom_id(canonicalize(a)) for a in _PACKED_POOL})
+
+
+def _exponent_maps(bound):
+    exponents = st.integers(-bound, bound).filter(bool)
+    return st.dictionaries(st.sampled_from(_PACKED_IDS), exponents, max_size=len(_PACKED_IDS))
+
+
+class TestPackedMonomials:
+    """A monomial is one int with a signed field per atom id (expr._mono); one
+    decoder (expr._pairs) reads it back in the atoms' sort-key order."""
+
+    @given(pairs=_exponent_maps(_MAX_EXP))
+    def test_decode_inverts_encode(self, pairs):
+        decoded = _pairs(_mono(pairs.items()))
+        assert dict(decoded) == pairs and len(decoded) == len(pairs)
+
+    @given(a=_exponent_maps(_MAX_EXP // 2), b=_exponent_maps(_MAX_EXP // 2))
+    def test_a_product_adds_the_encodings(self, a, b):
+        product = {i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}
+        want = _mono((i, e) for i, e in product.items() if e)
+        assert _mono(a.items()) + _mono(b.items()) == want
+        assert _p_mul({_mono(a.items()): 2}, {_mono(b.items()): -3}) == {want: -6}
+
+    @given(pairs=_exponent_maps(_MAX_EXP))
+    def test_decoding_follows_the_sort_keys(self, pairs):
+        keys = [_KEYS[i] for i, _ in _pairs(_mono(pairs.items()))]
+        assert keys == sorted(keys)
+
+    @given(monos=st.lists(_exponent_maps(3), min_size=1, max_size=6, unique_by=lambda m: tuple(sorted(m.items()))))
+    def test_terms_print_in_sort_key_order(self, monos):
+        # the ranks order monomials as the nested sort keys do
+        p = {_mono(m.items()): k + 1 for k, m in enumerate(monos)}
+        got = [mono for _, _, mono in _poly_terms(p, 1)]
+        assert got == sorted((_pairs(m) for m in p), key=_key, reverse=True)
+        assert _p_leading(p) == _mono(got[0])
+
+    def test_high_ids_mix_with_the_first(self):
+        # 2,100 fresh coordinates push the ids past 2,000; products, partials
+        # and printing of monomials over the first and the last atom agree
+        # with the raw trees' values
+        fresh = [Y(5000 + k) for k in range(2100)]
+        for v in fresh:
+            _atom_id(v)
+        first = next(atom for atom in _ATOMS if isinstance(atom, Var))
+        low, high = fresh[0], fresh[-1]
+        assert _atom_id(high) >= 2000
+        e = (first ** 2 * high ** -3 + 5 * low * high - first ** -1 * low ** 4) * (high - const(1, 2) * first)
+        c = canonicalize(e)
+        refs = sorted(variables(e), key=lambda v: repr(v))
+        point = {v: 0.4 + 0.15 * k for k, v in enumerate(refs)}
+        assert eval_numeric(c, point) == pytest.approx(eval_numeric(e, point), rel=1e-12)
+        for v in refs:
+            h = 1e-6
+            up, down = dict(point), dict(point)
+            up[v] += h
+            down[v] -= h
+            fd = (eval_numeric(e, up) - eval_numeric(e, down)) / (2 * h)
+            assert eval_numeric(diff(c, v), point) == pytest.approx(fd, rel=1e-6)
+        reread = canonicalize(parse_expression(expr_to_text(c), ChartContext(9, 5000 + 2100, 9)))
+        assert reread == c
+        assert {first, low, high} <= {Var(v) for v in variables(c)}
+        assert len(_IDS) == len(_ATOMS) == len(_KEYS)
+
+
+class TestExponentBound:
+    """An exponent of an atom in a monomial is at most _MAX_EXP in magnitude;
+    past that is an input error, never a silent wrap of its field."""
+
+    def test_powers_up_to_the_bound_expand(self):
+        assert _MAX_EXP == 2 ** 17
+        assert expr_to_text(canonicalize(Y1 ** _MAX_EXP * Y2 ** -_MAX_EXP)) == "y1_1^131072*y1_2^(-131072)"
+
+    @pytest.mark.parametrize("make", [
+        lambda: Y1 ** (_MAX_EXP + 1),
+        lambda: Y1 ** -(_MAX_EXP + 1),
+        lambda: (Y1 ** 2 * Y2) ** (_MAX_EXP // 2 + 1),
+        lambda: Y1 ** 1099511627776,
+        lambda: Y1 ** _MAX_EXP * Y1,
+        lambda: Y1 ** _MAX_EXP / Add((Y1 ** -1, const(0))),
+        lambda: Y1 ** _MAX_EXP / (Y1 ** -1 + Y2),
+    ], ids=["power", "negative-power", "power-of-product", "huge-power", "product",
+            "monomial-divisor", "divisor-content"])
+    def test_past_the_bound_is_refused(self, make):
+        with pytest.raises(ExprError, match="past the bound of 131072"):
+            canonicalize(make())
+
+    def test_repeated_squaring_is_refused(self):
+        e = Y1
+        for _ in range(17):
+            e = canonicalize(e * e)
+        assert e == canonicalize(Y1 ** _MAX_EXP)
+        with pytest.raises(ExprError, match="exponent 262144 is past the bound"):
+            canonicalize(e * e)
+
+    def test_a_partial_past_the_bound_is_refused(self):
+        assert diff(Y1 ** -(_MAX_EXP - 1), fiber(1)) == canonicalize(-(_MAX_EXP - 1) * Y1 ** -_MAX_EXP)
+        with pytest.raises(ExprError, match="exponent -131073 is past the bound"):
+            diff(Y1 ** -_MAX_EXP, fiber(1))
+        with pytest.raises(ExprError, match="past the bound"):
+            diff(sin(YY) ** -_MAX_EXP, fiber())

@@ -281,19 +281,21 @@ def test_total_derivative_of_a_quotient_agrees_with_the_chain_rule(ev, i):
 
 @st.composite
 def _polynomial_lagrangians(draw):
+    n = draw(st.sampled_from([2, 3]))
     m = draw(st.sampled_from([1, 2]))
     r = draw(st.sampled_from([1, 2]))
-    pool = [X(1), X(2)] + [
+    base = range(1, n + 1)
+    pool = [X(i) for i in base] + [
         Y(sigma, *jj)
         for sigma in range(1, m + 1)
         for k in range(r + 1)
-        for jj in itertools.combinations_with_replacement(_BASE, k)
+        for jj in itertools.combinations_with_replacement(base, k)
     ]
     monomial = st.tuples(
         st.sampled_from([-3, -2, -1, 1, 2, 3]), st.lists(st.sampled_from(pool), min_size=1, max_size=3)
     ).map(lambda cf: Mul((Rat(Fraction(cf[0])),) + tuple(cf[1])))
     terms = draw(st.lists(monomial, min_size=1, max_size=4))
-    return Lagrangian(ChartContext(2, m, r), r, Add(tuple(terms)))
+    return Lagrangian(ChartContext(n, m, r), r, Add(tuple(terms)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,7 +303,8 @@ def _polynomial_lagrangians(draw):
 def test_euler_lagrange_agrees_with_sympy(lam):
     from sympy.calculus.euler import euler_equations
 
-    x = sympy.symbols("x1 x2")
+    base = lam.ctx.base_indices
+    x = sympy.symbols(f"x1:{lam.ctx.n + 1}")
     funcs = [sympy.Function(f"u{sigma}")(*x) for sigma in lam.ctx.fiber_indices]
     # y^sigma_J -> the J-th partial of u_sigma, up to the order 2r of E
     section = {
@@ -310,7 +313,7 @@ def test_euler_lagrange_agrees_with_sympy(lam):
         )
         for sigma in lam.ctx.fiber_indices
         for k in range(2 * lam.r + 1)
-        for jj in itertools.combinations_with_replacement(_BASE, k)
+        for jj in itertools.combinations_with_replacement(base, k)
     }
     # a free t_sigma * u_sigma term keeps every equation in sympy's list, even
     # one that would otherwise read 0 = 0 or c = 0; it adds t_sigma to E_sigma
