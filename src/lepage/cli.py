@@ -14,8 +14,8 @@ import math
 import sys
 
 from .charts import ChartContext, ChartError, var_key
-from .expr import (DEFAULT_POLICY, ExprError, SamplingFailure, Var, ZeroPolicy, eval_numeric,
-                   variables)
+from .expr import (DEFAULT_POLICY, EvalDomainError, ExprError, SamplingFailure, Var, ZeroPolicy,
+                   eval_numeric, variables)
 from .forms import ExteriorForm, FormError, contact_component, exterior_derivative, horizontalization
 from .jets import Convention
 from .parsing import ExprSyntaxError, LagrangianSpec, OrderMismatchError, parse_expression, parse_lagrangian
@@ -274,6 +274,8 @@ def run_command(argv) -> int:
     except (ExprSyntaxError, OrderMismatchError, ChartError, FormError,
             UndefinedFormError, PreconditionError, _UsageError, ExprError,
             SamplingFailure, OSError) as err:
+        if isinstance(err, EvalDomainError):
+            err = f"{err.reason}: {expr_to_text(err.offender, args.m)}"
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -25,10 +25,11 @@ is one int, its packed exponent vector: a signed 20-bit field per atom id
 exponents), so a product of monomials is one integer addition and one
 decoder (``_pairs``) reads the (id, exponent) pairs back.  An exponent is at
 most 2^17 = 131,072 in magnitude; past that is an ``ExprError``, never a
-wrapped field.  Ids follow first use; the output orders atoms by their sort
-keys, compared as int ranks (``_RANKS``), never by id.  The table lives as
-long as the process and only grows; entries join under a lock
-(``_intern``), so every atom gets one id whichever threads meet it first.
+wrapped field.  Ids follow first use and no order reads them: a monomial
+decodes, and a denominator is made, in its atoms' or factors' sort-key order,
+and every output order compares those keys as kept.  The table lives as long
+as the process and only grows; entries join under a lock (``_intern``), so
+every atom gets one id whichever threads meet it first.
 
 Every kernel coefficient is an int: a quotient keeps one positive integer
 denominator beside its polynomials, and a multi-term denominator is a
@@ -70,7 +71,6 @@ equal values, and the last one stored wins.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import random
@@ -92,9 +92,9 @@ class ExprError(ValueError):
 class EvalDomainError(ExprError):
     """Numeric evaluation hit a pole or an out-of-domain function argument."""
 
-    def __init__(self, message: str, offender: "ScalarExpr"):
-        super().__init__(f"{message}: {offender!r}")
-        self.offender = offender
+    def __init__(self, reason: str, offender: "ScalarExpr"):
+        super().__init__(f"{reason}: {offender!r}")
+        self.reason, self.offender = reason, offender
 
 
 class MissingVariableError(ExprError):
@@ -322,8 +322,8 @@ def max_jet_order(e: ScalarExpr) -> int:
 # Poly       = dict mapping monomial -> int coefficient (no zero coefficients)
 # Factor     = Poly with >= 2 terms, no monomial content, coefficients with
 #              gcd 1 and a positive leading coefficient, interned to an id
-# Den        = tuple of (factor id, exponent) pairs, sorted by id, exponents
-#              > 0: the product of those factor powers, () for 1
+# Den        = tuple of (factor id, exponent) pairs in the factors' sort-key
+#              order, exponents > 0: the product of those factor powers, () for 1
 # _RF        = (num: Poly, den: Den, d: int), the value num / (d * den); d > 0
 #              is coprime to num's coefficients, and num == {} forces
 #              den == ().  The monic form, num / (d * lc) over den / lc with
@@ -332,9 +332,9 @@ def max_jet_order(e: ScalarExpr) -> int:
 #              the monomial order is not multiplicative.  Scaling by a
 #              constant keeps a Poly's terms and their dict order.
 #
-# The output orders atoms by their sort keys in _KEYS and factors by theirs
-# in _FKEYS, never by id.  Monomials compare through _RANKS, each atom's
-# position in _KEYS order: renumbered when an atom joins, so never stored.
+# Pairs are in sort-key order from the moment they are made: _KEYS for atoms
+# (_pairs decodes a monomial so), _FKEYS for factors (_den_mul and _rf_sum
+# build a Den so).  _key reads them as they stand: outputs never compare ids.
 
 Mono = int
 Poly = dict
@@ -354,14 +354,11 @@ _MAX_EXP = 1 << (_W - 3)
 # the frozenset of its items) -> id, id -> factor, id -> sort key.  They only
 # grow; entries are appended under the lock, the lists before the dict, so a
 # reader that finds an id finds its entries.  A new atom also extends, under
-# the lock (_grow_atoms): _ORDER, the ids in sort-key order; _RANKS, replaced
-# by a new list; _SAFE, the top three bits of each field (_p_mul); and
-# _FN_IDS, the ids of function atoms.
+# the lock (_grow_atoms): _SAFE, the top three bits of each field (_p_mul),
+# and _FN_IDS, the ids of function atoms.
 _IDS: dict = {}
 _ATOMS: list = []
 _KEYS: list = []
-_ORDER: list = []
-_RANKS: list = []
 _SAFE = 0
 _FN_IDS: list = []
 _FIDS: dict = {}
@@ -394,10 +391,7 @@ def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key, grow=
 
 
 def _grow_atoms(i, key):
-    global _RANKS, _SAFE
-    pos = bisect.bisect_right(_ORDER, key, key=_KEYS.__getitem__)
-    _ORDER.insert(pos, i)
-    _RANKS = [r + (r >= pos) for r in _RANKS] + [pos]
+    global _SAFE
     _SAFE |= 7 << (_W * i + _W - 3)
     if key[0]:
         _FN_IDS.append(i)
@@ -419,15 +413,9 @@ def _factor_id(p: Poly) -> int:
 
 
 def _key(pairs: tuple, keys: list = _KEYS) -> tuple:
-    """Sort key of (id, exponent) pairs: a monomial's over _KEYS, a Den's over _FKEYS."""
-    return tuple(sorted([(keys[i], e) for i, e in pairs]))
-
-
-def _ordered(pairs):
-    """The (factor id, ...) tuples in their factors' sort-key order."""
-    if len(pairs) < 2:
-        return pairs
-    return sorted(pairs, key=lambda pair: _FKEYS[pair[0]])
+    """Sort key of (id, exponent) pairs kept in key order: a monomial's over
+    _KEYS, a Den's over _FKEYS."""
+    return tuple([(keys[i], e) for i, e in pairs])
 
 
 # Printing and sampling read the same monomials in bursts; 128 recent decodes
@@ -446,7 +434,7 @@ def _pairs(m: Mono) -> tuple:
         m = (m - e) >> _W
         i += skip + 1
     if len(pairs) > 1:
-        pairs.sort(key=lambda pair: _RANKS[pair[0]])
+        pairs.sort(key=lambda pair: _KEYS[pair[0]])
     return tuple(pairs)
 
 
@@ -534,7 +522,7 @@ def _p_times(a: Poly, k: int) -> Poly:
 
 
 def _p_leading(a: Poly) -> Mono:
-    return _mono(next(_poly_terms(a, 1))[2])
+    return max(a, key=lambda m: _key(_pairs(m)))
 
 
 def _den_mul(a: Den, b: Den) -> Den:
@@ -546,13 +534,13 @@ def _den_mul(a: Den, b: Den) -> Den:
     out = dict(a)
     for f, e in b:
         out[f] = out.get(f, 0) + e
-    return tuple(sorted(out.items()))
+    return tuple(sorted(out.items(), key=lambda fe: _FKEYS[fe[0]]))
 
 
 def _den_expand(den: Den) -> Poly:
     """The expanded product of den's factor powers."""
     p = _P_ONE
-    for f, e in _ordered(den):
+    for f, e in den:
         power = _FACTORS[f] if e == 1 else _p_pow(_FACTORS[f], e)
         p = power if p is _P_ONE else _p_mul(p, power)
     return p
@@ -631,7 +619,7 @@ def _rf_sum(items: Sequence[_RF]) -> _RF:
         for f, e in den:
             if e > top.get(f, 0):
                 top[f] = e
-    lcm_den = tuple(sorted(top.items()))
+    lcm_den = tuple(sorted(top.items(), key=lambda fe: _FKEYS[fe[0]]))
     d = math.lcm(*(d for _, d in groups.values()))
     total: Poly = {}
     for den in sorted(groups, key=lambda den: _key(den, _FKEYS)):
@@ -752,8 +740,7 @@ def _poly_terms(p: Poly, k: int):
     (_render_poly) and the printer both read a polynomial through this."""
     terms = [(_pairs(mono), c) for mono, c in p.items()]
     if len(terms) > 1:
-        ranks = _RANKS
-        terms.sort(key=lambda t: [(ranks[i], e) for i, e in t[0]], reverse=True)
+        terms.sort(key=lambda t: _key(t[0]), reverse=True)
     for mono, c in terms:
         g = math.gcd(c, k)
         if k < 0:
@@ -887,8 +874,7 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
         return _rf_reduce(dnum.num, _den_mul(dnum.den, rf.den), dnum.d * rf.d)
     # the quotient rule over D P, P the product of the moving factors:
     # (N_v P - N sum_f e_f F_f' P / F_f) / (d D P)
-    moving = _ordered(moving)
-    p_den = tuple(sorted((f, 1) for f, _, _ in moving))
+    p_den = tuple((f, 1) for f, _, _ in moving)
     terms = []
     for f, e, df in moving:
         others = tuple(fe for fe in p_den if fe[0] != f)
@@ -925,7 +911,7 @@ def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> Sca
 
 def _rf_subst(rf: _RF, rfs: Mapping[JetVariable, _RF]) -> _RF:
     num = _poly_subst(rf.num, rfs)
-    for f, e in _ordered(rf.den):
+    for f, e in rf.den:
         num = _rf_mul(num, _rf_pow(_poly_subst(_FACTORS[f], rfs), -e))
     return _rf_reduce(num.num, num.den, num.d * rf.d)
 

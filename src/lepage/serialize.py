@@ -215,10 +215,10 @@ def coframe_label(el: CoframeElement) -> str:
 
 
 def parse_coframe_label(text: str) -> CoframeElement:
-    mx = _LABEL_DX.match(text)
+    mx = isinstance(text, str) and _LABEL_DX.match(text)
     if mx:
         return Dx(int(mx.group(1)))
-    mw = _LABEL_W.match(text)
+    mw = isinstance(text, str) and _LABEL_W.match(text)
     if mw:
         jj = tuple(int(c) for c in (mw.group(2) or ""))
         return Omega(int(mw.group(1)), MultiIndex(jj))
@@ -275,24 +275,34 @@ def form_to_json(form: ExteriorForm) -> str:
     return json.dumps(form_to_document(form), indent=2)
 
 
+def _field(doc, name: str, kind: type, where: str = ""):
+    """doc[name], a kind; anything else (or nothing) is a FormError naming the field."""
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormError(f"form document field {where}{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def form_from_document(doc: dict) -> ExteriorForm:
-    """Rebuild a form from its document; validates the schema and basis ordering."""
+    """Rebuild a form from its document; validates its schema, field types and basis order."""
     from .parsing import parse_expression
 
+    if not isinstance(doc, dict):
+        raise FormError(f"a form document is a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise FormError(f"unsupported schema {doc.get('schema')!r}")
-    chart = doc["chart"]
-    ctx = ChartContext(chart["n"], chart["m"], chart["order"])
-    degree = doc["degree"]
+    chart = _field(doc, "chart", dict)
+    ctx = ChartContext(*(_field(chart, name, int, "chart.") for name in ("n", "m", "order")))
+    degree = _field(doc, "degree", int)
     entries = []
-    for term in doc["terms"]:
-        basis = tuple(parse_coframe_label(label) for label in term["basis"])
+    for k, term in enumerate(_field(doc, "terms", list)):
+        where = f"terms[{k}]."
+        basis = tuple(parse_coframe_label(label) for label in _field(term, "basis", list, where))
         keys = [var_key(el) for el in basis]
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise FormError(f"basis {term['basis']!r} is not strictly increasing")
-        coeff = parse_expression(term["coeff"], ctx)
-        entries.append((basis, coeff))
-    return make_form(ctx, degree, entries, chart["order"])
+        entries.append((basis, parse_expression(_field(term, "coeff", str, where), ctx)))
+    return make_form(ctx, degree, entries, ctx.max_order)
 
 
 def form_from_json(text: str) -> ExteriorForm:

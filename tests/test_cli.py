@@ -204,6 +204,21 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, spelled", [
+        (("--lagrangian", "1/y_1", "--point", "y_1=0"), "pole: zero base with negative exponent: y_1^(-1)"),
+        (("--m", "2", "--lagrangian", "1/y1_2", "--point", "y1_2=0"),
+         "pole: zero base with negative exponent: y1_2^(-1)"),
+        (("--lagrangian", "ln(y_1)", "--point", "y_1=-1"), "ln of a non-positive argument: ln(y_1)"),
+        (("--lagrangian", "exp(y_1)", "--point", "y_1=1000"), "overflow: exp(y_1)"),
+        (("--lagrangian", "y_1^1000", "--point", "y_1=1e300"), "overflow: y_1^1000"),
+    ], ids=["pole", "pole-m2", "ln", "overflow-exp", "overflow-power"])
+    def test_domain_error_spells_the_subexpression(self, capsys, argv, spelled):
+        # the failing subexpression in the input grammar, with the fiber count of --m
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {spelled}\n"
+
 
 class TestCalibrate:
     def test_unique_and_deterministic(self, capsys):

@@ -1,11 +1,14 @@
 """Expression kernel: canonicalization, differentiation, evaluation, zero-testing."""
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +295,14 @@ class TestEval:
     def test_ln_domain(self):
         with pytest.raises(EvalDomainError):
             eval_numeric(ln(X(1)), {BaseVar(1): -1.0})
+
+    def test_domain_error_keeps_its_reason_apart(self):
+        with pytest.raises(EvalDomainError) as info:
+            eval_numeric(Y1 ** -1, {fiber(1): 0.0})
+        err = info.value
+        assert err.reason == "pole: zero base with negative exponent"
+        assert err.offender == Y1 ** -1
+        assert str(err) == f"{err.reason}: {err.offender!r}"
 
 
 class TestEqualsZero:
@@ -857,7 +868,8 @@ class TestPackedMonomials:
 
     @given(monos=st.lists(_exponent_maps(3), min_size=1, max_size=6, unique_by=lambda m: tuple(sorted(m.items()))))
     def test_terms_print_in_sort_key_order(self, monos):
-        # the ranks order monomials as the nested sort keys do
+        # terms print by their monomials' sort keys, descending, and the
+        # leading monomial is the first printed
         p = {_mono(m.items()): k + 1 for k, m in enumerate(monos)}
         got = [mono for _, _, mono in _poly_terms(p, 1)]
         assert got == sorted((_pairs(m) for m in p), key=_key, reverse=True)
@@ -889,6 +901,60 @@ class TestPackedMonomials:
         assert reread == c
         assert {first, low, high} <= {Var(v) for v in variables(c)}
         assert len(_IDS) == len(_ATOMS) == len(_KEYS)
+
+
+# Run in a fresh interpreter: meets seven atoms and multi-term denominators
+# first (argv[1] "forward" or "reversed"), then prints the forms, the
+# Euler-Lagrange expressions and zero verdicts of a Lagrangian over them.  Every
+# denominator it reads must hold its factors in their sort-key order.
+_INTERNING_PROBE = """
+import sys
+from lepage import (X, Y, LagrangianSpec, canonicalize, caratheodory_second, diff, equals_zero,
+                    euler_lagrange_expressions, expr_to_text, form_to_json, parse_lagrangian,
+                    principal_lepage, sin)
+from lepage.expr import _FKEYS, _to_rf
+
+y1, y2 = Y(1, 1), Y(1, 2)
+first = [Y(1, 1, 2), y2, y1, X(1), 2 + y2 ** 2, 1 + y1 ** 2, y1 + 3 * y2 + 5]
+for w in first if sys.argv[1] == "forward" else first[::-1]:
+    canonicalize(1 / w)
+
+
+def in_key_order(e):
+    keys = [_FKEYS[f] for f, _ in _to_rf(e).den]
+    assert keys == sorted(keys), expr_to_text(e)
+    return e
+
+
+lam = parse_lagrangian(LagrangianSpec(
+    2, 1, 2, "y_12^2/(1+y_1^2) + y_11*y_22/(2+y_2^2) + 1/(y_1+3*y_2+5)"))
+for rho in (principal_lepage(lam), caratheodory_second(lam)):
+    print(form_to_json(rho))
+    for _, coeff in rho:
+        in_key_order(coeff)
+for e in euler_lagrange_expressions(lam):
+    print(expr_to_text(in_key_order(e)))
+    for q in (e + sin(y1) / (2 + y2 ** 2), diff(e, y1.ref), diff(e, y2.ref)):
+        verdict = equals_zero(in_key_order(canonicalize(q)))
+        print(verdict.kind, repr(verdict.value))
+"""
+
+
+class TestInterningOrder:
+    """Ids follow first use, so output must not depend on the order in which a
+    process meets atoms and denominator factors."""
+
+    def test_opposite_first_meetings_print_the_same(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        outputs = []
+        for order in ("forward", "reversed"):
+            done = subprocess.run([sys.executable, "-c", _INTERNING_PROBE, order], cwd=root, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("numeric-") + outputs[0].count("proven-") == 3
 
 
 class TestExponentBound:

@@ -1,5 +1,6 @@
 """Printers and the JSON form document round-trip."""
 import json
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -153,6 +154,39 @@ class TestFormDocuments:
         term = next(t for t in doc["terms"] if len(t["basis"]) == 2)
         term["basis"] = list(reversed(term["basis"]))
         with pytest.raises(FormError):
+            form_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("chart",), None, "field chart must be dict, got None"),
+        (("chart", "order"), None, "field chart.order must be int, got None"),
+        (("chart", "n"), "2", "field chart.n must be int, got '2'"),
+        (("chart", "m"), True, "field chart.m must be int, got True"),
+        (("chart",), [2, 1, 1], "field chart must be dict, got [2, 1, 1]"),
+        (("degree",), None, "field degree must be int, got None"),
+        (("terms",), {}, "field terms must be list, got {}"),
+        (("terms", 0, "coeff"), None, "field terms[0].coeff must be str, got None"),
+        (("terms", 1, "coeff"), 3, "field terms[1].coeff must be str, got 3"),
+        (("terms", 0, "basis"), None, "field terms[0].basis must be list, got None"),
+        (("terms", 0), "dx1", "field terms[0].basis must be list, got None"),
+        (("terms", 0, "basis"), [1], "unknown coframe label 1"),
+        ((), [SCHEMA_VERSION], "a form document is a JSON object, got list"),
+    ], ids=["no-chart", "no-order", "str-n", "bool-m", "list-chart", "no-degree", "dict-terms",
+            "no-coeff", "int-coeff", "no-basis", "str-term", "int-label", "list-document"])
+    def test_malformed_document_rejected(self, path, value, message):
+        # a document is input from outside the program: a malformed field is a
+        # FormError that names it; the value None deletes the field
+        doc = target = form_to_document(principal_lepage(dirichlet()))
+        if not path:
+            doc = value
+        else:
+            *outer, last = path
+            for step in outer:
+                target = target[step]
+            if value is None:
+                del target[last]
+            else:
+                target[last] = value
+        with pytest.raises(FormError, match=re.escape(message)):
             form_from_json(json.dumps(doc))
 
     def test_text_rendering_zero(self):
