@@ -6,9 +6,11 @@ expression as a quotient of Laurent polynomials over "atoms" (coordinates
 and elementary-function applications):
 
 * sums and products are flattened, sorted under a fixed total order and
-  constant-folded.  The operators extend a raw chain: ``a + b + c`` is one
-  ``Add`` of three terms however long the chain, so no walk over a tree that
-  a loop of ``+`` or the parser builds recurses once per operator;
+  constant-folded.  The constructors keep a raw chain flat: ``Add`` and
+  ``Mul`` open a raw operand of their own kind, and ``Div`` reads (a/b)/c as
+  a/(b*c), so ``a + b + c`` is one ``Add`` of three terms however it was
+  built, and no walk over a tree that a loop of operators, of constructors or
+  the parser builds recurses once per link;
 * single-term denominators are folded into negative exponents;
 * multi-term denominators are kept as a single quotient node, normalized
   monic with trivial monomial content, with no polynomial cancellation.
@@ -76,7 +78,7 @@ import math
 import random
 import threading
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, Record, jet_order, var_key
 
@@ -115,22 +117,22 @@ class ScalarExpr(Record):
     constructor: nodes are the records built most often."""
 
     def __add__(self, other) -> "ScalarExpr":
-        return _chain(Add, self, as_expr(other))
+        return Add((self, as_expr(other)))
 
     def __radd__(self, other) -> "ScalarExpr":
-        return _chain(Add, as_expr(other), self)
+        return Add((as_expr(other), self))
 
     def __sub__(self, other) -> "ScalarExpr":
-        return _chain(Add, self, -as_expr(other))
+        return Add((self, -as_expr(other)))
 
     def __rsub__(self, other) -> "ScalarExpr":
-        return _chain(Add, as_expr(other), -self)
+        return Add((as_expr(other), -self))
 
     def __mul__(self, other) -> "ScalarExpr":
-        return _chain(Mul, self, as_expr(other))
+        return Mul((self, as_expr(other)))
 
     def __rmul__(self, other) -> "ScalarExpr":
-        return _chain(Mul, as_expr(other), self)
+        return Mul((as_expr(other), self))
 
     def __truediv__(self, other) -> "ScalarExpr":
         return Div(self, as_expr(other))
@@ -180,18 +182,37 @@ class Var(ScalarExpr):
         self.__dict__["ref"] = ref
 
 
+def _flat(kind: type, items: tuple) -> tuple:
+    """items with each raw node of kind among them (a sum among a sum's terms,
+    a product among a product's factors) opened in place, so a chain is one
+    flat node however it was built.  Such a node is flat itself; a canonical
+    node stays whole, so its tree is not built."""
+    for e in items:
+        if e.__class__ is kind and "_canonical" not in e.__dict__:
+            break
+    else:
+        return items
+    out = []
+    for e in items:
+        if e.__class__ is kind and "_canonical" not in e.__dict__:
+            out += e.terms if kind is Add else e.factors
+        else:
+            out.append(e)
+    return tuple(out)
+
+
 class Add(ScalarExpr):
     terms: tuple[ScalarExpr, ...]
 
     def __init__(self, terms: tuple[ScalarExpr, ...]) -> None:
-        self.__dict__["terms"] = terms
+        self.__dict__["terms"] = _flat(Add, terms)
 
 
 class Mul(ScalarExpr):
     factors: tuple[ScalarExpr, ...]
 
     def __init__(self, factors: tuple[ScalarExpr, ...]) -> None:
-        self.__dict__["factors"] = factors
+        self.__dict__["factors"] = _flat(Mul, factors)
 
 
 class Pow(ScalarExpr):
@@ -207,6 +228,9 @@ class Div(ScalarExpr):
     den: ScalarExpr
 
     def __init__(self, num: ScalarExpr, den: ScalarExpr) -> None:
+        if num.__class__ is Div and "_canonical" not in num.__dict__:
+            # (a/b)/c is a/(b*c), so a chain of divisions is one node too
+            num, den = num.num, Mul((num.den, den))
         self.__dict__.update(num=num, den=den)
 
 
@@ -221,20 +245,6 @@ class Fn(ScalarExpr):
 
 
 ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
-
-
-def _chain(kind: type, left: ScalarExpr, right: ScalarExpr) -> ScalarExpr:
-    """kind (Add or Mul) of left and right, with the operands of either side
-    that is a raw chain of the same kind taken in: a chain of operators is one
-    flat node.  A canonical node stays whole, so its tree is not built."""
-    items = []
-    for e in (left, right):
-        if e.__class__ is kind and "_canonical" not in e.__dict__:
-            items.extend(e.terms if kind is Add else e.factors)
-        else:
-            items.append(e)
-    return kind(tuple(items))
 
 
 def as_expr(value) -> ScalarExpr:
@@ -589,7 +599,7 @@ def _rf_const(c: Number) -> _RF:
     return _RF({_EMPTY_MONO: c.numerator}, (), c.denominator)
 
 
-def _rf_sum(items: Sequence[_RF]) -> _RF:
+def _rf_sum(items: Iterable[_RF]) -> _RF:
     # group by denominator, then put the groups over their least common
     # multiple, in denominator sort-key order
     groups: dict = {}
@@ -679,23 +689,6 @@ def _rf_pow(a: _RF, k: int) -> _RF:
     return _rf_reduce(_p_pow(a.num, k), tuple((f, e * k) for f, e in a.den), a.d ** k)
 
 
-def _chain_rfs(e: ScalarExpr) -> list[_RF]:
-    """The quotients of a raw sum's terms or a raw product's factors, in order.
-    Raw chains of the same kind among them open in place, left to right and
-    without recursion, so a denominator group cancels across any nesting."""
-    kind, rfs = e.__class__, []
-    stack = [iter(e.terms if kind is Add else e.factors)]
-    while stack:
-        for t in stack[-1]:
-            if t.__class__ is kind and "_canonical" not in t.__dict__:
-                stack.append(iter(t.terms if kind is Add else t.factors))
-                break
-            rfs.append(_to_rf(t))
-        else:
-            stack.pop()
-    return rfs
-
-
 def _to_rf(e: ScalarExpr) -> _RF:
     cached = e.__dict__.get("_rfc")
     if cached is not None:
@@ -705,11 +698,9 @@ def _to_rf(e: ScalarExpr) -> _RF:
     elif isinstance(e, Var):
         rf = _RF(_p_atom(e))
     elif isinstance(e, Add):
-        rf = _rf_sum(_chain_rfs(e))
+        rf = _rf_sum(map(_to_rf, e.terms))
     elif isinstance(e, Mul):
-        rf = _rf_const(1)
-        for f in _chain_rfs(e):
-            rf = _rf_mul(rf, f)
+        rf = functools.reduce(_rf_mul, map(_to_rf, e.factors), _rf_const(1))
     elif isinstance(e, Pow):
         rf = _rf_pow(_to_rf(e.base), e.exponent)
     elif isinstance(e, Div):
@@ -953,10 +944,7 @@ def eval_numeric(e: ScalarExpr, point: Mapping[JetVariable, float]) -> float:
     if isinstance(e, Add):
         return sum(eval_numeric(t, point) for t in e.terms)
     if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= eval_numeric(f, point)
-        return out
+        return math.prod(eval_numeric(f, point) for f in e.factors)
     if isinstance(e, Pow):
         base = eval_numeric(e.base, point)
         if base == 0.0 and e.exponent < 0:
@@ -1115,7 +1103,8 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
         if point is None:
             continue
         if abs(val) >= policy.abs_tol + _REL_TOL * mag:
-            return ZeroVerdict(NUMERIC_NONZERO, witness=point, value=val)
+            return ZeroVerdict(PROVEN_NONZERO if _is_rational(rf) else NUMERIC_NONZERO,
+                               witness=point, value=val)
         if largest is None or abs(val) > abs(largest[0]):
             largest = (val, point)
     if _is_rational(rf):

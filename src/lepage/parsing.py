@@ -41,7 +41,7 @@ _TOKEN = re.compile(
 
 _VAR_X = re.compile(r"^x(\d+)$")
 _VAR_Y = re.compile(r"^y(\d*)(?:_(\d+))?$")
-_MAX_NESTING = 100  # parentheses, function calls and unary signs, counted together
+_MAX_NESTING = 100  # parentheses, function calls, unary signs and ^ links, counted together
 
 
 class _Token(Record):
@@ -107,8 +107,8 @@ class _Parser:
     P_MUL = 20
     P_UNARY = 25
     P_POW = 30
-    # each binary operator's precedence and the node it builds; + and * extend
-    # a chain, so a chain of either is one node
+    # each binary operator's precedence and the node it builds; a chain of +,
+    # of * or of / is one node (the constructors keep it flat)
     BINARY = {"+": (P_ADD, operator.add), "-": (P_ADD, operator.sub),
               "*": (P_MUL, operator.mul), "/": (P_MUL, Div), "^": (P_POW, Pow)}
 
@@ -138,10 +138,15 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
         return e
 
-    def expression(self, min_prec: int, depth: int = 0) -> ScalarExpr:
+    def nested(self, depth: int) -> int:
+        """depth, or a parse error at the last token read when it is past _MAX_NESTING."""
         if depth > _MAX_NESTING:
             raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING}", self.tokens[self.idx - 1].pos)
-        left = self.atom(depth)
+        return depth
+
+    def expression(self, min_prec: int, depth: int = 0) -> ScalarExpr:
+        left = self.atom(self.nested(depth))
+        links = depth
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in self.BINARY:
@@ -151,6 +156,8 @@ class _Parser:
                 break
             self.advance()
             if build is Pow:
+                # a power of a power nests, so each link is one more level
+                links = self.nested(links + 1)
                 left = Pow(left, self.integer_exponent())
             else:
                 left = build(left, self.expression(prec + 1, depth))

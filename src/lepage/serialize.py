@@ -8,8 +8,9 @@ dx^i) so printed forms can be checked visually.
 A canonical sum or quotient prints straight from its kernel quotient, term
 by term in the kernel's term order, so printing builds no tree; the factors
 of its terms are spelled once per atom, exponent, fiber count and style.  A
-raw tree (parser output, a tree built by hand) prints node by node.  Both
-routes share one speller of signed terms, so they write the same text.
+raw tree (parser output, a tree built by hand) prints node by node, and a
+canonical sum among a raw sum's terms as its terms.  Both routes share one
+speller of signed terms, so they write the same text.
 """
 from __future__ import annotations
 
@@ -87,23 +88,21 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
     # prec is 0, _P_ADD + 1 (a term of a sum) or _P_MUL (a factor); a power
     # base is printed at 0 and parenthesized whole unless it is bare
     cls = e.__class__
-    if cls is Add or cls is Div:
-        d = e.__dict__
-        if "_canonical" in d:
-            # a canonical sum or quotient prints from its quotient, so its
-            # tree is not built
-            rf = d["_rfc"]
+    # a canonical sum or quotient prints from its quotient (a sum through
+    # _signed), so its tree is not built
+    if cls is Div:
+        if "_canonical" in e.__dict__:
+            rf = e.__dict__["_rfc"]
             kn, kd = _rf_scales(rf)
-            s = _poly_text(rf.num, kn, m, st)
-            if cls is Div:
-                return st.quotient.format(s, _poly_text(_den_poly(rf.den), kd, m, st))
-        elif cls is Div:
-            return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
-        else:
-            s = _signed_sum([_signed(t, m, st) for t in e.terms])
+            return st.quotient.format(_signed_sum(_poly_parts(rf.num, kn, m, st)),
+                                      _signed_sum(_poly_parts(_den_poly(rf.den), kd, m, st)))
+        return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
+    if cls is Add:
+        terms = (e,) if "_canonical" in e.__dict__ else e.terms
+        s = _signed_sum([part for t in terms for part in _signed(t, m, st)])
         return st.paren.format(s) if prec > _P_ADD else s
     if prec <= _P_ADD:
-        return _signed_sum([_signed(e, m, st)])
+        return _signed_sum(_signed(e, m, st))
     if cls is Mul:
         return st.times.join([_emit(f, _P_MUL, m, st) for f in e.factors])
     if cls is Var:
@@ -157,21 +156,25 @@ def _term(num: int, den: int, factors: list, st: _Style) -> str:
     return st.times.join([_rational(num, den, _P_MUL, st), *factors])
 
 
-def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> tuple:
-    """t as a term of a sum: (negative, text of its magnitude).  A negative
+def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> list:
+    """t as terms of a sum: [(negative, text of its magnitude)].  A negative
     rational or a product led by one is negative, and a leading -1 is dropped
-    from a product of more factors."""
+    from a product of more factors.  A canonical sum gives its own terms, as
+    its tree does once the Add constructor opens it into the sum."""
     cls = t.__class__
     if cls is Rat:
         v = t.value
         if v.numerator < 0:
-            return True, _term(-v.numerator, v.denominator, [], st)
+            return [(True, _term(-v.numerator, v.denominator, [], st))]
     elif cls is Mul and t.factors and t.factors[0].__class__ is Rat:
         head = t.factors[0].value
         if head.numerator < 0:
             rest = [_emit(f, _P_MUL, m, st) for f in t.factors[1:]]
-            return True, _term(-head.numerator, head.denominator, rest, st)
-    return False, _emit(t, _P_ADD + 1, m, st)
+            return [(True, _term(-head.numerator, head.denominator, rest, st))]
+    elif cls is Add and "_canonical" in t.__dict__:
+        rf = t.__dict__["_rfc"]
+        return _poly_parts(rf.num, _rf_scales(rf)[0], m, st)
+    return [(False, _emit(t, _P_ADD + 1, m, st))]
 
 
 # The spelling of each factor a canonical polynomial prints, by (atom id,
@@ -190,12 +193,11 @@ def _spelled(i: int, e: int, m: Optional[int], st: _Style) -> str:
     return s
 
 
-def _poly_text(p: dict, k: int, m: Optional[int], st: _Style) -> str:
-    """The text of the kernel polynomial p / k, term by term (expr._poly_terms)."""
-    return _signed_sum([
-        (num < 0, _term(abs(num), den, [_spelled(i, e, m, st) for i, e in mono], st))
-        for num, den, mono in _poly_terms(p, k)
-    ])
+def _poly_parts(p: dict, k: int, m: Optional[int], st: _Style) -> list:
+    """The signed terms (_signed_sum's input) of the kernel polynomial p / k,
+    in the kernel's term order (expr._poly_terms)."""
+    return [(num < 0, _term(abs(num), den, [_spelled(i, e, m, st) for i, e in mono], st))
+            for num, den, mono in _poly_terms(p, k)]
 
 
 # ---------------------------------------------------------------------------

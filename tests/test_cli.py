@@ -276,6 +276,27 @@ class TestNestingLimit:
         assert code == 0
         assert out.startswith("E_1 = ")
 
+    # a chain of / is one quotient of any length; a chain of ^ nests, so each
+    # ^ link counts toward the limit
+
+    @pytest.mark.parametrize("operands", [1000, 5000])
+    def test_a_division_chain_is_read(self, capsys, operands):
+        code, out, err = run(capsys, "el", "--order", "1", "--lagrangian", "/".join(["y_1"] * operands))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "el", "--order", "1", "--lagrangian", f"y_1^(-{operands - 2})")[1]
+        assert out == f"E_1 = -{(operands - 2) * (operands - 1)}*y_1^(-{operands})*y_11\n"
+
+    @pytest.mark.parametrize("links", [_MAX_NESTING + 1, 1000, 5000])
+    def test_a_longer_power_chain_is_a_parse_error(self, capsys, links):
+        code, out, err = run(capsys, "el", "--order", "1", "--lagrangian", "y_1" + "^1" * links)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: nesting deeper than {_MAX_NESTING}") and err.count("\n") == 1
+
+    def test_a_power_chain_at_the_limit_is_read(self, capsys):
+        code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", "y_1^2" + "^1" * (_MAX_NESTING - 1))
+        assert code == 0
+        assert out == run(capsys, "el", "--order", "1", "--lagrangian", "y_1^2")[1] == "E_1 = -2*y_11\n"
+
 
 class TestExponentBound:
     """An exponent past 2^17 is an input error with exit code 2, not a wrapped field."""

@@ -109,7 +109,7 @@ class TestCanonicalize:
         from lepage import Div
 
         assert isinstance(c, Div)
-        assert equals_zero(q).kind == NUMERIC_NONZERO
+        assert equals_zero(q).kind == PROVEN_NONZERO
 
     def test_idempotence(self):
         e = (Y1 + Y2) ** 3 / (YY - 2) + sin(X(1)) * Y12
@@ -311,9 +311,14 @@ class TestEqualsZero:
         assert equals_zero(X(1) - X(1) * 1).kind == PROVEN_ZERO
 
     def test_numeric_nonzero_with_witness(self):
+        # a rational quotient is proven nonzero and keeps its sampled witness;
+        # a function atom leaves only the sample
         verdict = equals_zero(2 / Y1)
-        assert verdict.kind == NUMERIC_NONZERO
+        assert verdict.kind == PROVEN_NONZERO
         assert verdict.witness is not None and fiber(1) in verdict.witness
+        verdict = equals_zero(2 / Y1 + sin(X(1)))
+        assert verdict.kind == NUMERIC_NONZERO
+        assert verdict.witness is not None and set(verdict.witness) == {fiber(1), BaseVar(1)}
 
     def test_proven_nonzero_constant(self):
         assert equals_zero(const(3, 2)).kind == PROVEN_NONZERO
@@ -534,8 +539,9 @@ def _subtrees(e):
 
 
 class TestOperatorChains:
-    """The operators extend a raw sum or product, so a chain folded one operand
-    at a time is one flat node and no walk over it recurses per operand."""
+    """The operators and the constructors extend a raw sum or product, so a
+    chain folded one operand at a time is one flat node and no walk over it
+    recurses per operand."""
 
     @staticmethod
     def long_sum():
@@ -551,6 +557,20 @@ class TestOperatorChains:
             out = out * (Y2 if k % 2 else Y1)
         return out
 
+    @staticmethod
+    def nested_sum():
+        out = X(1)
+        for _ in range(1200):
+            out = Add((out, X(1)))
+        return out
+
+    @staticmethod
+    def nested_product():
+        out = X(1)
+        for _ in range(1200):
+            out = Mul((out, X(1)))
+        return out
+
     def test_a_folded_chain_is_one_node(self):
         assert len(self.long_sum().terms) == 1200
         assert len(self.long_product().factors) == 1500
@@ -558,9 +578,16 @@ class TestOperatorChains:
         assert Y1 * Y2 * (Y12 * YY) == Mul((Y1, Y2, Y12, YY))
         assert 2 + (Y1 + Y2) == Add((Rat(Fraction(2)), Y1, Y2))
 
-    @pytest.mark.parametrize("chain", ["long_sum", "long_product"])
+    def test_a_constructor_chain_is_one_node(self):
+        assert len(self.nested_sum().terms) == len(self.nested_product().factors) == 1201
+        assert expr_to_text(canonicalize(self.nested_sum())) == "1201*x1"
+        assert expr_to_text(canonicalize(self.nested_product())) == "x1^1201"
+        assert Add((Y1, Add((Y2, Y12)), YY)) == Add((Y1, Y2, Y12, YY))
+        assert Div(Div(Y1, Y2), Y12) == Div(Y1, Mul((Y2, Y12)))
+
+    @pytest.mark.parametrize("chain", ["long_sum", "long_product", "nested_sum", "nested_product"])
     @pytest.mark.parametrize("reader", [
-        lambda e: eval_numeric(e, {fiber(1): 0.5, fiber(2): 1.5}),
+        lambda e: eval_numeric(e, {fiber(1): 0.5, fiber(2): 1.5, BaseVar(1): 1.0}),
         lambda e: expr_key(e),
         lambda e: expr_to_text(e),
         lambda e: hash(e),

@@ -345,7 +345,8 @@ class TestCanonicalPrintsAsItsTree:
     def test_node_inside_a_raw_tree(self, node):
         raw = _raw_copy(node)
         for wrap in (lambda e: Mul((X(2), e)), lambda e: Mul((const(-1), e, Y(1))),
-                     lambda e: Add((Y(1), e)), lambda e: Pow(e, 2), lambda e: sin(e)):
+                     lambda e: Add((Y(1), e)), lambda e: Pow(e, 2), lambda e: sin(e),
+                     lambda e: Y(1) + e, lambda e: e - Y(1), lambda e: X(2) * e):
             for m in (None, 1, 2):
                 assert expr_to_text(wrap(node), m) == expr_to_text(wrap(raw), m)
                 assert expr_to_latex(wrap(node), m) == expr_to_latex(wrap(raw), m)
