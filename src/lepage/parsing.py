@@ -116,6 +116,7 @@ class _Parser:
         self.tokens = tokens
         self.ctx = ctx
         self.idx = 0
+        self.height = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -145,8 +146,12 @@ class _Parser:
         return depth
 
     def expression(self, min_prec: int, depth: int = 0) -> ScalarExpr:
-        left = self.atom(self.nested(depth))
-        links = depth
+        """The expression at depth; self.height is left at the deepest level
+        it reached, which a power of it nests one level above."""
+        # an atom reads at its depth; a parenthesized one raises self.height
+        self.height = self.nested(depth)
+        left = self.atom(depth)
+        height = self.height
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in self.BINARY:
@@ -157,10 +162,12 @@ class _Parser:
             self.advance()
             if build is Pow:
                 # a power of a power nests, so each link is one more level
-                links = self.nested(links + 1)
+                height = self.nested(height + 1)
                 left = Pow(left, self.integer_exponent())
             else:
                 left = build(left, self.expression(prec + 1, depth))
+                height = max(height, self.height)
+        self.height = height
         return left
 
     def atom(self, depth: int) -> ScalarExpr:

@@ -7,20 +7,24 @@ dx^i) so printed forms can be checked visually.
 
 A canonical sum or quotient prints straight from its kernel quotient, term
 by term in the kernel's term order, so printing builds no tree; the factors
-of its terms are spelled once per atom, exponent, fiber count and style.  A
-raw tree (parser output, a tree built by hand) prints node by node, and a
-canonical sum among a raw sum's terms as its terms.  Both routes share one
-speller of signed terms, so they write the same text.
+of its terms are spelled once per atom, exponent, fiber count and style, and
+the text of a quotient's denominator is kept per denominator, fiber count and
+style while it stays among the most recently printed.  A raw tree (parser
+output, a tree built by hand) prints node by node, and a canonical sum among
+a raw sum's terms as its terms.  Both routes share one speller of signed
+terms, so they write the same text.  The JSON text of a form is written
+directly, in the layout of json.dumps(document, indent=2).
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from typing import Callable, NamedTuple, Optional
 
 from .charts import BaseVar, ChartContext, MultiIndex, var_key
 from .expr import (
-    _ATOMS, Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _den_poly, _poly_terms, _rf_scales,
+    _ATOMS, Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _den_entry, _poly_terms, _rf_scales,
 )
 from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
 
@@ -73,6 +77,7 @@ _LATEX = _Style(
     paren="\\left({}\\right)", times="\\,", quotient="\\frac{{{}}}{{{}}}", bare_bases=(Var,),
     exponent="{{{}}}".format, fn="\\{}\\left({}\\right)",
 )
+_STYLES = {st.name: st for st in (_TEXT, _LATEX)}
 
 
 def expr_to_text(e: ScalarExpr, fiber_count: Optional[int] = None) -> str:
@@ -93,9 +98,8 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
     if cls is Div:
         if "_canonical" in e.__dict__:
             rf = e.__dict__["_rfc"]
-            kn, kd = _rf_scales(rf)
-            return st.quotient.format(_signed_sum(_poly_parts(rf.num, kn, m, st)),
-                                      _signed_sum(_poly_parts(_den_poly(rf.den), kd, m, st)))
+            return st.quotient.format(_signed_sum(_poly_parts(rf.num, _rf_scales(rf)[0], m, st)),
+                                      _den_text(rf.den, m, st.name))
         return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
     if cls is Add:
         terms = (e,) if "_canonical" in e.__dict__ else e.terms
@@ -193,6 +197,15 @@ def _spelled(i: int, e: int, m: Optional[int], st: _Style) -> str:
     return s
 
 
+# The text of a canonical quotient's denominator, kept while it stays among the
+# most recently printed: a form puts many coefficients over one denominator.
+# Its scale, the leading coefficient, is a function of the Den.
+@functools.lru_cache(maxsize=1024)
+def _den_text(den: tuple, m: Optional[int], style: str) -> str:
+    p, lc = _den_entry(den)
+    return _signed_sum(_poly_parts(p, lc, m, _STYLES[style]))
+
+
 def _poly_parts(p: dict, k: int, m: Optional[int], st: _Style) -> list:
     """The signed terms (_signed_sum's input) of the kernel polynomial p / k,
     in the kernel's term order (expr._poly_terms)."""
@@ -273,8 +286,41 @@ def form_to_document(form: ExteriorForm) -> dict:
     }
 
 
+# json.dumps(document, indent=2) of a form document and of one of its terms;
+# with an indent the json module encodes in pure Python, so form_to_json fills
+# these in, and json.dumps spells each string.
+_JSON_FORM = """{
+  "schema": %s,
+  "chart": {
+    "n": %d,
+    "m": %d,
+    "order": %d
+  },
+  "degree": %d,
+  "terms": %s
+}"""
+_JSON_TERM = """{
+      "coeff": %s,
+      "basis": %s
+    }"""
+
+
+def _json_array(items: list, pad: str) -> str:
+    """The JSON array of the encoded items as json.dumps indents it at pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
 def form_to_json(form: ExteriorForm) -> str:
-    return json.dumps(form_to_document(form), indent=2)
+    """json.dumps(form_to_document(form), indent=2)."""
+    doc = form_to_document(form)
+    chart = doc["chart"]
+    terms = [_JSON_TERM % (json.dumps(t["coeff"]), _json_array([json.dumps(b) for b in t["basis"]], "      "))
+             for t in doc["terms"]]
+    return _JSON_FORM % (json.dumps(doc["schema"]), chart["n"], chart["m"], chart["order"], doc["degree"],
+                         _json_array(terms, "  "))
 
 
 def _field(doc, name: str, kind: type, where: str = ""):

@@ -257,8 +257,9 @@ _NESTED = {
 
 
 class TestNestingLimit:
-    """Parentheses, function calls and unary signs nest at most _MAX_NESTING
-    deep together; deeper input is a parse error, not a RecursionError."""
+    """Parentheses, function calls, unary signs and ^ links nest at most
+    _MAX_NESTING deep together; deeper input is a parse error, not a
+    RecursionError."""
 
     @pytest.mark.parametrize("depth", [_MAX_NESTING + 1, 1000, 5000])
     @pytest.mark.parametrize("spelling", sorted(_NESTED))
@@ -296,6 +297,26 @@ class TestNestingLimit:
         code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", "y_1^2" + "^1" * (_MAX_NESTING - 1))
         assert code == 0
         assert out == run(capsys, "el", "--order", "1", "--lagrangian", "y_1^2")[1] == "E_1 = -2*y_11\n"
+
+    # a parenthesized power chain carries its height into the chain around it,
+    # so chains nested in parentheses count together with the parentheses
+
+    @staticmethod
+    def _nested_chains(levels: int, links: int) -> str:
+        source = "y_1"
+        for _ in range(levels):
+            source = "(" + source + "^1" * links + ")"
+        return source
+
+    def test_nested_power_chains_past_the_limit_are_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "el", "--order", "1", "--lagrangian", self._nested_chains(50, 50))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: nesting deeper than {_MAX_NESTING}") and err.count("\n") == 1
+
+    def test_nested_power_chains_within_the_limit_are_read(self, capsys):
+        # 4 parentheses and 4 * 20 links: 84 levels
+        code, out, err = run(capsys, "el", "--order", "1", "--lagrangian", self._nested_chains(4, 20))
+        assert (code, out, err) == (0, "E_1 = 0\n", "")
 
 
 class TestExponentBound:

@@ -13,12 +13,17 @@ from lepage import (
     ChartContext,
     FormError,
     Lagrangian,
+    LagrangianSpec,
     X,
     Y,
     camassa_holm,
     canonicalize,
+    caratheodory_first,
+    caratheodory_second,
     const,
+    contact_component,
     dirichlet,
+    exterior_derivative,
     expr_to_latex,
     expr_to_text,
     form_from_json,
@@ -28,15 +33,20 @@ from lepage import (
     form_to_text,
     forms_equal,
     fundamental_first_order,
+    fundamental_second_order_n2,
     hessian_determinant,
+    horizontalization,
     lagrangian_form,
     ln,
+    make_form,
     parse_expression,
+    parse_lagrangian,
     principal_lepage,
     second_order_corpus,
     sin,
+    zero_form,
 )
-from lepage.expr import Add, Div, Fn, Mul, Pow, Rat, is_zero_expr
+from lepage.expr import Add, Div, Fn, Mul, Pow, Rat, _to_rf, is_zero_expr
 from lepage.serialize import SCHEMA_VERSION
 
 CTX = ChartContext(2, 1, 2)
@@ -190,8 +200,6 @@ class TestFormDocuments:
             form_from_json(json.dumps(doc))
 
     def test_text_rendering_zero(self):
-        from lepage import zero_form
-
         assert form_to_text(zero_form(CTX, 2, 1)) == "0"
 
 
@@ -382,3 +390,89 @@ class TestCanonicalPrintsAsItsTree:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 8
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the denominator text
+# ---------------------------------------------------------------------------
+
+
+def _chart_lagrangian(n, m, r):
+    # 1 + a product reaching the top jet order + a square: a nonvanishing L,
+    # so every form has coefficients over powers of L
+    top = f"y{m}_1{n}" if r == 2 else f"y{m}_{n}"
+    return parse_lagrangian(LagrangianSpec(n, m, r, f"1 + 2*y1_1*{top} + 3*x1*y1 + y1_2^2"))
+
+
+def _constructed_forms(lam):
+    """Theta, Lambda and Z of lam where defined, each with its d, h and p1."""
+    if lam.r == 1:
+        built = [principal_lepage(lam), caratheodory_first(lam), fundamental_first_order(lam)]
+    else:
+        built = [principal_lepage(lam), caratheodory_second(lam)]
+        if lam.ctx.n == 2:
+            built.append(fundamental_second_order_n2(lam)[0])
+    for form in built:
+        yield form
+        yield exterior_derivative(form)
+        yield horizontalization(form)
+        yield contact_component(form, 1)
+
+
+def _assert_json_document(form):
+    text = form_to_json(form)
+    assert text == json.dumps(form_to_document(form), indent=2)
+    assert forms_equal(form_from_json(text), form)
+
+
+class TestJsonWriter:
+    """form_to_json writes json.dumps(form_to_document(form), indent=2) itself."""
+
+    @pytest.mark.parametrize("n, m, r", [(n, m, r) for r in (1, 2) for n in (2, 3, 4) for m in (1, 2)],
+                             ids=lambda v: str(v))
+    def test_constructed_forms(self, n, m, r):
+        for form in _constructed_forms(_chart_lagrangian(n, m, r)):
+            _assert_json_document(form)
+
+    def test_structurally_zero_form(self):
+        form = zero_form(CTX, 2, 1)
+        assert '"terms": []' in form_to_json(form)
+        _assert_json_document(form)
+
+    def test_degree_zero_form(self):
+        form = make_form(CTX, 0, [((), canonicalize(Y(1, 1) / (X(1) + 1)))], 1)
+        assert '"basis": []' in form_to_json(form)
+        _assert_json_document(form)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]), m=st.sampled_from([1, 2]))
+    def test_generated_lagrangians(self, data, n, m):
+        ctx = ChartContext(n, m, 1)
+        pool = [X(i) for i in ctx.base_indices] + [
+            Y(sigma, *jj) for sigma in ctx.fiber_indices for jj in [()] + [(i,) for i in ctx.base_indices]]
+        monomial = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                             st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        terms = data.draw(st.lists(monomial, min_size=1, max_size=3))
+        # the constant keeps L nonvanishing, as the Caratheodory form requires
+        L = Add((const(1),) + tuple(Mul((const(c), *atoms)) for c, atoms in terms))
+        lam = Lagrangian(ctx, 1, canonicalize(L))
+        for form in (principal_lepage(lam), caratheodory_first(lam)):
+            _assert_json_document(form)
+            _assert_json_document(exterior_derivative(form))
+
+
+class TestDenominatorText:
+    """A canonical quotient's denominator text is kept per Den, fiber count
+    and style; each print still equals that of the quotient's tree."""
+
+    def test_quotients_over_one_denominator(self):
+        # atoms no other test prints, so the first print of each key spells it
+        den = (X(2) + Y(1, 2) ** 3) * (Y(2, 1) ** 2 - 7 * Y(1))
+        quotients = [canonicalize(Y(2) / den), canonicalize((X(1) - 5) / den)]
+        assert all(q.__class__ is Div for q in quotients)
+        assert _to_rf(quotients[0]).den == _to_rf(quotients[1]).den
+        assert len(_to_rf(quotients[0]).den) == 2
+        for printer in (expr_to_text, expr_to_latex):
+            for m in (None, 1, 2):
+                for q in quotients:
+                    assert printer(q, m) == printer(Div(q.num, q.den), m)
