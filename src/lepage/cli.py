@@ -281,6 +281,12 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (``| head``) ends the process
+    # quietly, as it ends other filters; signal is imported here, where
+    # only a process entry point pays for it
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

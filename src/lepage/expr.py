@@ -600,6 +600,10 @@ def _rf_const(c: Number) -> _RF:
 
 
 def _rf_sum(items: Iterable[_RF]) -> _RF:
+    # zeros add nothing, and one quotient left is its own (reduced) sum
+    items = [rf for rf in items if rf.num]
+    if len(items) < 2:
+        return items[0] if items else _RF({})
     # group by denominator, then put the groups over their least common
     # multiple, in denominator sort-key order
     groups: dict = {}
@@ -644,6 +648,8 @@ def _rf_sum(items: Iterable[_RF]) -> _RF:
 
 
 def _rf_mul(a: _RF, b: _RF) -> _RF:
+    if not (a.num and b.num):
+        return _RF({})
     return _rf_reduce(_p_mul(a.num, b.num), _den_mul(a.den, b.den), a.d * b.d)
 
 

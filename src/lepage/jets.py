@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .charts import BaseVar, ChartContext, ChartError, FiberVar, MultiIndex, var_key
-from .expr import ScalarExpr, Var, _memo, canonicalize, diff, scale, variables
+from .expr import ScalarExpr, Var, _memo, canonicalize, diff, is_zero_expr, scale, variables
 
 from fractions import Fraction
 from typing import Iterable
@@ -111,10 +111,13 @@ def mixed_partial(
     slots: Iterable[tuple[int, tuple[int, ...]]],
     convention: Convention = DEFAULT_CONVENTION,
 ) -> ScalarExpr:
-    """Iterated sym_partial over (sigma, index-tuple) slots."""
+    """Iterated sym_partial over (sigma, index-tuple) slots; a zero partial
+    ends the chain, since each further partial of zero is zero."""
     out = f
     for sigma, index in slots:
         out = sym_partial(out, sigma, index, convention)
+        if is_zero_expr(out):
+            break
     return out
 
 

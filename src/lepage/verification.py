@@ -215,7 +215,7 @@ class _Expansion:
         """For each head of ``heads`` fiber indices and each choice of sorted
         index groups of the given sizes, the canonical sum of
         term(*head, *indices) over all permutations within each group, the
-        last group permuting fastest."""
+        last group permuting fastest; zero terms are left out of the sum."""
         groups = itertools.product(
             *(itertools.combinations_with_replacement(self.base, k) for k in sizes))
         choices = [[sum(perm, ()) for perm in itertools.product(*map(itertools.permutations, group))]
@@ -224,7 +224,9 @@ class _Expansion:
             for indices in choices:
                 # a repeated index repeats a term: each distinct one is taken once
                 value = {index: term(*head, *index) for index in dict.fromkeys(indices)}
-                yield canonicalize(Add(tuple(map(value.get, indices))))
+                value = {index: v for index, v in value.items() if not is_zero_expr(v)}
+                terms = tuple(value[index] for index in indices if index in value)
+                yield canonicalize(Add(terms)) if terms else ZERO
 
 
 def trivial_conditions_second_order(

@@ -1,8 +1,13 @@
 """Command-line surface: subcommands, exit codes, output determinism."""
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import lepage
 from lepage import (
     Add,
     ChartContext,
@@ -338,6 +343,38 @@ class TestExponentBound:
         code, out, _ = run(capsys, "el", "--order", "1", "--lagrangian", "y_1^131072")
         assert code == 0
         assert out == "E_1 = -17179738112*y_1^131070*y_11\n"
+
+
+def cli_process(*argv):
+    """``python -m lepage.cli argv`` as a child process with piped output."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lepage.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "lepage.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+class TestClosedPipe:
+    # dense (3,1,2): L = 1 + sum c_k (y_I)^2; its Caratheodory JSON is about
+    # 100 KB, more than a pipe holds, so the child writes into the closed pipe
+    DENSE = ("4*y_33^2 + 3*y_23^2 + 2*y_22^2 + y_13^2 + 5*y_12^2 + 4*y_11^2"
+             " + 3*y_3^2 + 2*y_2^2 + y_1^2 + 1")
+
+    def test_a_reader_that_stops_early_ends_the_process_quietly(self):
+        # as `lepage caratheodory ... --format json | head -1`
+        proc = cli_process("caratheodory", "--n", "3", "--order", "2",
+                           "--lagrangian", self.DENSE, "--format", "json")
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 2
+        assert err == b""
+
+    def test_an_unreadable_file_still_exits_2(self, tmp_path):
+        proc = cli_process("el", "--order", "1", "--file", str(tmp_path))
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == b"" and err.startswith(b"error: ")
 
 
 class TestUsageErrors:

@@ -44,6 +44,7 @@ from lepage import (
 from lepage.expr import (
     PROVEN_NONZERO,
     PROVEN_ZERO,
+    ZERO,
     NUMERIC_NONZERO,
     NUMERIC_ZERO,
     _ATOMS,
@@ -65,11 +66,19 @@ from lepage.expr import (
     _key,
     _mono,
     _p_leading,
+    _RF,
+    _den_expand,
+    _den_mul,
+    _p_add_into,
     _p_mul,
+    _p_times,
     _pairs,
     _poly_terms,
     _render,
     _rf_diff,
+    _rf_mul,
+    _rf_reduce,
+    _rf_sum,
     _to_rf,
     _tree_fields,
     constant_value,
@@ -928,6 +937,89 @@ class TestPackedMonomials:
         assert reread == c
         assert {first, low, high} <= {Var(v) for v in variables(c)}
         assert len(_IDS) == len(_ATOMS) == len(_KEYS)
+
+
+def _grouped_sum(items):
+    """The sum of quotients by denominator groups alone, zeros included: every
+    operand joins its group, the groups whose numerators cancelled drop out,
+    and the rest go over their least common multiple."""
+    groups = {}
+    for rf in items:
+        group = groups.setdefault(rf.den, [{}, 1])
+        lcm = math.lcm(group[1], rf.d)
+        group[0] = _p_times(group[0], lcm // group[1])
+        group[1] = lcm
+        _p_add_into(group[0], _p_times(rf.num, lcm // rf.d))
+    groups = {den: group for den, group in groups.items() if group[0]}
+    if not groups:
+        return _RF({})
+    if len(groups) == 1:
+        (den, (num, d)), = groups.items()
+        return _rf_reduce(num, den, d)
+    top = {}
+    for den in groups:
+        for f, e in den:
+            top[f] = max(e, top.get(f, 0))
+    lcm_den = tuple(sorted(top.items(), key=lambda fe: _FKEYS[fe[0]]))
+    d = math.lcm(*(gd for _, gd in groups.values()))
+    total = {}
+    for den in sorted(groups, key=lambda den: _key(den, _FKEYS)):
+        num, gd = groups[den]
+        num = _p_times(num, d // gd)
+        have = dict(den)
+        lacking = tuple((f, e - have.get(f, 0)) for f, e in lcm_den if e > have.get(f, 0))
+        if lacking:
+            num = _p_mul(num, _den_expand(lacking))
+        _p_add_into(total, num)
+    return _rf_reduce(total, lcm_den, d)
+
+
+# quotients over a few shared denominators, with fractional scales, and the
+# zero quotient in each spelling the kernel meets
+_DENOMINATORS = [const(1), const(3), 1 + Y1 ** 2, X(1) + Y2, (1 + Y1 ** 2) * (X(1) + Y2), (1 + Y1 ** 2) ** 2]
+_quotients = st.builds(
+    lambda e, c, den: _to_rf(canonicalize(Rat(c) * e / den)),
+    _rational_exprs, st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+    st.sampled_from(_DENOMINATORS),
+)
+_zeros = st.sampled_from([ZERO, Y1 - Y1, 0 * Y2, (Y1 - Y1) / (1 + Y1 ** 2)]).map(lambda z: _to_rf(canonicalize(z)))
+
+
+def _snapshot(rf):
+    return list(rf.num.items()), rf.den, rf.d
+
+
+class TestZeroOperands:
+    """_rf_sum drops zero operands and returns a lone nonzero one as it is;
+    _rf_mul returns the zero quotient for a zero factor.  Neither changes a
+    result: every zero quotient is _RF({}) and every _RF is reduced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(items=st.lists(_quotients | _zeros, max_size=6))
+    def test_sum_matches_the_grouping(self, items):
+        before = [_snapshot(rf) for rf in items]
+        got = _rf_sum(items)
+        assert _snapshot(got) == _snapshot(_grouped_sum(items))
+        # no operand's numerator is changed, and a lone one is the sum itself
+        assert [_snapshot(rf) for rf in items] == before
+        nonzero = [rf for rf in items if rf.num]
+        if len(nonzero) == 1:
+            assert got is nonzero[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(items=st.lists(_quotients | _zeros, max_size=4))
+    def test_every_quotient_is_reduced(self, items):
+        for rf in items:
+            assert _snapshot(_rf_reduce(dict(rf.num), rf.den, rf.d)) == _snapshot(rf)
+            assert rf.num or (rf.den, rf.d) == ((), 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=_quotients | _zeros, zero=_zeros)
+    def test_a_zero_factor_gives_the_zero_quotient(self, q, zero):
+        for a, b in ((zero, q), (q, zero)):
+            got = _rf_mul(a, b)
+            assert got == _RF({}) and (got.den, got.d) == ((), 1)
+            assert got == _rf_reduce(_p_mul(a.num, b.num), _den_mul(a.den, b.den), a.d * b.d)
 
 
 # Run in a fresh interpreter: meets seven atoms and multi-term denominators

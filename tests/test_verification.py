@@ -30,12 +30,16 @@ from lepage import (
     contact_component,
     dirichlet,
     el_expansion_crosscheck,
+    euler_lagrange_form,
     exterior_derivative,
     first_order_corpus,
+    form_is_zero,
     form_to_json,
+    forms_equal,
     fundamental_first_order,
     fundamental_second_order_n2,
     hessian_determinant,
+    horizontalization,
     is_lepage_equivalent,
     is_lepage_form,
     is_trivial,
@@ -51,8 +55,16 @@ from lepage import (
     trivial_order_reducible_corpus,
     zero_form,
 )
-from lepage.expr import is_zero_expr
-from lepage.verification import _p1_of_d, random_divergence_lagrangian, random_polynomial
+from lepage.expr import Add, canonicalize, is_zero_expr
+from lepage.jets import DEFAULT_CONVENTION, mixed_partial, sym_partial
+from lepage.serialize import expr_to_text
+from lepage.verification import (
+    _Expansion,
+    _p1_of_d,
+    _triviality_conditions,
+    random_divergence_lagrangian,
+    random_polynomial,
+)
 
 
 def lag(n, m, r, L):
@@ -142,6 +154,53 @@ class TestP1OfD:
         for lam in corpus():
             for rho in _constructors(lam):
                 self._assert_full_d_agrees(rho)
+
+
+@st.composite
+def _sparse_lagrangians(draw):
+    """L with one to three monomials, each a nonzero integer times at most two
+    chart coordinates, at n <= 3, m <= 2, r <= 2."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    m, r = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    ctx = ChartContext(n, m, r)
+    coords = [Var(v) for v in ctx.coordinates()]
+    L = const(0)
+    for _ in range(draw(st.integers(1, 3))):
+        term = const(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        for v in draw(st.lists(st.sampled_from(coords), max_size=2)):
+            term = term * v
+        L = L + term
+    return Lagrangian(ctx, r, L)
+
+
+def _contract_forms(lam):
+    """Theta, the Caratheodory form and the fundamental form, each where it is
+    defined: the Caratheodory form for a nonvanishing L, the fundamental form
+    at order one and, at order two, for an order-reducible L over n = 2."""
+    yield principal_lepage(lam)
+    if not is_zero_expr(lam.L):
+        yield (caratheodory_first if lam.r == 1 else caratheodory_second)(lam)
+    if lam.r == 1:
+        yield fundamental_first_order(lam)
+    elif lam.ctx.n == 2 and order_reducible(lam).passed:
+        yield fundamental_second_order_n2(lam)[0]
+
+
+class TestContractProperties:
+    """d(d rho) = 0, h(rho) = lambda and p1(d rho) = E_lambda, exactly, for
+    every constructor on sparse generated Lagrangians."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lam=_sparse_lagrangians())
+    def test_contract(self, lam):
+        el = euler_lagrange_form(lam)
+        for rho in _contract_forms(lam):
+            d_rho = exterior_derivative(rho)
+            assert form_is_zero(exterior_derivative(d_rho))
+            assert forms_equal(horizontalization(rho), lagrangian_form(lam).at_order(rho.order))
+            p1 = contact_component(d_rho, 1)
+            order = max(p1.order, el.order)
+            assert forms_equal(p1.at_order(order), el.at_order(order))
 
 
 class TestTriviality:
@@ -351,6 +410,46 @@ class TestElExpansion:
         coords = " + ".join(f"y1_{a}{b}" for a in range(1, 4) for b in range(a, 4))
         lam = parse_lagrangian(LagrangianSpec(3, m, 2, f"({coords})^3"))
         assert el_expansion_crosscheck(lam).passed
+
+
+_SECOND_ORDER_CORPORA = [*second_order_corpus(), *trivial_order_reducible_corpus(),
+                         *nontrivial_order_reducible_corpus()]
+
+
+class TestZeroTerms:
+    """The second-order checks leave zero terms out of their sums and stop a
+    chain of partials at the first zero; neither changes a condition."""
+
+    @pytest.mark.parametrize("lam", _SECOND_ORDER_CORPORA)
+    def test_conditions_match_the_full_permutation_sums(self, lam):
+        ex = _Expansion(lam, DEFAULT_CONVENTION)
+        base, fibers = ex.base, ex.ctx.fiber_indices
+        want = [("triviality[1]", ex.tc1(sigma)) for sigma in fibers]
+        for label, term, heads, sizes in (("triviality[2]", ex.c2, 2, (3,)),
+                                          ("triviality[3]", ex.c3, 3, (3, 3)),
+                                          ("triviality[4]", ex.c4, 2, (4,))):
+            groups = list(itertools.product(
+                *(itertools.combinations_with_replacement(base, k) for k in sizes)))
+            for head in itertools.product(fibers, repeat=heads):
+                for group in groups:
+                    perms = itertools.product(*map(itertools.permutations, group))
+                    total = Add(tuple(term(*head, *sum(perm, ())) for perm in perms))
+                    want.append((label, canonicalize(total)))
+        got = [(label, condition) for label, condition, _ in _triviality_conditions(ex)]
+        m = lam.ctx.m
+        assert [(label, expr_to_text(c, m)) for label, c in got] == \
+            [(label, expr_to_text(c, m)) for label, c in want]
+
+    @pytest.mark.parametrize("lam", _SECOND_ORDER_CORPORA)
+    def test_mixed_partial_is_the_full_chain(self, lam):
+        fibers, base = lam.ctx.fiber_indices, lam.ctx.base_indices
+        for mu, nu, sigma in itertools.product(fibers, repeat=3):
+            for s, t, j, p, q, i in itertools.product(base, repeat=6):
+                slots = [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))]
+                chained = lam.L
+                for slot_sigma, index in slots:
+                    chained = sym_partial(chained, slot_sigma, index, DEFAULT_CONVENTION)
+                assert mixed_partial(lam.L, slots, DEFAULT_CONVENTION) == chained
 
 
 def _hessian_minors(n, sigma):
