@@ -3,14 +3,15 @@
 Subcommands: el, theta, caratheodory, fundamental, check
 {trivial|order|lepage|closed|equivalent}, d, hor, contact <k>, eval,
 calibrate.  Exit code 0 on success or a passing check, 1 on a failing
-check (the witness is printed), 2 on usage or parse errors.  Output is
-deterministic for fixed flags and seed.
+check (the witness is printed), 2 on usage or parse errors, 3 when the
+output cannot be written.  Output is deterministic for fixed flags and seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from .charts import ChartContext, ChartError, var_key
@@ -134,6 +135,8 @@ def _source(args) -> str:
         except UnicodeDecodeError as err:
             reason = f"{err.reason} at byte {err.start}"
             raise _UsageError(f"{args.file} is not UTF-8 text: {reason}") from None
+        except OSError as err:
+            raise _UsageError(str(err)) from None
     raise _UsageError("one of --lagrangian or --file is required")
 
 
@@ -264,7 +267,12 @@ def run_command(argv) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return _run(args)
+        try:
+            return _run(args)
+        finally:
+            # what is still buffered is written here, so a failed write is
+            # caught below however _run ended
+            sys.stdout.flush()
     except OrderReducibilityError as err:
         print(f"refused: {err.report.describe(args.m)}", file=sys.stderr)
         return 1
@@ -273,11 +281,15 @@ def run_command(argv) -> int:
         return 1
     except (ExprSyntaxError, OrderMismatchError, ChartError, FormError,
             UndefinedFormError, PreconditionError, _UsageError, ExprError,
-            SamplingFailure, OSError) as err:
+            SamplingFailure) as err:
         if isinstance(err, EvalDomainError):
             err = f"{err.reason}: {expr_to_text(err.offender, args.m)}"
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        # _source reads the only input file, so this is a failed write
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:
@@ -287,7 +299,12 @@ def main() -> None:
     import signal
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    if code == 3:
+        # the unwritten output stays buffered, and the interpreter's flush at
+        # exit would fail on it again and exit 120; it goes nowhere instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,10 +23,9 @@ import re
 from typing import Callable, NamedTuple, Optional
 
 from .charts import BaseVar, ChartContext, MultiIndex, var_key
-from .expr import (
-    _ATOMS, Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _den_entry, _poly_terms, _rf_scales,
-)
+from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var
 from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
+from .poly import _ATOMS, _den_entry, _poly_terms, _rf_scales
 
 SCHEMA_VERSION = "lepage.form/1"
 
@@ -208,7 +207,7 @@ def _den_text(den: tuple, m: Optional[int], style: str) -> str:
 
 def _poly_parts(p: dict, k: int, m: Optional[int], st: _Style) -> list:
     """The signed terms (_signed_sum's input) of the kernel polynomial p / k,
-    in the kernel's term order (expr._poly_terms)."""
+    in the kernel's term order (poly._poly_terms)."""
     return [(num < 0, _term(abs(num), den, [_spelled(i, e, m, st) for i, e in mono], st))
             for num, den, mono in _poly_terms(p, k)]
 

@@ -6,6 +6,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -103,3 +104,49 @@ def test_the_cli_imports_no_dataclass_machinery():
     done = _run("-S", "-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+# Read from the sources, importing nothing: the packed format (field width,
+# exponent bound, intern tables) is lepage.poly's alone, and every module
+# stays below 8,000 tokens, short of the about 8,190 past which CPython 3.11
+# needs about 0.46 MB more to compile one.
+SRC = ROOT / "src" / "lepage"
+RUNTIME = sorted(SRC.glob("*.py"))
+FIELD_NAMES = {"_W", "_HALF", "_FIELD", "_SAFE"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_the_kernel_imports_only_the_standard_library():
+    modules = []
+    for node in ast.walk(_tree(SRC / "poly.py")):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
+            modules.append(node.module)
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert modules
+    assert [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
+def test_only_the_kernel_names_the_field_layout(path):
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert bool(names & FIELD_NAMES) == (path.name == "poly.py"), sorted(names & FIELD_NAMES)
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
+def test_every_runtime_module_is_below_8000_tokens(path):
+    with path.open(encoding="utf-8") as handle:
+        tokens = [t for t in tokenize.generate_tokens(handle.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < 8000

@@ -345,11 +345,12 @@ class TestExponentBound:
         assert out == "E_1 = -17179738112*y_1^131070*y_11\n"
 
 
-def cli_process(*argv):
-    """``python -m lepage.cli argv`` as a child process with piped output."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lepage.__file__)))
+def cli_process(*argv, stdout=subprocess.PIPE, **env):
+    """``python -m lepage.cli argv`` as a child process with piped output (or
+    output to ``stdout``), with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lepage.__file__)), **env)
     return subprocess.Popen([sys.executable, "-m", "lepage.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=stdout, stderr=subprocess.PIPE)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
@@ -375,6 +376,24 @@ class TestClosedPipe:
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert out == b"" and err.startswith(b"error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the platform has no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("el", "--order", "1", "--lagrangian", "y_1^2"),
+    ("check", "trivial", "--order", "2", "--lagrangian", "y_11*y_22 - y_12^2"),
+    ("fundamental", "--convention", "auto", "--order", "2", "--lagrangian", "y_11^2"),
+], ids=["el", "check-trivial", "refused"])
+def test_a_failed_write_exits_3(argv, unbuffered):
+    # buffered output fails when it is flushed at the end, unbuffered output
+    # as it is written; a failed write is not bad input (exit 2), and it
+    # outranks a refusal (exit 1) after the calibration report was printed
+    with open("/dev/full", "wb") as full:
+        proc = cli_process(*argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert err == b"error: cannot write output: [Errno 28] No space left on device\n"
 
 
 class TestUsageErrors:

@@ -47,13 +47,6 @@ from lepage.expr import (
     ZERO,
     NUMERIC_NONZERO,
     NUMERIC_ZERO,
-    _ATOMS,
-    _IDS,
-    _FACTORS,
-    _FIDS,
-    _FKEYS,
-    _KEYS,
-    _MAX_EXP,
     Add,
     Div,
     Fn,
@@ -61,6 +54,24 @@ from lepage.expr import (
     Pow,
     Var,
     _atom_id,
+    _render,
+    _rf_diff,
+    _to_rf,
+    _tree_fields,
+    constant_value,
+    expr_key,
+    is_zero_expr,
+    scale,
+)
+from lepage.forms import Dx
+from lepage.poly import (
+    _ATOMS,
+    _IDS,
+    _FACTORS,
+    _FIDS,
+    _FKEYS,
+    _KEYS,
+    _MAX_EXP,
     _den_entry,
     _den_poly,
     _key,
@@ -74,19 +85,10 @@ from lepage.expr import (
     _p_times,
     _pairs,
     _poly_terms,
-    _render,
-    _rf_diff,
     _rf_mul,
     _rf_reduce,
     _rf_sum,
-    _to_rf,
-    _tree_fields,
-    constant_value,
-    expr_key,
-    is_zero_expr,
-    scale,
 )
-from lepage.forms import Dx
 from lepage.variational import Lagrangian, caratheodory_first, euler_lagrange_expressions
 from lepage.verification import (
     first_order_corpus,
@@ -882,8 +884,8 @@ def _exponent_maps(bound):
 
 
 class TestPackedMonomials:
-    """A monomial is one int with a signed field per atom id (expr._mono); one
-    decoder (expr._pairs) reads it back in the atoms' sort-key order."""
+    """A monomial is one int with a signed field per atom id (poly._mono); one
+    decoder (poly._pairs) reads it back in the atoms' sort-key order."""
 
     @given(pairs=_exponent_maps(_MAX_EXP))
     def test_decode_inverts_encode(self, pairs):
@@ -1031,7 +1033,8 @@ import sys
 from lepage import (X, Y, LagrangianSpec, canonicalize, caratheodory_second, diff, equals_zero,
                     euler_lagrange_expressions, expr_to_text, form_to_json, parse_lagrangian,
                     principal_lepage, sin)
-from lepage.expr import _FKEYS, _to_rf
+from lepage.expr import _to_rf
+from lepage.poly import _FKEYS
 
 y1, y2 = Y(1, 1), Y(1, 2)
 first = [Y(1, 1, 2), y2, y1, X(1), 2 + y2 ** 2, 1 + y1 ** 2, y1 + 3 * y2 + 5]
