@@ -27,7 +27,8 @@ class Record:
       rest from the defaults.  A class whose constructor is hot or checks its
       arguments writes its own, which stores each field into ``__dict__``;
     * immutability: assigning or deleting an attribute raises
-      ``AttributeError``.  The package's caches write ``__dict__`` directly;
+      ``AttributeError``.  ``lepage.expr``, the one writer of caches on a
+      record (a node's), writes them into ``__dict__`` directly;
     * ``==`` by class and field values, ``NotImplemented`` across classes, and
       a hash of the field values; both read the fields through one
       ``operator.attrgetter`` per class;

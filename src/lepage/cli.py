@@ -120,7 +120,8 @@ def _convention(args, policy: ZeroPolicy) -> Convention:
         report = calibrate_convention(policy=policy)
         if report.winner is None:
             raise CalibrationError("calibration is ambiguous:\n" + report.render())
-        print(report.render())
+        # a JSON document is the whole of stdout, so its report goes to stderr
+        print(report.render(), file=sys.stderr if args.format == "json" else sys.stdout)
         return report.winner[0]
     return Convention(args.convention)
 

@@ -27,16 +27,17 @@ module interns the atoms (``_atom_id``), turns nodes into quotients
 (``_to_rf``) and back (``_render``), and differentiates, substitutes,
 evaluates and zero-tests them.
 
-Each node caches what is derived from it, for as long as the node lives:
+Each node caches what is derived from it, for as long as the node lives, and
+no module but this one reads or writes these caches:
 
 * ``_rfc``: its canonical quotient.  A canonical sum or quotient starts as an
   ``Add`` or ``Div`` holding only ``_rfc``; its fields are built from the
-  quotient on first read (``ScalarExpr.__getattr__``), and the printers read
-  the quotient.  Threads that read one unbuilt node build equal trees;
+  quotient on first read (``ScalarExpr.__getattr__``); the printers read it
+  (``_canonical_rf``).  Threads that read one unbuilt node build equal trees;
 * ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
-* ``_memo``: derived canonical nodes, keyed by a coordinate (``diff``), a
-  Fraction (``scale``), and tagged tuples for the formal and symmetrized
-  derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
+* ``_memo``: derived canonical nodes, read and filled by ``_memoized`` and
+  keyed by a coordinate (``diff``) or by the tagged tuples of the formal and
+  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
 
 So a repeated partial returns the same node, and ``canonicalize`` returns a
 node it built as it is.  Values are immutable, operations pure and caches
@@ -380,11 +381,19 @@ def _render(rf: _RF) -> ScalarExpr:
     return out
 
 
-def _memo(e: ScalarExpr) -> dict:
-    """The per-node memo of derived canonical nodes, created on first use."""
-    d = e.__dict__
-    memo = d.get("_memo")
-    return d.setdefault("_memo", {}) if memo is None else memo
+def _canonical_rf(e: ScalarExpr) -> _RF | None:
+    """The quotient of a node that canonicalize made, else None."""
+    return e.__dict__["_rfc"] if "_canonical" in e.__dict__ else None
+
+
+def _memoized(e: ScalarExpr, key, make, *args) -> ScalarExpr:
+    """e's memo entry under key; on a miss, make(*args) stored there."""
+    try:
+        return e.__dict__["_memo"][key]
+    except KeyError:
+        memo = e.__dict__.setdefault("_memo", {})
+    out = memo[key] = make(*args)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,23 +477,13 @@ def _rf_diff(rf: _RF, v: JetVariable) -> _RF:
     return _rf_reduce(top.num, _den_mul(top.den, _den_mul(rf.den, p_den)), top.d * rf.d)
 
 
+def _partial(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
+    return _render(_rf_diff(_to_rf(e), v))
+
+
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
     """Plain coordinate partial, treating each sorted jet coordinate as independent."""
-    memo = _memo(e)
-    out = memo.get(v)
-    if out is None:
-        out = memo[v] = _render(_rf_diff(_to_rf(e), v))
-    return out
-
-
-def scale(e: ScalarExpr, c: Fraction) -> ScalarExpr:
-    """The canonical form of c * e."""
-    # shares the memo of diff: a Fraction key never equals a coordinate tuple
-    memo = _memo(e)
-    out = memo.get(c)
-    if out is None:
-        out = memo[c] = canonicalize(Rat(c) * e)
-    return out
+    return _memoized(e, v, _partial, e, v)
 
 
 def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> ScalarExpr:

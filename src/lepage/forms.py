@@ -21,6 +21,7 @@ from .expr import (
     ScalarExpr,
     Var,
     ZeroPolicy,
+    _canonical_rf,
     as_expr,
     canonicalize,
     diff,
@@ -113,18 +114,19 @@ class ExteriorForm(Record):
             raise FormError(f"cannot lower declared order {self.order} to {order}")
         if order == self.order:
             return self
-        return make_form(self.ctx, self.degree, list(self.terms.items()), order)
+        return ExteriorForm(self.ctx.at_order(order), self.degree, dict(self.terms), order)
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
+        return self._plus(other, other.terms.items())
+
+    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
+        return self._plus(other, [(key, -coeff) for key, coeff in other.terms.items()])
+
+    def _plus(self, other: "ExteriorForm", entries) -> "ExteriorForm":
         _check_compatible(self, other)
         if self.degree != other.degree:
             raise FormError(f"cannot add forms of degree {self.degree} and {other.degree}")
-        order = max(self.order, other.order)
-        entries = list(self.terms.items()) + list(other.terms.items())
-        return make_form(self.ctx, self.degree, entries, order)
-
-    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
-        return self + other.scaled(-1)
+        return make_form(self.ctx, self.degree, [*self.terms.items(), *entries], max(self.order, other.order))
 
     def __neg__(self) -> "ExteriorForm":
         return self.scaled(-1)
@@ -179,13 +181,13 @@ def _structurally_zero(coeff) -> bool:
     cls = coeff.__class__
     if cls is Rat:
         return not coeff.value
-    if cls is not Mul or "_canonical" in coeff.__dict__:
+    if cls is not Mul or _canonical_rf(coeff) is not None:
         return False
     zero = False
     for f in coeff.factors:
         if f.__class__ is Rat:
             zero = zero or not f.value
-        elif "_canonical" not in f.__dict__:
+        elif _canonical_rf(f) is None:
             return False
     return zero
 
@@ -286,11 +288,11 @@ def horizontalization(a: ExteriorForm) -> ExteriorForm:
 
 
 def contact_component(a: ExteriorForm, k: int) -> ExteriorForm:
-    """Terms with exactly k contact factors; the zero form when k > degree."""
+    """Terms with exactly k contact factors, kept as made; the zero form when k > degree."""
     if k < 0:
         raise FormError(f"negative contact count {k}")
-    entries = [(key, c) for key, c in a.terms.items() if a.contact_count(key) == k]
-    return make_form(a.ctx, a.degree, entries, a.order)
+    terms = {key: c for key, c in a.terms.items() if a.contact_count(key) == k}
+    return ExteriorForm(a.ctx, a.degree, terms, a.order)
 
 
 def form_is_zero(a: ExteriorForm, policy: ZeroPolicy | None = None) -> bool:

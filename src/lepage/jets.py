@@ -7,20 +7,19 @@ given as free (unsorted) tuples, either as plain partials with respect to
 the sorted coordinate or divided by the index multiplicity, so that freely
 summed index formulas can be evaluated under either convention.
 
-The results are memoized on the differentiated node, in the memo that
-``expr.diff`` keeps there: a formal derivative under ``("d", i, top, ctx)``,
-so a chart's variable check runs once per node and chart and a failing check
-is raised again on every call, and a symmetrized partial under
-``("sym", sigma, tuple(index), convention)``.
+The results are memoized on the differentiated node by ``expr._memoized``:
+a formal derivative under ``("d", i, top, ctx)``, so a chart's variable
+check runs once per node and chart and a failing check is raised again on
+every call, and a symmetrized partial under ``("sym", sigma, tuple(index),
+convention)``, where an unsorted index gets the node of the sorted one.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 from .charts import BaseVar, ChartContext, ChartError, FiberVar, MultiIndex, var_key
-from .expr import ScalarExpr, Var, _memo, canonicalize, diff, is_zero_expr, scale, variables
+from .expr import ScalarExpr, Var, _memoized, canonicalize, const, diff, is_zero_expr, variables
 
-from fractions import Fraction
 from typing import Iterable
 
 
@@ -36,29 +35,22 @@ class Convention(str, Enum):
 DEFAULT_CONVENTION = Convention.SYMMETRIZED
 
 
-def _check_chart(f: ScalarExpr, ctx: ChartContext) -> list:
+def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
+    """d_i f chaining through the fiber coordinates of order below top."""
+    return _memoized(f, ("d", i, top, ctx), _formal, f, i, ctx, top)
+
+
+def _formal(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
+    if not 1 <= i <= ctx.n:
+        raise ChartError(f"base index {i} out of range 1..{ctx.n}")
     vs = sorted(variables(f), key=var_key)
     for v in vs:
         ctx.check_variable(v)
-    return vs
-
-
-def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
-    """d_i f chaining through the fiber coordinates of order below top."""
-    memo = _memo(f)
-    key = ("d", i, top, ctx)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if not 1 <= i <= ctx.n:
-        raise ChartError(f"base index {i} out of range 1..{ctx.n}")
-    vs = _check_chart(f, ctx)
     out = diff(f, BaseVar(i))
     for v in vs:
         if isinstance(v, FiberVar) and len(v.jj) < top:
             out = out + diff(f, v) * Var(FiberVar(v.sigma, v.jj.append(i)))
-    out = memo[key] = canonicalize(out)
-    return out
+    return canonicalize(out)
 
 
 def total_derivative(f: ScalarExpr, i: int, ctx: ChartContext) -> ScalarExpr:
@@ -92,18 +84,20 @@ def sym_partial(
     Plain: the partial with respect to the sorted coordinate.  Symmetrized:
     the same divided by the multiplicity of the sorted index.
     """
-    memo = _memo(f)
-    key = ("sym", sigma, tuple(index), convention)
-    out = memo.get(key)
-    if out is None:
-        jj = MultiIndex(index)
-        out = diff(f, FiberVar(sigma, jj))
-        if convention != Convention.PLAIN:
-            mu = jj.multiplicity()
-            if mu != 1:
-                out = scale(out, Fraction(1, mu))
-        memo[key] = out
-    return out
+    index = tuple(index)
+    return _memoized(f, ("sym", sigma, index, convention), _sym, f, sigma, index, convention)
+
+
+def _sym(f: ScalarExpr, sigma: int, index: tuple, convention: Convention) -> ScalarExpr:
+    jj = MultiIndex(index)
+    if jj != index:
+        # an unsorted index shares the entry of the sorted one
+        return sym_partial(f, sigma, jj, convention)
+    out = diff(f, FiberVar(sigma, jj))
+    mu = jj.multiplicity()
+    if convention == Convention.PLAIN or mu == 1:
+        return out
+    return canonicalize(const(1, mu) * out)
 
 
 def mixed_partial(

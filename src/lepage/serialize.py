@@ -23,7 +23,7 @@ import re
 from typing import Callable, NamedTuple, Optional
 
 from .charts import BaseVar, ChartContext, MultiIndex, var_key
-from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var
+from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _canonical_rf
 from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
 from .poly import _ATOMS, _den_entry, _poly_terms, _rf_scales
 
@@ -95,14 +95,13 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
     # a canonical sum or quotient prints from its quotient (a sum through
     # _signed), so its tree is not built
     if cls is Div:
-        if "_canonical" in e.__dict__:
-            rf = e.__dict__["_rfc"]
+        rf = _canonical_rf(e)
+        if rf is not None:
             return st.quotient.format(_signed_sum(_poly_parts(rf.num, _rf_scales(rf)[0], m, st)),
                                       _den_text(rf.den, m, st.name))
         return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
     if cls is Add:
-        terms = (e,) if "_canonical" in e.__dict__ else e.terms
-        s = _signed_sum([part for t in terms for part in _signed(t, m, st)])
+        s = _signed_sum(_signed(e, m, st))
         return st.paren.format(s) if prec > _P_ADD else s
     if prec <= _P_ADD:
         return _signed_sum(_signed(e, m, st))
@@ -162,8 +161,8 @@ def _term(num: int, den: int, factors: list, st: _Style) -> str:
 def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> list:
     """t as terms of a sum: [(negative, text of its magnitude)].  A negative
     rational or a product led by one is negative, and a leading -1 is dropped
-    from a product of more factors.  A canonical sum gives its own terms, as
-    its tree does once the Add constructor opens it into the sum."""
+    from a product of more factors.  A raw sum gives the terms of its terms,
+    and a canonical sum those of its quotient, as its tree would."""
     cls = t.__class__
     if cls is Rat:
         v = t.value
@@ -174,8 +173,10 @@ def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> list:
         if head.numerator < 0:
             rest = [_emit(f, _P_MUL, m, st) for f in t.factors[1:]]
             return [(True, _term(-head.numerator, head.denominator, rest, st))]
-    elif cls is Add and "_canonical" in t.__dict__:
-        rf = t.__dict__["_rfc"]
+    elif cls is Add:
+        rf = _canonical_rf(t)
+        if rf is None:
+            return [part for u in t.terms for part in _signed(u, m, st)]
         return _poly_parts(rf.num, _rf_scales(rf)[0], m, st)
     return [(False, _emit(t, _P_ADD + 1, m, st))]
 

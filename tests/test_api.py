@@ -107,9 +107,9 @@ def test_the_cli_imports_no_dataclass_machinery():
 
 
 # Read from the sources, importing nothing: the packed format (field width,
-# exponent bound, intern tables) is lepage.poly's alone, and every module
-# stays below 8,000 tokens, short of the about 8,190 past which CPython 3.11
-# needs about 0.46 MB more to compile one.
+# exponent bound, intern tables) is lepage.poly's alone, a node's caches are
+# lepage.expr's alone, and every module stays below 8,000 tokens, short of the
+# about 8,190 past which CPython 3.11 needs about 0.46 MB more to compile one.
 SRC = ROOT / "src" / "lepage"
 RUNTIME = sorted(SRC.glob("*.py"))
 FIELD_NAMES = {"_W", "_HALF", "_FIELD", "_SAFE"}
@@ -142,6 +142,23 @@ def test_only_the_kernel_names_the_field_layout(path):
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
     assert bool(names & FIELD_NAMES) == (path.name == "poly.py"), sorted(names & FIELD_NAMES)
+
+
+# A node's caches (its quotient, canonical mark, atom id, coordinates and
+# memo) are lepage.expr's alone: no other module spells their keys or reads
+# them as attributes.
+CACHE_KEYS = {"_rfc", "_canonical", "_memo", "_aid", "_vars"}
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
+def test_only_expr_names_a_node_cache(path):
+    found = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Constant) and node.value in CACHE_KEYS:
+            found.add(repr(node.value))
+        elif isinstance(node, ast.Attribute) and node.attr in {"_memo", "_rfc"}:
+            found.add("." + node.attr)
+    assert bool(found) == (path.name == "expr.py"), sorted(found)
 
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)

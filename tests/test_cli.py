@@ -241,6 +241,14 @@ class TestCalibrate:
         assert code == 0
         assert "unique passing combination" in out
 
+    @pytest.mark.parametrize("command", ["theta", "fundamental"])
+    def test_auto_convention_keeps_json_on_stdout(self, capsys, command):
+        common = (command, "--order", "2", "--lagrangian", "y_2*y_12", "--format", "json")
+        code, out, err = run(capsys, *common, "--convention", "auto")
+        assert (code, out, "") == run(capsys, *common, "--convention", "sym")
+        json.loads(out)
+        assert "unique passing combination" in err
+
     @pytest.mark.parametrize("argv", [
         ("el",),
         ("eval", "--point", "y_1=1,y_2=2,y_11=3,y_12=4,y_22=5"),

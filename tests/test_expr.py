@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lepage import (
     BaseVar,
     ChartContext,
+    Convention,
     EvalDomainError,
     ExprError,
     FiberVar,
@@ -39,6 +40,7 @@ from lepage import (
     parse_expression,
     sin,
     substitute,
+    sym_partial,
     variables,
 )
 from lepage.expr import (
@@ -61,7 +63,6 @@ from lepage.expr import (
     constant_value,
     expr_key,
     is_zero_expr,
-    scale,
 )
 from lepage.forms import Dx
 from lepage.poly import (
@@ -383,12 +384,16 @@ class TestMemo:
         assert variables(e) is got
         assert variables(raw) == got
 
-    def test_scale_and_diff_share_the_memo(self):
-        e = Y1 ** 2
-        half = scale(e, Fraction(1, 2))
-        assert half == canonicalize(const(1, 2) * Y1 ** 2)
-        assert diff(e, fiber(1)) == canonicalize(2 * Y1)
-        assert scale(e, Fraction(1, 2)) is half
+    def test_sym_partial_and_diff_share_the_memo(self):
+        v = fiber(1, 2)
+        for first, second in [((1, 2), (2, 1)), ((2, 1), (1, 2))]:
+            e = canonicalize(Y12 ** 2 * YY)
+            half = sym_partial(e, 1, first)
+            assert half == canonicalize(const(1, 2) * diff(e, v))
+            assert diff(e, v) == canonicalize(2 * Y12 * YY)
+            # every ordering of the index gives one node, the sorted index's
+            assert sym_partial(e, 1, second) is half and sym_partial(e, 1, (1, 2)) is half
+            assert sym_partial(e, 1, first, Convention.PLAIN) is diff(e, v)
 
     def test_threads_sharing_a_node_agree(self):
         vs = [fiber(1), fiber(2), BaseVar(1), fiber()]

@@ -182,6 +182,29 @@ class TestProjections:
         right = wedge(horizontalization(a), horizontalization(b))
         assert forms_equal(left, right)
 
+    def test_made_terms_are_not_made_again(self, monkeypatch):
+        # a lifted order, a projection and a difference keep terms that are
+        # already normal, canonical, nonzero and valid
+        from lepage import forms
+
+        a, b = self.mixed, wedge(dx(CTX, 1), self.w).scaled(X(1)) + wedge(self.w, dx(CTX, 2))
+        calls = []
+        for name in ("_normal_tuple", "_validate_term", "make_form"):
+            real = getattr(forms, name)
+            monkeypatch.setattr(forms, name, lambda *a, _real=real, _name=name, **kw:
+                                calls.append(_name) or _real(*a, **kw))
+        lifted = a.at_order(a.order + 1)
+        parts = [horizontalization(a), contact_component(a, 1), contact_component(a, 2)]
+        assert calls == []
+        assert lifted.terms == a.terms and lifted.order == lifted.ctx.max_order == a.order + 1
+        assert [p.terms for p in parts] == [{k: c for k, c in a.terms.items() if a.contact_count(k) == j}
+                                            for j in range(3)]
+        difference = a - b
+        assert calls.count("make_form") == 1
+        calls.clear()
+        assert difference == a + b.scaled(-1)
+        assert calls.count("make_form") == 2
+
 
 class TestOmegaBasis:
     def test_n2(self):
