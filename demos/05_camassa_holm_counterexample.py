@@ -42,9 +42,8 @@ except OrderReducibilityError as err:
 
 print("\nthe third-order part of Theta (the obstruction made visible):")
 from lepage import max_jet_order  # noqa: E402
-from lepage.serialize import coframe_label  # noqa: E402
+from lepage.serialize import basis_label  # noqa: E402
 
 for key, coeff in theta:
     if max_jet_order(coeff) == 3:
-        labels = " ∧ ".join(coframe_label(el) for el in key)
-        print(f"  ({expr_to_text(coeff, 1)}) {labels}")
+        print(f"  ({expr_to_text(coeff, 1)}) {basis_label(key)}")

@@ -7,21 +7,23 @@ k-contact projections are then plain term filters, and the exterior
 derivative splits each coefficient differential into its horizontal part
 (formal derivatives) and contact part (coordinate partials) plus the
 structural rule d(omega^sigma_J) = dx^i wedge omega^sigma_{J+i}.
+
+make_form alone normalizes a wedge tuple and validates a term.  A form's
+terms are made (a form built directly is taken as made), so the operations
+that change only coefficients keep its keys.  Zero tests, negation and jet
+order are lepage.expr's.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record, jet_order, var_key
+from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record, var_key
 from .expr import (
+    ZERO,
     Add,
-    Mul,
     Rat,
     ScalarExpr,
-    Var,
     ZeroPolicy,
-    _canonical_rf,
     as_expr,
     canonicalize,
     diff,
@@ -91,13 +93,10 @@ class ExteriorForm(Record):
 
     def coefficient(self, elements: Sequence[CoframeElement]) -> ScalarExpr:
         normal = _normal_tuple(elements)
-        if normal is None:
-            return Rat(Fraction(0))
-        key, sign = normal
-        coeff = self.terms.get(key)
+        coeff = None if normal is None else self.terms.get(normal[0])
         if coeff is None:
-            return Rat(Fraction(0))
-        return canonicalize(Rat(Fraction(sign)) * coeff)
+            return ZERO
+        return coeff if normal[1] == 1 else canonicalize(-coeff)
 
     def contact_count(self, key: tuple) -> int:
         return sum(1 for el in key if isinstance(el, Omega))
@@ -134,8 +133,9 @@ class ExteriorForm(Record):
     def scaled(self, factor) -> "ExteriorForm":
         f = as_expr(factor)
         order = max(self.order, max_jet_order(f))
-        entries = [(key, f * coeff) for key, coeff in self.terms.items()]
-        return make_form(self.ctx, self.degree, entries, order)
+        terms = {key: canonicalize(f * coeff) for key, coeff in self.terms.items()}
+        terms = {key: c for key, c in terms.items() if not is_zero_expr(c)}
+        return ExteriorForm(self.ctx.at_order(order), self.degree, terms, order)
 
 
 def _check_compatible(a: ExteriorForm, b: ExteriorForm) -> None:
@@ -156,13 +156,13 @@ def make_form(
     for elements, coeff in entries:
         if len(elements) != degree:
             raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
-        if _structurally_zero(coeff):
+        if coeff.__class__ is Rat and not coeff.value:
             continue
         normal = _normal_tuple(elements)
         if normal is None:
             continue
         key, sign = normal
-        piece = as_expr(coeff) if sign == 1 else Rat(Fraction(sign)) * as_expr(coeff)
+        piece = as_expr(coeff) if sign == 1 else -as_expr(coeff)
         acc.setdefault(key, []).append(piece)
     terms: dict = {}
     for key, pieces in acc.items():
@@ -172,24 +172,6 @@ def make_form(
         _validate_term(ctx, key, total, order)
         terms[key] = total
     return ExteriorForm(ctx.at_order(order), degree, terms, order)
-
-
-def _structurally_zero(coeff) -> bool:
-    """The zero test that needs no canonicalization: a Rat 0, or a raw product
-    with a Rat 0 factor whose other factors are rationals or canonical nodes,
-    so that the product is defined.  Anything else is left to canonicalize."""
-    cls = coeff.__class__
-    if cls is Rat:
-        return not coeff.value
-    if cls is not Mul or _canonical_rf(coeff) is not None:
-        return False
-    zero = False
-    for f in coeff.factors:
-        if f.__class__ is Rat:
-            zero = zero or not f.value
-        elif _canonical_rf(f) is None:
-            return False
-    return zero
 
 
 def _validate_term(ctx: ChartContext, key: tuple, coeff: ScalarExpr, order: int) -> None:
@@ -207,7 +189,7 @@ def _validate_term(ctx: ChartContext, key: tuple, coeff: ScalarExpr, order: int)
                     f"contact label omega^{el.sigma}_{tuple(el.jj)} needs order {len(el.jj) + 1}, "
                     f"declared {order}"
                 )
-    bad = max((jet_order(v) for v in variables(coeff)), default=0)
+    bad = max_jet_order(coeff)
     if bad > order:
         raise FormError(f"coefficient of jet order {bad} exceeds declared order {order}")
 
@@ -275,10 +257,9 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
                     entries.append(((Omega(v.sigma, v.jj),) + key, dv))
         for pos, el in enumerate(key):
             if isinstance(el, Omega):
-                sign = (-1) ** pos
                 for i in free:
                     new_key = key[:pos] + (Dx(i), Omega(el.sigma, el.jj.append(i))) + key[pos + 1:]
-                    entries.append((new_key, Rat(Fraction(sign)) * coeff))
+                    entries.append((new_key, -coeff if pos % 2 else coeff))
     return make_form(a.ctx, a.degree + 1, entries, order)
 
 
@@ -297,8 +278,6 @@ def contact_component(a: ExteriorForm, k: int) -> ExteriorForm:
 
 def form_is_zero(a: ExteriorForm, policy: ZeroPolicy | None = None) -> bool:
     """True when every coefficient is zero (symbolically, or numerically if a policy is given)."""
-    if a.is_structurally_zero():
-        return True
     if policy is None:
         return all(is_zero_expr(c) for c in a.terms.values())
     return all(equals_zero(c, policy).is_zero for c in a.terms.values())

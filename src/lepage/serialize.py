@@ -229,6 +229,11 @@ def coframe_label(el: CoframeElement) -> str:
     return f"w{el.sigma}"
 
 
+def basis_label(key: tuple) -> str:
+    """A wedge tuple spelled as its coframe labels: dx1 ∧ w1_2."""
+    return " ∧ ".join(coframe_label(el) for el in key)
+
+
 def parse_coframe_label(text: str) -> CoframeElement:
     mx = isinstance(text, str) and _LABEL_DX.match(text)
     if mx:
@@ -252,8 +257,7 @@ def form_to_text(form: ExteriorForm, fiber_count: Optional[int] = None) -> str:
         return "0"
     lines = []
     for key, coeff in form:
-        labels = " ∧ ".join(coframe_label(el) for el in key) or "1"
-        lines.append(f"({expr_to_text(coeff, fiber_count)}) {labels}")
+        lines.append(f"({expr_to_text(coeff, fiber_count)}) {basis_label(key) or '1'}")
     return "\n+ ".join(lines)
 
 

@@ -64,7 +64,7 @@ from .jets import (
     total_derivative,
 )
 from .parsing import LagrangianSpec, parse_expression, parse_lagrangian
-from .serialize import coframe_label, expr_to_text
+from .serialize import basis_label, expr_to_text, variable_name
 from .variational import (
     Lagrangian,
     OrderReducibilityError,
@@ -101,7 +101,7 @@ class CheckReport(Record):
             parts.append(f"witness {expr_to_text(self.witness, fiber_count)}")
         if self.witness_point:
             pt = ", ".join(
-                f"{expr_to_text(Var(v))}={value:.6g}"
+                f"{variable_name(v)}={value:.6g}"
                 for v, value in sorted(self.witness_point.items(), key=lambda kv: var_key(kv[0]))
             )
             parts.append(f"at {pt}")
@@ -123,8 +123,7 @@ def _judge(conditions, policy: ZeroPolicy, passed_label: str) -> CheckReport:
 def _form_conditions(terms, label: str, where: str = ""):
     """(basis, coefficient) pairs as conditions; ``where`` prefixes the basis in the message."""
     for key, coeff in terms:
-        basis = " ∧ ".join(coframe_label(el) for el in key)
-        yield label, coeff, f"{where} {basis}" if where else ""
+        yield label, coeff, f"{where} {basis_label(key)}" if where else ""
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,21 @@ def test_only_expr_names_a_node_cache(path):
     assert bool(found) == (path.name == "expr.py"), sorted(found)
 
 
+# A module-level import that nothing reads is dead code that every process
+# still compiles and runs; __init__.py imports to re-export, so it is exempt.
+@pytest.mark.parametrize("path", [p for p in RUNTIME if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_runtime_module_imports_a_name_it_never_reads(path):
+    tree = _tree(path)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []
+
+
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
 def test_every_runtime_module_is_below_8000_tokens(path):
     with path.open(encoding="utf-8") as handle:

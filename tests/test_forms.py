@@ -1,5 +1,7 @@
 """Exterior algebra in the contact-adapted coframe."""
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,9 +13,14 @@ from lepage import (
     FormError,
     MultiIndex,
     Omega,
+    OrderReducibilityError,
+    Pow,
+    UndefinedFormError,
     X,
     Y,
     canonicalize,
+    caratheodory_first,
+    caratheodory_second,
     const,
     contact_component,
     diff,
@@ -21,18 +28,22 @@ from lepage import (
     exterior_derivative,
     form_is_zero,
     forms_equal,
+    fundamental_first_order,
+    fundamental_second_order_n2,
     horizontalization,
     levi_civita,
     make_form,
+    max_jet_order,
     omega,
     omega_basis,
+    principal_lepage,
     total_derivative,
     wedge,
     zero_form,
 )
-from lepage.expr import ExprError, is_zero_expr
+from lepage.expr import ExprError, as_expr, is_zero_expr
 from lepage.charts import var_key as coframe_key
-from lepage.verification import random_polynomial
+from lepage.verification import first_order_corpus, random_polynomial, second_order_corpus
 
 CTX = ChartContext(2, 1, 1)
 
@@ -203,7 +214,50 @@ class TestProjections:
         assert calls.count("make_form") == 1
         calls.clear()
         assert difference == a + b.scaled(-1)
-        assert calls.count("make_form") == 2
+        assert calls.count("make_form") == 1
+        calls.clear()
+        # coefficient-only operations keep the made keys
+        scaled, negated = b.scaled(X(1)), -b
+        assert calls == []
+        assert scaled.terms.keys() == negated.terms.keys() == b.terms.keys()
+        for key, c in b.terms.items():
+            assert b.coefficient(key) is c and b.coefficient(key[::-1]) == canonicalize(-c)
+        assert "make_form" not in calls and "_validate_term" not in calls
+
+
+def _corpus_forms():
+    """(Lagrangian, form) for Theta, Lambda and Z of every corpus member, where defined."""
+    for lam in first_order_corpus():
+        for build in (principal_lepage, caratheodory_first, fundamental_first_order):
+            yield lam, build(lam)
+    for lam in second_order_corpus():
+        for build in (principal_lepage, caratheodory_second, lambda lam: fundamental_second_order_n2(lam)[0]):
+            try:
+                yield lam, build(lam)
+            except (UndefinedFormError, OrderReducibilityError):
+                pass
+
+
+class TestMadeForms:
+    """scaled, negation and coefficient keep made keys, and give the nodes
+    that remaking the form through make_form gives."""
+
+    def test_same_terms_as_remade(self):
+        forms = list(_corpus_forms())
+        assert len(forms) > 50
+        for lam, rho in forms:
+            for factor in (0, -1, Fraction(1, 2), X(1), Pow(lam.L, 1 - lam.ctx.n)):
+                f = as_expr(factor)
+                remade = make_form(rho.ctx, rho.degree, [(k, f * c) for k, c in rho.terms.items()],
+                                   max(rho.order, max_jet_order(f)))
+                out = rho.scaled(factor)
+                assert list(out.terms.items()) == list(remade.terms.items())
+                assert (out.ctx, out.order) == (remade.ctx, remade.order)
+            assert list((-rho).terms.items()) == list(rho.scaled(-1).terms.items())
+            for key, c in rho.terms.items():
+                for perm in itertools.permutations(range(len(key))):
+                    expected = canonicalize(const(levi_civita(perm)) * c)
+                    assert rho.coefficient([key[i] for i in perm]) == expected
 
 
 class TestOmegaBasis:
@@ -294,18 +348,20 @@ class TestValidation:
         form = make_form(CTX, 0, [((), q), ((), const(1)), ((), -q)], 1)
         assert form.coefficient(()) == canonicalize(const(1))
 
-    def test_structural_zeros_are_dropped_uncanonicalized(self, monkeypatch):
+    def test_zero_coefficients_are_dropped(self, monkeypatch):
+        # a Rat 0 is dropped before canonicalization; a zero product is
+        # canonicalized, and expr's zero test drops it
         from lepage import forms
 
         canonicalized = []
         real = forms.canonicalize
         monkeypatch.setattr(forms, "canonicalize", lambda e: canonicalized.append(e) or real(e))
         zero = canonicalize(const(0))
-        other = Y(1) * 0  # a raw factor: left to canonicalization
-        entries = [((Dx(1),), zero), ((Dx(2),), const(1, 2) * zero),
-                   ((Dx(1),), const(0) * canonicalize(Y(1, 1))), ((Dx(2),), other)]
+        products = [const(1, 2) * zero, const(0) * canonicalize(Y(1, 1)), Y(1) * 0]
+        keys = [(Dx(1),), (Dx(2),), (Omega(1, MultiIndex()),)]
+        entries = [((Dx(1),), zero), ((Dx(2),), const(0)), *zip(keys, products)]
         assert make_form(CTX, 1, entries, 1).is_structurally_zero()
-        assert canonicalized == [other]
+        assert canonicalized == products
 
     def test_an_undefined_zero_product_is_refused(self):
         with pytest.raises(ExprError, match="identically zero denominator"):
