@@ -27,6 +27,17 @@ module interns the atoms (``_atom_id``), turns nodes into quotients
 (``_to_rf``) and back (``_render``), and differentiates, substitutes,
 evaluates and zero-tests them.
 
+The operators are canonical in, canonical out.  An operand is canonical
+when canonicalize made it or it is a ``Rat``.  On two canonical operands,
+``*`` and unary ``-`` compute the quotient at once; ``+`` and ``-`` do so
+only when both quotients have one denominator, and a canonical zero gives
+the other operand itself.  Summed pair by pair over two denominators, a
+value could keep a factor that the flat sum of the whole chain drops, since
+no factor is related to another; so such a sum stays a raw ``Add`` and
+canonicalize sums it flat.  A raw operand keeps the raw chain, so parsed and
+hand-built trees print as written.  ``_summed`` adds signed pieces in one
+step, as ``lepage.forms.make_form`` needs.
+
 Each node caches what is derived from it, for as long as the node lives, and
 no module but this one reads or writes these caches:
 
@@ -89,22 +100,22 @@ class ScalarExpr(Record):
     constructor: nodes are the records built most often."""
 
     def __add__(self, other) -> "ScalarExpr":
-        return Add((self, as_expr(other)))
+        return _plus(self, as_expr(other))
 
     def __radd__(self, other) -> "ScalarExpr":
-        return Add((as_expr(other), self))
+        return _plus(as_expr(other), self)
 
     def __sub__(self, other) -> "ScalarExpr":
-        return Add((self, -as_expr(other)))
+        return _plus(self, -as_expr(other))
 
     def __rsub__(self, other) -> "ScalarExpr":
-        return Add((as_expr(other), -self))
+        return _plus(as_expr(other), -self)
 
     def __mul__(self, other) -> "ScalarExpr":
-        return Mul((self, as_expr(other)))
+        return _times(self, as_expr(other))
 
     def __rmul__(self, other) -> "ScalarExpr":
-        return Mul((as_expr(other), self))
+        return _times(as_expr(other), self)
 
     def __truediv__(self, other) -> "ScalarExpr":
         return Div(self, as_expr(other))
@@ -118,7 +129,8 @@ class ScalarExpr(Record):
         return Pow(self, exponent)
 
     def __neg__(self) -> "ScalarExpr":
-        return Mul((Rat(Fraction(-1)), self))
+        rf = _operand_rf(self)
+        return Mul((Rat(Fraction(-1)), self)) if rf is None else _render(_rf_neg(rf))
 
     def __getstate__(self) -> dict:
         # the caches hold ids of this process's atom and factor tables, so a
@@ -399,6 +411,58 @@ def _memoized(e: ScalarExpr, key, make, *args) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # public kernel operations
 # ---------------------------------------------------------------------------
+
+
+def _operand_rf(e: ScalarExpr) -> _RF | None:
+    """The quotient of a canonical operand (a node canonicalize made, or a
+    Rat), else None."""
+    d = e.__dict__
+    if "_canonical" in d:
+        return d["_rfc"]
+    return _to_rf(e) if e.__class__ is Rat else None
+
+
+def _plus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
+    """a + b: for two canonical operands over one denominator their canonical
+    sum, and for a canonical zero the other operand; else a raw Add, which
+    canonicalize sums flat (see the module docstring)."""
+    ra = _operand_rf(a)
+    rb = None if ra is None else _operand_rf(b)
+    if rb is None:
+        return Add((a, b))
+    if not rb.num:
+        return a
+    if not ra.num:
+        return b
+    if ra.den != rb.den:
+        return Add((a, b))
+    return _render(_rf_sum((ra, rb)))
+
+
+def _times(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
+    """a * b: canonical for two canonical operands, else a raw Mul."""
+    ra = _operand_rf(a)
+    rb = None if ra is None else _operand_rf(b)
+    return Mul((a, b)) if rb is None else _render(_rf_mul(ra, rb))
+
+
+def _summed(pieces: list) -> ScalarExpr:
+    """The canonical sum of (node, sign) pieces, sign 1 or -1, as one _rf_sum
+    over their quotients: a raw Add with sign 1 gives its terms, as ``Add``
+    opens it, and a lone canonical piece with sign 1 is returned itself."""
+    if len(pieces) == 1:
+        e, sign = pieces[0]
+        if sign == 1 and "_canonical" in e.__dict__:
+            return e
+    rfs = []
+    for e, sign in pieces:
+        if sign != 1:
+            rfs.append(_rf_neg(_to_rf(e)))
+        elif e.__class__ is Add and "_canonical" not in e.__dict__:
+            rfs += map(_to_rf, e.terms)
+        else:
+            rfs.append(_to_rf(e))
+    return _render(_rf_sum(rfs))
 
 
 def canonicalize(e: ScalarExpr) -> ScalarExpr:

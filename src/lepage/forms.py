@@ -8,19 +8,21 @@ derivative splits each coefficient differential into its horizontal part
 (formal derivatives) and contact part (coordinate partials) plus the
 structural rule d(omega^sigma_J) = dx^i wedge omega^sigma_{J+i}.
 
-make_form alone normalizes a wedge tuple and validates a term.  A form's
-terms are made (a form built directly is taken as made), so the operations
-that change only coefficients keep its keys.  Zero tests, negation and jet
-order are lepage.expr's.
+make_form alone normalizes a wedge tuple and validates a term.  It sums the
+kernel quotients of each key's pieces in one step (``expr._summed``), and
+normalizes and range-checks each distinct wedge tuple once, in two bounded
+caches.  A form's terms are made (a form built directly is taken as made),
+so the operations that change only coefficients keep its keys.  Zero tests,
+negation and jet order are lepage.expr's.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record, var_key
 from .expr import (
     ZERO,
-    Add,
     Rat,
     ScalarExpr,
     ZeroPolicy,
@@ -31,6 +33,7 @@ from .expr import (
     is_zero_expr,
     max_jet_order,
     variables,
+    _summed,
 )
 from .jets import total_derivative
 
@@ -158,15 +161,14 @@ def make_form(
             raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
         if coeff.__class__ is Rat and not coeff.value:
             continue
-        normal = _normal_tuple(elements)
+        normal = _normal_key(tuple(elements))
         if normal is None:
             continue
         key, sign = normal
-        piece = as_expr(coeff) if sign == 1 else -as_expr(coeff)
-        acc.setdefault(key, []).append(piece)
+        acc.setdefault(key, []).append((as_expr(coeff), sign))
     terms: dict = {}
     for key, pieces in acc.items():
-        total = canonicalize(pieces[0] if len(pieces) == 1 else Add(tuple(pieces)))
+        total = _summed(pieces)
         if is_zero_expr(total):
             continue
         _validate_term(ctx, key, total, order)
@@ -174,24 +176,42 @@ def make_form(
     return ExteriorForm(ctx.at_order(order), degree, terms, order)
 
 
+# A pass makes a few hundred distinct wedge tuples (under 600 for a dense
+# (3,1,2) Lambda_2 with its Lepage check and d), so each is sorted and checked
+# once; lru_cache keeps no exception, so a bad tuple raises on every call.
+@functools.lru_cache(maxsize=4096)
+def _normal_key(elements: tuple) -> tuple[tuple, int] | None:
+    """_normal_tuple of a tuple of coframe elements."""
+    for el in elements:
+        if el.__class__ is not Dx and el.__class__ is not Omega:
+            raise FormError(f"{el!r} is not a coframe element")
+    return _normal_tuple(elements)
+
+
 def _validate_term(ctx: ChartContext, key: tuple, coeff: ScalarExpr, order: int) -> None:
+    _check_key(key, ctx.n, ctx.m, order)
+    bad = max_jet_order(coeff)
+    if bad > order:
+        raise FormError(f"coefficient of jet order {bad} exceeds declared order {order}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _check_key(key: tuple, n: int, m: int, order: int) -> None:
+    """Raise unless each element of key is in range for the chart and order."""
     for el in key:
         if isinstance(el, Dx):
-            if not 1 <= el.i <= ctx.n:
-                raise ChartError(f"dx index {el.i} out of range 1..{ctx.n}")
+            if not 1 <= el.i <= n:
+                raise ChartError(f"dx index {el.i} out of range 1..{n}")
         else:
-            if not 1 <= el.sigma <= ctx.m:
-                raise ChartError(f"omega fiber index {el.sigma} out of range 1..{ctx.m}")
-            if any(not 1 <= j <= ctx.n for j in el.jj):
-                raise ChartError(f"omega index {el.jj} out of range 1..{ctx.n}")
+            if not 1 <= el.sigma <= m:
+                raise ChartError(f"omega fiber index {el.sigma} out of range 1..{m}")
+            if any(not 1 <= j <= n for j in el.jj):
+                raise ChartError(f"omega index {el.jj} out of range 1..{n}")
             if len(el.jj) > order - 1:
                 raise FormError(
                     f"contact label omega^{el.sigma}_{tuple(el.jj)} needs order {len(el.jj) + 1}, "
                     f"declared {order}"
                 )
-    bad = max_jet_order(coeff)
-    if bad > order:
-        raise FormError(f"coefficient of jet order {bad} exceeds declared order {order}")
 
 
 def zero_form(ctx: ChartContext, degree: int, order: int = 0) -> ExteriorForm:

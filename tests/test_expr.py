@@ -557,20 +557,23 @@ def _subtrees(e):
 class TestOperatorChains:
     """The operators and the constructors extend a raw sum or product, so a
     chain folded one operand at a time is one flat node and no walk over it
-    recurses per operand."""
+    recurses per operand.  The chains are built from fresh Var nodes, which
+    canonicalize never made: on canonical operands the operators compute."""
 
     @staticmethod
     def long_sum():
-        out = Y1
+        y1 = Y(1, 1)
+        out = y1
         for k in range(2, 1201):
-            out = out + k * Y1 ** k
+            out = out + k * y1 ** k
         return out
 
     @staticmethod
     def long_product():
-        out = Y1
+        y1, y2 = Y(1, 1), Y(1, 2)
+        out = y1
         for k in range(1, 1500):
-            out = out * (Y2 if k % 2 else Y1)
+            out = out * (y2 if k % 2 else y1)
         return out
 
     @staticmethod
@@ -590,9 +593,18 @@ class TestOperatorChains:
     def test_a_folded_chain_is_one_node(self):
         assert len(self.long_sum().terms) == 1200
         assert len(self.long_product().factors) == 1500
-        assert (Y1 + Y2) - Y12 == Add((Y1, Y2, Mul((Rat(Fraction(-1)), Y12))))
-        assert Y1 * Y2 * (Y12 * YY) == Mul((Y1, Y2, Y12, YY))
-        assert 2 + (Y1 + Y2) == Add((Rat(Fraction(2)), Y1, Y2))
+        y1, y2, y12, yy = Y(1, 1), Y(1, 2), Y(1, 1, 2), Y(1)
+        assert (y1 + y2) - y12 == Add((y1, y2, Mul((Rat(Fraction(-1)), y12))))
+        assert y1 * y2 * (y12 * yy) == Mul((y1, y2, y12, yy))
+        assert 2 + (y1 + y2) == Add((Rat(Fraction(2)), y1, y2))
+
+    def test_canonical_operands_give_the_canonical_product(self):
+        c1, c2 = canonicalize(Y(1, 1)), canonicalize(Y(1, 2))
+        out = c1
+        for k in range(1, 1500):
+            out = out * (c2 if k % 2 else c1)
+        assert canonicalize(out) is out
+        assert out == canonicalize(Y1 ** 750 * Y2 ** 750)
 
     def test_a_constructor_chain_is_one_node(self):
         assert len(self.nested_sum().terms) == len(self.nested_product().factors) == 1201
@@ -616,10 +628,20 @@ class TestOperatorChains:
     def test_a_canonical_operand_is_not_opened(self, tree_builds):
         total = canonicalize(TestLazyTree.RAW["sum"]())
         monomial = canonicalize(Y1 * Y2)
-        assert (total + Y12).terms == (total, Y12)
-        assert (Y12 + total).terms == (Y12, total)
-        assert (monomial * Y12).factors == (monomial, Y12)
-        assert tree_builds == [] and not _built(total)
+        y12 = Y(1, 1, 2)
+        assert (total + y12).terms == (total, y12)
+        assert (y12 + total).terms == (y12, total)
+        assert (monomial * y12).factors == (monomial, y12)
+        # two polynomials share a denominator: their sum is computed at once
+        summed = total + canonicalize(Y12)
+        assert canonicalize(summed) is summed
+        assert _to_rf(summed) == _to_rf(canonicalize(Add((total, Y12))))
+        # a sum over two different denominators stays a raw Add
+        quotient = canonicalize(1 / (1 + Y1 ** 2))
+        mixed = total + quotient
+        assert mixed.__class__ is Add and "_canonical" not in mixed.__dict__
+        assert mixed.terms == (total, quotient)
+        assert tree_builds == [] and not _built(total) and not _built(summed)
 
 
 class TestRepresentationBoundary:
@@ -1027,6 +1049,67 @@ class TestZeroOperands:
             got = _rf_mul(a, b)
             assert got == _RF({}) and (got.den, got.d) == ((), 1)
             assert got == _rf_reduce(_p_mul(a.num, b.num), _den_mul(a.den, b.den), a.d * b.d)
+
+
+# canonical operands over shared and distinct multi-term denominators, with
+# function atoms in numerators and denominators, and the zero among them
+_OPERAND_DENOMINATORS = [X(1) + 1, X(2) + 1, 1 + Y1 ** 2, (X(1) + 1) * (1 + Y1 ** 2),
+                         2 + sin(X(2)), const(1)]
+_numerators = st.recursive(_atoms, _combine, max_leaves=4) | st.tuples(
+    _atoms, st.sampled_from([sin(X(1)), cos(YY), exp(Y2)])).map(lambda t: t[0] * t[1])
+_operands = st.builds(
+    lambda e, c, den: canonicalize(Rat(c) * e / den),
+    _numerators, st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from(_OPERAND_DENOMINATORS),
+)
+
+
+@st.composite
+def _chains(draw):
+    """A first operand and two to four (operator, operand) steps, the operands
+    drawn from a pool of two or three, so that one often comes back."""
+    pick = st.sampled_from(draw(st.lists(_operands, min_size=2, max_size=3)))
+    ops = st.sampled_from(["+", "-", "*", "neg", "+", "-"])
+    return draw(pick), draw(st.lists(st.tuples(ops, pick), min_size=2, max_size=4))
+
+
+def _chain(first, steps, raw: bool):
+    """first folded with each (operator, operand) step, through the operators
+    or (raw) through the Add and Mul constructors, which compute nothing."""
+    out = first
+    for op, x in steps:
+        if op == "+":
+            out = Add((out, x)) if raw else out + x
+        elif op == "-":
+            out = Add((out, Mul((Rat(Fraction(-1)), x)))) if raw else out - x
+        elif op == "*":
+            out = Mul((out, x)) if raw else out * x
+        else:
+            out = Mul((Rat(Fraction(-1)), out)) if raw else -out
+    return out
+
+
+def _outputs(e):
+    verdict = equals_zero(e)
+    return expr_to_text(canonicalize(e)), verdict.kind, verdict.witness, verdict.value
+
+
+class TestBuildOrder:
+    """The operators compute on canonical operands, and a sum only over one
+    denominator, so a value prints, zero-tests and samples as the flat
+    canonicalize of the same operands does, whatever order built it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain=_chains())
+    def test_a_chain_gives_the_flat_outputs(self, chain):
+        first, steps = chain
+        assert _outputs(_chain(first, steps, raw=False)) == _outputs(_chain(first, steps, raw=True))
+
+    def test_a_factor_that_cancels_in_the_flat_sum_is_dropped(self):
+        a, b = canonicalize(X(1) / (X(1) + 1)), canonicalize(X(2) / (X(2) + 1))
+        steps = [("+", b), ("-", a)]
+        assert _outputs(_chain(a, steps, raw=False)) == _outputs(_chain(a, steps, raw=True))
+        assert expr_to_text(canonicalize(a + b - a)) == "(x2)/(x2 + 1)"
 
 
 # Run in a fresh interpreter: meets seven atoms and multi-term denominators
