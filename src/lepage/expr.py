@@ -25,7 +25,11 @@ The arithmetic on the canonical quotients is ``lepage.poly``'s: packed
 Laurent monomials over interned atoms and factored denominators.  This
 module interns the atoms (``_atom_id``), turns nodes into quotients
 (``_to_rf``) and back (``_render``), and differentiates, substitutes,
-evaluates and zero-tests them.
+evaluates and zero-tests them.  The atom table holds a private node of each
+atom, so no node that a caller holds is ever marked canonical, and it keys a
+coordinate's atom by the coordinate (``_coordinate_id``), so a partial or a
+formal derivative finds an id without building a ``Var``.  ``_chain_sum``
+takes a formal derivative as one sum of quotients (see ``lepage.jets``).
 
 The operators are canonical in, canonical out.  An operand is canonical
 when canonicalize made it or it is a ``Rat``.  On two canonical operands,
@@ -41,10 +45,12 @@ step, as ``lepage.forms.make_form`` needs.
 Each node caches what is derived from it, for as long as the node lives, and
 no module but this one reads or writes these caches:
 
-* ``_rfc``: its canonical quotient.  A canonical sum or quotient starts as an
-  ``Add`` or ``Div`` holding only ``_rfc``; its fields are built from the
-  quotient on first read (``ScalarExpr.__getattr__``); the printers read it
-  (``_canonical_rf``).  Threads that read one unbuilt node build equal trees;
+* ``_rfc``: its canonical quotient.  A canonical value other than a
+  constant or a bare atom starts as a ``Div``, ``Add``, ``Mul`` or ``Pow``
+  holding only ``_rfc``, so a monomial that the next operation reads only as
+  a quotient builds no node; its fields are built from the quotient on first
+  read (``ScalarExpr.__getattr__``); the printers read it
+  (``_canonical_parts``).  Threads that read one unbuilt node build equal trees;
 * ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
 * ``_memo``: derived canonical nodes, read and filled by ``_memoized`` and
   keyed by a coordinate (``diff``) or by the tagged tuples of the formal and
@@ -138,9 +144,9 @@ class ScalarExpr(Record):
         return {name: getattr(self, name) for name in self._fields}
 
     def __getattr__(self, name: str):
-        # only a missing name gets here: a field of a canonical sum or
-        # quotient that was made without its tree (_render) is built on
-        # first read; anything else is missing
+        # only a missing name gets here: a field of a canonical node that
+        # was made without its tree (_render) is built on first read;
+        # anything else is missing
         d = self.__dict__
         if name in self._fields and "_rfc" in d:
             d.update(_tree_fields(self.__class__, d["_rfc"]))
@@ -301,8 +307,10 @@ def variables(e: ScalarExpr) -> frozenset[JetVariable]:
 
 
 def max_jet_order(e: ScalarExpr) -> int:
-    """Highest jet order among the coordinates of the expression."""
-    return max((jet_order(v) for v in variables(e)), default=0)
+    """Highest jet order among the coordinates of the expression, read from
+    the atoms of its quotient."""
+    return max((jet_order(atom.ref) if atom.__class__ is Var else max_jet_order(atom.arg)
+                for atom in _rf_atoms(_to_rf(e))), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +319,29 @@ def max_jet_order(e: ScalarExpr) -> int:
 
 
 def _atom_id(atom: ScalarExpr) -> int:
+    """The id of a Var or Fn atom.  _ATOMS holds a private node of each atom,
+    so no node that a caller holds is ever marked canonical."""
     i = atom.__dict__.get("_aid")
-    if i is not None:
-        return i
-    i = _intern(_IDS, _ATOMS, _KEYS, atom, atom, lambda: (0,) + var_key(atom.ref)
-                if isinstance(atom, Var) else (1, atom.name, expr_key(atom.arg)), _grow_atoms)
-    atom.__dict__["_aid"] = i
+    if i is None:
+        i = _coordinate_id(atom.ref) if atom.__class__ is Var else _intern(
+            _IDS, _ATOMS, _KEYS, atom, Fn(atom.name, atom.arg),
+            lambda: (1, atom.name, expr_key(atom.arg)), _grow)
+        atom.__dict__["_aid"] = i
     return i
+
+
+def _coordinate_id(v: JetVariable) -> int:
+    """The id of the coordinate v's atom: _IDS keys a coordinate atom by the
+    coordinate itself, so a partial finds its atom without building a Var."""
+    i = _IDS.get(v)
+    return i if i is not None else _intern(_IDS, _ATOMS, _KEYS, v, Var(v), lambda: (0,) + var_key(v), _grow)
+
+
+def _grow(i: int, key: tuple) -> None:
+    # under the intern lock, before the id is published: the private node
+    # is canonical from the start, wherever it is read
+    _grow_atoms(i, key)
+    _ATOMS[i].__dict__.update(_aid=i, _rfc=_RF(_p_atom(i)), _canonical=True)
 
 
 def _to_rf(e: ScalarExpr) -> _RF:
@@ -371,31 +395,48 @@ def _render_poly(p: Poly, k: int) -> ScalarExpr:
 
 
 def _tree_fields(kind: type, rf: _RF) -> dict:
-    """The fields of the canonical Add (a sum, no denominator) or Div tree of rf."""
+    """The fields of the canonical Div tree of rf, or of its Add, Mul or Pow
+    tree when it has no denominator."""
     kn, kd = _rf_scales(rf)
-    if kind is Add:
-        return {"terms": _render_poly(rf.num, kn).terms}
-    return {"num": _render_poly(rf.num, kn), "den": _render_poly(_den_poly(rf.den), kd)}
+    if kind is Div:
+        return {"num": _render_poly(rf.num, kn), "den": _render_poly(_den_poly(rf.den), kd)}
+    return _render_poly(rf.num, kn).__dict__
 
 
 def _render(rf: _RF) -> ScalarExpr:
-    """The canonical node of rf.  A monomial is built at once; a sum or a
-    quotient is an Add or Div that holds only rf until a field is read."""
+    """The canonical node of rf.  A constant is a Rat and a bare atom its
+    private node; any other value is a Div, Add, Mul or Pow that holds only
+    rf until a field is read."""
+    num = rf.num
     if rf.den:
         out = Div.__new__(Div)
-    elif len(rf.num) > 1:
+    elif len(num) > 1:
         out = Add.__new__(Add)
     else:
-        out = _render_poly(rf.num, rf.d)
+        mono, c = next(iter(num.items()), (_EMPTY_MONO, 0))
+        pairs = _pairs(mono)
+        if not pairs:
+            out = Rat(Fraction(c, rf.d)) if c else ZERO
+        elif len(pairs) > 1 or c != 1 or rf.d != 1:
+            out = Mul.__new__(Mul)
+        elif pairs[0][1] == 1:
+            return _ATOMS[pairs[0][0]]
+        else:
+            out = Pow.__new__(Pow)
     d = out.__dict__
     d["_rfc"] = rf
     d["_canonical"] = True
     return out
 
 
-def _canonical_rf(e: ScalarExpr) -> _RF | None:
-    """The quotient of a node that canonicalize made, else None."""
-    return e.__dict__["_rfc"] if "_canonical" in e.__dict__ else None
+def _canonical_parts(e: ScalarExpr) -> tuple | None:
+    """For a node that canonicalize made, the numerator, its divisor in the
+    monic form and the Den of its quotient, which the printers read; else None."""
+    d = e.__dict__
+    if "_canonical" not in d:
+        return None
+    rf = d["_rfc"]
+    return rf.num, _rf_scales(rf)[0], rf.den
 
 
 def _memoized(e: ScalarExpr, key, make, *args) -> ScalarExpr:
@@ -503,7 +544,7 @@ def _fn_derivative(name: str, arg: ScalarExpr, arg_rf: _RF) -> _RF:
 
 
 def _poly_diff(p: Poly, v: JetVariable) -> _RF:
-    i = _IDS.get(Var(v))
+    i = _IDS.get(v)
     plain = {} if i is None else _p_partial(p, i)
     extras = []
     if _FN_IDS and any(_ATOMS[i].__class__ is Fn for i, _ in _pairs(_reach(p))):
@@ -548,6 +589,27 @@ def _partial(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
     """Plain coordinate partial, treating each sorted jet coordinate as independent."""
     return _memoized(e, v, _partial, e, v)
+
+
+@functools.lru_cache(maxsize=None)
+def _prolonged(v: FiberVar, i: int) -> _RF:
+    """The quotient of y^sigma_{J+i} for v = y^sigma_J, kept from its first use."""
+    return _RF(_p_atom(_coordinate_id(FiberVar(v.sigma, v.jj.append(i)))))
+
+
+def _chain_sum(f: ScalarExpr, i: int, fibers: list) -> ScalarExpr:
+    """diff(f, x^i) + sum of diff(f, v) * y^sigma_{J+i} over the fiber
+    coordinates v = y^sigma_J in fibers, in their order, as one _rf_sum."""
+    first = diff(f, BaseVar(i))
+    if not fibers:
+        return first
+    rf = _to_rf(first)
+    rfs = [rf] if rf.num else []
+    for v in fibers:
+        rf = _to_rf(diff(f, v))
+        if rf.num:
+            rfs.append(_rf_mul(rf, _prolonged(v, i)))
+    return _render(_rf_sum(rfs))
 
 
 def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> ScalarExpr:

@@ -99,7 +99,7 @@ class ExteriorForm(Record):
         coeff = None if normal is None else self.terms.get(normal[0])
         if coeff is None:
             return ZERO
-        return coeff if normal[1] == 1 else canonicalize(-coeff)
+        return coeff if normal[1] == 1 else -coeff
 
     def contact_count(self, key: tuple) -> int:
         return sum(1 for el in key if isinstance(el, Omega))
@@ -134,9 +134,9 @@ class ExteriorForm(Record):
         return self.scaled(-1)
 
     def scaled(self, factor) -> "ExteriorForm":
-        f = as_expr(factor)
+        f = canonicalize(as_expr(factor))
         order = max(self.order, max_jet_order(f))
-        terms = {key: canonicalize(f * coeff) for key, coeff in self.terms.items()}
+        terms = {key: f * coeff for key, coeff in self.terms.items()}
         terms = {key: c for key, c in terms.items() if not is_zero_expr(c)}
         return ExteriorForm(self.ctx.at_order(order), self.degree, terms, order)
 

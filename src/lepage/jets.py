@@ -7,6 +7,13 @@ given as free (unsorted) tuples, either as plain partials with respect to
 the sorted coordinate or divided by the index multiplicity, so that freely
 summed index formulas can be evaluated under either convention.
 
+d_i f is one sum of kernel quotients (``expr._chain_sum``): the partial by
+x^i, then each memoized partial by a fiber coordinate y^sigma_J times the
+quotient of y^sigma_{J+i}, which a table keyed by (coordinate, i) holds once
+it is first used, in ``var_key`` order.  No node tree is built on the way;
+the raw tree diff(f, x^i) + sum diff(f, v) * y^sigma_{J+i} canonicalizes
+to the same node.
+
 The results are memoized on the differentiated node by ``expr._memoized``:
 a formal derivative under ``("d", i, top, ctx)``, so a chart's variable
 check runs once per node and chart and a failing check is raised again on
@@ -17,8 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .charts import BaseVar, ChartContext, ChartError, FiberVar, MultiIndex, var_key
-from .expr import ScalarExpr, Var, _memoized, canonicalize, const, diff, is_zero_expr, variables
+from .charts import ChartContext, ChartError, FiberVar, MultiIndex, var_key
+from .expr import ScalarExpr, _chain_sum, _memoized, const, diff, is_zero_expr, variables
 
 from typing import Iterable
 
@@ -46,11 +53,7 @@ def _formal(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
     vs = sorted(variables(f), key=var_key)
     for v in vs:
         ctx.check_variable(v)
-    out = diff(f, BaseVar(i))
-    for v in vs:
-        if isinstance(v, FiberVar) and len(v.jj) < top:
-            out = out + diff(f, v) * Var(FiberVar(v.sigma, v.jj.append(i)))
-    return canonicalize(out)
+    return _chain_sum(f, i, [v for v in vs if isinstance(v, FiberVar) and len(v.jj) < top])
 
 
 def total_derivative(f: ScalarExpr, i: int, ctx: ChartContext) -> ScalarExpr:
@@ -97,7 +100,7 @@ def _sym(f: ScalarExpr, sigma: int, index: tuple, convention: Convention) -> Sca
     mu = jj.multiplicity()
     if convention == Convention.PLAIN or mu == 1:
         return out
-    return canonicalize(const(1, mu) * out)
+    return const(1, mu) * out
 
 
 def mixed_partial(

@@ -89,8 +89,9 @@ _HALF = 1 << (_W - 1)
 _FIELD = (1 << _W) - 1
 _MAX_EXP = 1 << (_W - 3)
 
-# The intern tables: atom -> id, id -> atom, id -> sort key, and factor (as
-# the frozenset of its items) -> id, id -> factor, id -> sort key.  They only
+# The intern tables: atom handle -> id (lepage.expr's handle of a coordinate
+# atom is the coordinate), id -> atom, id -> sort key, and factor (as the
+# frozenset of its items) -> id, id -> factor, id -> sort key.  They only
 # grow; entries are appended under the lock, the lists before the dict, so a
 # reader that finds an id finds its entries.  A new atom also extends, under
 # the lock (_grow_atoms): _SAFE, the top three bits of each field (_p_mul),

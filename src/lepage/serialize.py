@@ -5,11 +5,12 @@ is versioned and stable (sorted term order, exact rational coefficients).
 The LaTeX emitter mirrors the usual jet-coordinate notation (omega^sigma_J,
 dx^i) so printed forms can be checked visually.
 
-A canonical sum or quotient prints straight from its kernel quotient, term
-by term in the kernel's term order, so printing builds no tree; the factors
-of its terms are spelled once per atom, exponent, fiber count and style, and
-the text of a quotient's denominator is kept per denominator, fiber count and
-style while it stays among the most recently printed.  A raw tree (parser
+A canonical sum, monomial or quotient prints straight from its kernel
+quotient, term by term in the kernel's term order, so printing builds no
+tree; the factors of its terms are spelled once per atom, exponent, fiber
+count and style, and the text of a quotient's denominator is kept per
+denominator, fiber count and style while it stays among the most recently
+printed.  A raw tree (parser
 output, a tree built by hand) prints node by node, and a canonical sum among
 a raw sum's terms as its terms.  Both routes share one speller of signed
 terms, so they write the same text.  The JSON text of a form is written
@@ -23,9 +24,9 @@ import re
 from typing import Callable, NamedTuple, Optional
 
 from .charts import BaseVar, ChartContext, MultiIndex, var_key
-from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _canonical_rf
+from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _canonical_parts
 from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
-from .poly import _ATOMS, _den_entry, _poly_terms, _rf_scales
+from .poly import _ATOMS, _den_entry, _poly_terms
 
 SCHEMA_VERSION = "lepage.form/1"
 
@@ -92,13 +93,13 @@ def _emit(e: ScalarExpr, prec: int, m: Optional[int], st: _Style) -> str:
     # prec is 0, _P_ADD + 1 (a term of a sum) or _P_MUL (a factor); a power
     # base is printed at 0 and parenthesized whole unless it is bare
     cls = e.__class__
-    # a canonical sum or quotient prints from its quotient (a sum through
+    # a canonical node prints from its quotient (a sum or a monomial through
     # _signed), so its tree is not built
     if cls is Div:
-        rf = _canonical_rf(e)
-        if rf is not None:
-            return st.quotient.format(_signed_sum(_poly_parts(rf.num, _rf_scales(rf)[0], m, st)),
-                                      _den_text(rf.den, m, st.name))
+        parts = _canonical_parts(e)
+        if parts is not None:
+            num, k, den = parts
+            return st.quotient.format(_signed_sum(_poly_parts(num, k, m, st)), _den_text(den, m, st.name))
         return st.quotient.format(_emit(e.num, 0, m, st), _emit(e.den, 0, m, st))
     if cls is Add:
         s = _signed_sum(_signed(e, m, st))
@@ -162,22 +163,23 @@ def _signed(t: ScalarExpr, m: Optional[int], st: _Style) -> list:
     """t as terms of a sum: [(negative, text of its magnitude)].  A negative
     rational or a product led by one is negative, and a leading -1 is dropped
     from a product of more factors.  A raw sum gives the terms of its terms,
-    and a canonical sum those of its quotient, as its tree would."""
+    and a canonical sum or monomial those of its quotient, as its tree would."""
     cls = t.__class__
     if cls is Rat:
         v = t.value
         if v.numerator < 0:
             return [(True, _term(-v.numerator, v.denominator, [], st))]
-    elif cls is Mul and t.factors and t.factors[0].__class__ is Rat:
+        return [(False, _emit(t, _P_ADD + 1, m, st))]
+    parts = _canonical_parts(t) if cls is Add or cls is Mul or cls is Pow else None
+    if parts is not None:
+        return _poly_parts(parts[0], parts[1], m, st)
+    if cls is Add:
+        return [part for u in t.terms for part in _signed(u, m, st)]
+    if cls is Mul and t.factors and t.factors[0].__class__ is Rat:
         head = t.factors[0].value
         if head.numerator < 0:
             rest = [_emit(f, _P_MUL, m, st) for f in t.factors[1:]]
             return [(True, _term(-head.numerator, head.denominator, rest, st))]
-    elif cls is Add:
-        rf = _canonical_rf(t)
-        if rf is None:
-            return [part for u in t.terms for part in _signed(u, m, st)]
-        return _poly_parts(rf.num, _rf_scales(rf)[0], m, st)
     return [(False, _emit(t, _P_ADD + 1, m, st))]
 
 

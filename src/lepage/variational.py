@@ -27,7 +27,6 @@ from math import factorial
 
 from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record
 from .expr import (
-    Add,
     DEFAULT_POLICY,
     Pow,
     Rat,
@@ -40,6 +39,7 @@ from .expr import (
     is_zero_expr,
     max_jet_order,
     variables,
+    _summed,
 )
 from .forms import (
     Dx,
@@ -108,9 +108,8 @@ def euler_lagrange_expressions(lam: Lagrangian) -> list[ScalarExpr]:
                 partial = diff(lam.L, FiberVar(sigma, jj))
                 if is_zero_expr(partial):
                     continue
-                term = iterated_total_derivative(partial, jj, ctx)
-                pieces.append((-1) ** k * term)
-        out.append(canonicalize(Add(tuple(pieces))))
+                pieces.append((iterated_total_derivative(partial, jj, ctx), (-1) ** k))
+        out.append(_summed(pieces))
     return out
 
 
@@ -141,12 +140,8 @@ def _momenta(lam: Lagrangian, convention: Convention) -> dict:
                             partial = sym_partial(lam.L, sigma, J + ps + (i,), convention)
                             if is_zero_expr(partial):
                                 continue
-                            term = iterated_total_derivative(partial, ps, ctx)
-                            pieces.append(-term if l % 2 else term)
-                    # a lone unsigned piece is already canonical: kept as it is
-                    table[(sigma, J, i)] = canonicalize(
-                        pieces[0] if len(pieces) == 1 else Add(tuple(pieces))
-                    )
+                            pieces.append((iterated_total_derivative(partial, ps, ctx), (-1) ** l))
+                    table[(sigma, J, i)] = _summed(pieces)
     return table
 
 
@@ -313,7 +308,7 @@ class FundamentalCoefficients(Record):
             return Rat(Fraction(0))
         if (i, j) == (1, 2):
             return self.R12[(sigma, nu)]
-        return canonicalize(-as_expr(self.R12[(sigma, nu)]))
+        return -as_expr(self.R12[(sigma, nu)])
 
 
 def fundamental_coefficients(
@@ -337,7 +332,7 @@ def fundamental_coefficients(
             p_total = Fraction(1, 2) * (pp(sigma, (1,), nu, (2,)) - pp(nu, (1,), sigma, (2,)))
             for j in ctx.base_indices:
                 k, eps = 3 - j, (-1) ** (j - 1)
-                skew = canonicalize(pp(sigma, (j,), nu, (1, 2)) - pp(nu, (j,), sigma, (1, 2)))
+                skew = pp(sigma, (j,), nu, (1, 2)) - pp(nu, (j,), sigma, (1, 2))
                 p_total = p_total - eps * cut_derivative(skew, j, ctx)
                 Q[j][(sigma, nu)] = canonicalize(eps * (
                     2 * pp(sigma, (j,), nu, (1, 2))
@@ -346,7 +341,7 @@ def fundamental_coefficients(
                     - 2 * cut_derivative(r_core, k, ctx)
                 ))
             P[(sigma, nu)] = canonicalize(p_total)
-            R12[(sigma, nu)] = canonicalize(-2 * r_core)
+            R12[(sigma, nu)] = -2 * r_core
     return FundamentalCoefficients(P, Q[1], Q[2], R12)
 
 

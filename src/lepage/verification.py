@@ -112,11 +112,12 @@ class CheckReport(Record):
 
 def _judge(conditions, policy: ZeroPolicy, passed_label: str) -> CheckReport:
     """The one verdict of every check: fail on the first nonzero of the
-    (label, expression, message) conditions, else pass as ``passed_label``."""
+    (label, canonical expression, message) conditions, else pass as
+    ``passed_label``."""
     for label, expr, message in conditions:
         verdict = equals_zero(expr, policy)
         if not verdict.is_zero:
-            return CheckReport(False, label, canonicalize(expr), verdict.witness, message)
+            return CheckReport(False, label, expr, verdict.witness, message)
     return CheckReport(True, passed_label)
 
 

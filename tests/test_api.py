@@ -119,6 +119,19 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _names(path: Path) -> set:
+    """Every name a module spells: as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
 def test_the_kernel_imports_only_the_standard_library():
     modules = []
     for node in ast.walk(_tree(SRC / "poly.py")):
@@ -133,14 +146,7 @@ def test_the_kernel_imports_only_the_standard_library():
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
 def test_only_the_kernel_names_the_field_layout(path):
-    names = set()
-    for node in ast.walk(_tree(path)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.asname or node.name)
+    names = _names(path)
     assert bool(names & FIELD_NAMES) == (path.name == "poly.py"), sorted(names & FIELD_NAMES)
 
 
@@ -159,6 +165,16 @@ def test_only_expr_names_a_node_cache(path):
         elif isinstance(node, ast.Attribute) and node.attr in {"_memo", "_rfc"}:
             found.add("." + node.attr)
     assert bool(found) == (path.name == "expr.py"), sorted(found)
+
+
+# The quotient arithmetic and the rendering of quotients as nodes are
+# lepage.poly's and lepage.expr's alone: no other module names an _rf_*
+# function or _render, so the operators of every other layer go through
+# expr's helpers.
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
+def test_only_the_kernel_modules_name_quotient_arithmetic(path):
+    found = {name for name in _names(path) if name.startswith(("_rf_", "_render"))}
+    assert bool(found) == (path.name in ("expr.py", "poly.py")), sorted(found)
 
 
 # A module-level import that nothing reads is dead code that every process

@@ -1,9 +1,12 @@
 """Chart model and formal-derivative operators."""
 import random
+from fractions import Fraction
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lepage import (
     BaseVar,
@@ -18,11 +21,15 @@ from lepage import (
     const,
     cut_derivative,
     diff,
+    equals_zero,
+    eval_numeric,
+    expr_to_text,
     sym_partial,
     total_derivative,
     variables,
 )
-from lepage.expr import Add, Var, is_zero_expr
+from lepage.charts import var_key
+from lepage.expr import Add, Fn, Mul, Rat, Var, is_zero_expr
 from lepage.verification import random_polynomial, random_section_oracle
 
 
@@ -218,6 +225,49 @@ class TestDerivativeProperties:
         report = random_section_oracle(f, ChartContext(2, 1, 2), trials=3, points=4)
         assert not report.passed
         assert "finite-difference gap" in report.message
+
+
+@st.composite
+def chain_rule_cases(draw):
+    """(chart, canonical f, base index): f sums monomials over atoms, some of
+    them sin, cos, exp or ln atoms, each over no denominator or over one of
+    two multi-term denominators, so that terms share one or not; n <= 3 and
+    order <= 2.  Every denominator and ln argument is at least 1."""
+    ctx = ChartContext(draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    coords = st.sampled_from([Var(v) for v in ctx.coordinates()])
+
+    def atom():
+        a, name = draw(coords), draw(st.sampled_from(("", "sin", "cos", "exp", "ln")))
+        if not name:
+            return a
+        return Fn(name, a ** 2 + 1 if name == "ln" else a * draw(coords) - 1)
+
+    dens = [None] + [draw(coords) ** 2 + draw(coords) + 3 for _ in range(2)]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        term = Mul((Rat(Fraction(draw(st.integers(-3, 3).filter(bool)))), atom(), atom()))
+        den = draw(st.sampled_from(dens))
+        terms.append(term if den is None else term / den)
+    return ctx, canonicalize(Add(tuple(terms))), draw(st.integers(1, ctx.n))
+
+
+def raw_chain_rule(f, i, top):
+    """d_i f as the raw tree diff(f, x^i) + sum of diff(f, v) * y^sigma_{J+i}
+    over the fiber coordinates v = y^sigma_J of f of order below top."""
+    fibers = [v for v in sorted(variables(f), key=var_key) if isinstance(v, FiberVar) and len(v.jj) < top]
+    return Add((diff(f, BaseVar(i)), *(Mul((diff(f, v), Var(FiberVar(v.sigma, v.jj.append(i))))) for v in fibers)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=chain_rule_cases())
+def test_formal_derivatives_match_the_raw_chain_rule(case):
+    ctx, f, i = case
+    point = {v: 0.3 + 0.07 * k for k, v in enumerate(ChartContext(ctx.n, ctx.m, ctx.max_order + 1).coordinates())}
+    for got, top in ((total_derivative(f, i, ctx), ctx.max_order + 1), (cut_derivative(f, i, ctx), ctx.max_order)):
+        want = canonicalize(raw_chain_rule(f, i, top))
+        assert expr_to_text(got) == expr_to_text(want)
+        assert equals_zero(got).kind == equals_zero(want).kind
+        assert eval_numeric(got, point) == pytest.approx(eval_numeric(want, point), rel=1e-9, abs=1e-12)
 
 
 @pytest.fixture

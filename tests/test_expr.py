@@ -90,6 +90,8 @@ from lepage.poly import (
     _rf_reduce,
     _rf_sum,
 )
+from lepage import (LagrangianSpec, cut_derivative, exterior_derivative, forms_equal, parse_lagrangian,
+                    principal_lepage, total_derivative)
 from lepage.variational import Lagrangian, caratheodory_first, euler_lagrange_expressions
 from lepage.verification import (
     first_order_corpus,
@@ -526,6 +528,17 @@ class TestLazyTree:
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 8 and all(tree == want for tree in got)
 
+    def test_a_monomial_builds_its_fields_on_first_read(self, tree_builds):
+        product = canonicalize(-3 * X(1) * Y1 ** 2)
+        power = canonicalize(Y2 ** 3)
+        assert (product.__class__, power.__class__) == (Mul, Pow)
+        # printing reads the quotient
+        assert (expr_to_text(product), expr_to_text(power)) == ("-3*x1*y1_1^2", "y1_2^3")
+        assert tree_builds == [] and not _built(product) and not _built(power)
+        assert power.exponent == 3 and tree_builds == [Pow]
+        assert product.factors == (Rat(Fraction(-3)), X(1), Pow(Y1, 2)) and tree_builds == [Pow, Mul]
+        assert power == Pow(Y2, 3) and len(tree_builds) == 2
+
     def test_other_names_are_missing(self, tree_builds):
         quotient, total = (canonicalize(raw()) for raw in self.RAW.values())
         for node, name in [(total, "num"), (total, "factors"), (quotient, "terms"),
@@ -557,8 +570,9 @@ def _subtrees(e):
 class TestOperatorChains:
     """The operators and the constructors extend a raw sum or product, so a
     chain folded one operand at a time is one flat node and no walk over it
-    recurses per operand.  The chains are built from fresh Var nodes, which
-    canonicalize never made: on canonical operands the operators compute."""
+    recurses per operand.  The chains are built from Var nodes, which are
+    never canonical (TestPrivateAtoms): on canonical operands the operators
+    compute."""
 
     @staticmethod
     def long_sum():
@@ -642,6 +656,68 @@ class TestOperatorChains:
         assert mixed.__class__ is Add and "_canonical" not in mixed.__dict__
         assert mixed.terms == (total, quotient)
         assert tree_builds == [] and not _built(total) and not _built(summed)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The kinds of the Add, Mul and Var nodes constructed, in order."""
+    built = []
+    for kind in (Add, Mul, Var):
+        def counted(self, *args, _real=kind.__init__, _kind=kind):
+            built.append(_kind)
+            _real(self, *args)
+
+        monkeypatch.setattr(kind, "__init__", counted)
+    return built
+
+
+class TestPrivateAtoms:
+    """The atom table holds a private node of each atom, so no node that a
+    caller holds is marked canonical, whichever node of a coordinate was
+    interned first.  Each test takes a coordinate no other test uses."""
+
+    def test_canonicalize_leaves_its_input_var_raw(self):
+        a = Y(31, 1, 2)
+        atom = canonicalize(a)
+        total = canonicalize(a * a + a)
+        assert atom == a and atom is not a and canonicalize(atom) is atom
+        assert "_canonical" not in a.__dict__
+        assert variables(total) == {a.ref}
+
+    def test_the_atoms_of_a_tree_are_canonical(self):
+        power = canonicalize(Y(31, 3) ** 2)
+        assert power.base == Y(31, 3) and canonicalize(power.base) is power.base
+
+    def test_held_and_fresh_atoms_multiply_alike(self):
+        held = Y(31, 2)
+        canonicalize(held)
+        fresh = Y(31, 2)
+        for product in (held * held, fresh * fresh):
+            assert product.__class__ is Mul and "_canonical" not in product.__dict__
+            assert product == Mul((Y(31, 2), Y(31, 2)))
+
+
+class TestNoNodeTrees:
+    """Formal derivatives, coordinate partials and the exterior derivative
+    of a made form compute on quotients: they construct no Add, Mul or Var."""
+
+    SPEC = LagrangianSpec(2, 2, 1, "(y1_1^2 + sin(y2)*y2_2)/(1 + y1^2 + y2_1^2) + x1*y1_2*y2_1")
+
+    def test_derivatives_construct_no_nodes(self, constructions):
+        def run():
+            lam = parse_lagrangian(self.SPEC)
+            rho = principal_lepage(lam)
+            constructions.clear()
+            out = [total_derivative(lam.L, 1, lam.ctx), cut_derivative(lam.L, 2, lam.ctx),
+                   diff(lam.L, FiberVar(1, MultiIndex((1,)))), exterior_derivative(rho)]
+            return out, list(constructions)
+
+        # the first run interns every coordinate the derivatives meet
+        first, _ = run()
+        again, built = run()
+        assert built == []
+        assert [expr_to_text(e) for e in again[:3]] == [expr_to_text(e) for e in first[:3]]
+        assert forms_equal(again[3], first[3])
 
 
 class TestRepresentationBoundary:
@@ -770,10 +846,12 @@ class TestRepresentationBoundary:
         want = run(build())
         assert len(got) == 8 and all(result == want for result in got)
         assert len(_IDS) == len(_ATOMS) == len(_KEYS)
-        assert all(_IDS[atom] == i for i, atom in enumerate(_ATOMS))
+        # the table keys a coordinate atom by its coordinate
+        handle = lambda atom: atom.ref if isinstance(atom, Var) else atom  # noqa: E731
+        assert all(_IDS[handle(atom)] == i for i, atom in enumerate(_ATOMS))
         atoms = {node for tree, _ in want for node in _subtrees(tree)
                  if isinstance(node, (Var, Fn))}
-        assert atoms and all(atom in _IDS for atom in atoms)
+        assert atoms and all(handle(atom) in _IDS for atom in atoms)
         # the denominators' factors share the table's lock
         assert len(_FIDS) == len(_FACTORS) == len(_FKEYS)
         assert all(_FIDS[frozenset(p.items())] == i for i, p in enumerate(_FACTORS))

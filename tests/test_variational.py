@@ -53,7 +53,8 @@ from lepage import (
     wedge,
 )
 from lepage.expr import diff, is_zero_expr
-from lepage.verification import first_order_corpus, random_polynomial
+from lepage.jets import DEFAULT_CONVENTION
+from lepage.verification import _Expansion, first_order_corpus, random_polynomial
 
 CTX21 = ChartContext(2, 1, 1)
 CTX22 = ChartContext(2, 1, 2)
@@ -409,3 +410,13 @@ class TestFundamentalSecondOrder:
         for _ in range(3):
             build(lam)
         assert len(calls) == 3
+
+
+def test_results_over_two_denominators_are_canonical():
+    # partials of this L sit over different denominators, so their sums are
+    # raw trees until the library canonicalizes them
+    lam = parse_lagrangian(LagrangianSpec(2, 1, 2, "y_11*y_22/(1+y_1^2) - y_12^2/(2+y_2^2)"))
+    coeffs = fundamental_coefficients(lam)
+    values = [*coeffs.P.values(), *coeffs.Q1.values(), *coeffs.Q2.values(), *coeffs.R12.values(),
+              coeffs.R(2, 1, 1, 1), _Expansion(lam, DEFAULT_CONVENTION).tc1(1)]
+    assert all(canonicalize(value) is value for value in values)
