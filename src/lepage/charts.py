@@ -191,5 +191,5 @@ class ChartContext(Record):
             return self
         return ChartContext(self.n, self.m, k)
 
-    def lifted(self, delta: int = 1) -> "ChartContext":
-        return self.at_order(self.max_order + delta)
+    def lifted(self) -> "ChartContext":
+        return self.at_order(self.max_order + 1)

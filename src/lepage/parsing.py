@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, Record
-from .expr import FUNCTIONS, Div, Fn, Pow, Rat, ScalarExpr, Var, canonicalize
+from .expr import FUNCTIONS, Div, Fn, Pow, Rat, ScalarExpr, Var
 from .variational import Lagrangian
 
 
@@ -229,5 +229,4 @@ class LagrangianSpec(Record):
 def parse_lagrangian(spec: LagrangianSpec) -> Lagrangian:
     """Parse the source string into a Lagrangian with canonicalized Lagrange function."""
     ctx = ChartContext(spec.n, spec.m, spec.order)
-    e = parse_expression(spec.source, ctx)
-    return Lagrangian(ctx, spec.order, canonicalize(e))
+    return Lagrangian(ctx, spec.order, parse_expression(spec.source, ctx))

@@ -137,8 +137,6 @@ def _grow_atoms(i, key):
         _FN_IDS.append(i)
 
 
-
-
 def _factor_id(p: Poly) -> int:
     return _intern(_FIDS, _FACTORS, _FKEYS, frozenset(p.items()), p,
                    lambda: tuple(sorted((_key(_pairs(m)), c) for m, c in p.items())))
@@ -178,8 +176,6 @@ def _mono(pairs) -> Mono:
 def _p_atom(i: int) -> Poly:
     """The polynomial of the atom with id i."""
     return {1 << (_W * i): 1}
-
-
 
 
 def _reach(p) -> int:
@@ -431,7 +427,6 @@ def _rf_pow(a: _RF, k: int) -> _RF:
     if k < 0:
         return _rf_pow(_rf_div(_rf_const(1), a), -k)
     return _rf_reduce(_p_pow(a.num, k), tuple((f, e * k) for f, e in a.den), a.d ** k)
-
 
 
 def _poly_terms(p: Poly, k: int):

@@ -99,7 +99,7 @@ def lagrangian_form(lam: Lagrangian) -> ExteriorForm:
 
 def euler_lagrange_expressions(lam: Lagrangian) -> list[ScalarExpr]:
     """E_sigma(L) = sum_k (-1)^k d_{i1}...d_{ik} dL/dy^sigma_{i1..ik} (sorted inner sum)."""
-    ctx = lam.ctx.at_order(lam.r)
+    ctx = lam.ctx
     out = []
     for sigma in ctx.fiber_indices:
         pieces = []
@@ -187,7 +187,7 @@ def _caratheodory(lam: Lagrangian, convention: Convention, policy: ZeroPolicy) -
         entries = [((Dx(j),), lam.L)] + [
             ((Omega(sigma, MultiIndex(J)),), p) for (sigma, J, i), p in momenta.items() if i == j
         ]
-        factors.append(make_form(ctx.at_order(order), 1, entries, order))
+        factors.append(make_form(ctx, 1, entries, order))
     product = wedge_all(factors)
     return product if ctx.n == 1 else product.scaled(Pow(lam.L, 1 - ctx.n))
 

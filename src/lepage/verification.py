@@ -12,7 +12,9 @@ derivative, and the calibration oracle that fixes the index convention.
 Each check raises its precondition errors at once and is otherwise a lazy
 stream of (label, expression, message) conditions, built in a fixed order;
 ``_judge`` zero-tests them in turn and turns the first nonzero one into the
-failing report, so every verdict is decided in that one place.
+failing report, so every verdict is decided in that one place.  A condition
+may be a raw sum, since the zero test reads only its quotient; ``_judge``
+canonicalizes the failing one alone, as the witness that the report prints.
 
 The second-order checks share one expansion of E_sigma, ``_Expansion``,
 which writes each chart coefficient once.  Its symmetrizer sums a
@@ -69,6 +71,7 @@ from .variational import (
     Lagrangian,
     OrderReducibilityError,
     euler_lagrange_expressions,
+    euler_lagrange_form,
     fundamental_second_order_n2,
     lagrangian_form,
 )
@@ -112,12 +115,13 @@ class CheckReport(Record):
 
 def _judge(conditions, policy: ZeroPolicy, passed_label: str) -> CheckReport:
     """The one verdict of every check: fail on the first nonzero of the
-    (label, canonical expression, message) conditions, else pass as
-    ``passed_label``."""
+    (label, expression, message) conditions, else pass as ``passed_label``.
+    A condition is zero-tested as it is given, raw or canonical; only the
+    failing one is canonicalized, as the report's witness."""
     for label, expr, message in conditions:
         verdict = equals_zero(expr, policy)
         if not verdict.is_zero:
-            return CheckReport(False, label, expr, verdict.witness, message)
+            return CheckReport(False, label, canonicalize(expr), verdict.witness, message)
     return CheckReport(True, passed_label)
 
 
@@ -133,29 +137,45 @@ def _form_conditions(terms, label: str, where: str = ""):
 
 
 def _p1_of_d(rho: ExteriorForm) -> ExteriorForm:
-    """p1(d rho) = d_V(rho_0) + p1(d_H rho_1): the 2- and more-contact terms never reach it."""
+    """p1(d rho) of an n-form rho, which is d_V(rho_0) + p1(d_H rho_1): the
+    2- and more-contact terms never reach it."""
+    if rho.degree != rho.ctx.n:
+        raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
     low = {key: c for key, c in rho.terms.items() if rho.contact_count(key) < 2}
     return contact_component(exterior_derivative(ExteriorForm(rho.ctx, rho.degree, low, rho.order)), 1)
 
 
+def _lepage_conditions(p1: ExteriorForm):
+    """The terms of p1 = p1(d rho) off the omega^sigma, which a Lepage form lacks."""
+    higher = ((key, c) for key, c in p1 if next(el for el in key if isinstance(el, Omega)).jj)
+    return _form_conditions(higher, "lepage-contact", "offending basis term")
+
+
+def _equivalence_conditions(rho: ExteriorForm, lam: Lagrangian, p1: ExteriorForm):
+    """The Lepage conditions of p1 = p1(d rho), then the terms of h(rho) - L omega_0."""
+    yield from _lepage_conditions(p1)
+    mismatch = horizontalization(rho) - lagrangian_form(lam).at_order(rho.order)
+    yield from _form_conditions(mismatch, "horizontal-mismatch")
+
+
 def is_lepage_form(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
     """Pass iff the 1-contact part of d(rho) is generated by the omega^sigma alone."""
-    if rho.degree != rho.ctx.n:
-        raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
-    higher = ((key, c) for key, c in _p1_of_d(rho) if next(el for el in key if isinstance(el, Omega)).jj)
-    conditions = _form_conditions(higher, "lepage-contact", "offending basis term")
-    return _judge(conditions, policy, "lepage-contact")
+    return _judge(_lepage_conditions(_p1_of_d(rho)), policy, "lepage-contact")
 
 
 def is_lepage_equivalent(
     rho: ExteriorForm, lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckReport:
     """Pass iff rho is a Lepage form and h(rho) = L omega_0."""
-    lepage = is_lepage_form(rho, policy)
-    if not lepage.passed:
-        return lepage
-    mismatch = horizontalization(rho) - lagrangian_form(lam).at_order(rho.order)
-    return _judge(_form_conditions(mismatch, "horizontal-mismatch"), policy, "lepage-equivalent")
+    return _judge(_equivalence_conditions(rho, lam, _p1_of_d(rho)), policy, "lepage-equivalent")
+
+
+def _contract(rho: ExteriorForm, lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
+    """The contract of a Lepage equivalent as one verdict: the conditions of
+    ``is_lepage_equivalent``, then the terms of p1(d rho) - E_lambda."""
+    p1 = _p1_of_d(rho)
+    gap = _form_conditions(p1 - euler_lagrange_form(lam), "p1-euler-lagrange")
+    return _judge(itertools.chain(_equivalence_conditions(rho, lam, p1), gap), policy, "lepage-contract")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +213,7 @@ class _Expansion:
         for i, j in itertools.product(self.base, repeat=2):
             inner = cut_derivative(sym_partial(L, sigma, (i, j), conv), j, ctx)
             total = total + cut_derivative(inner, i, ctx)
-        return canonicalize(total)
+        return total
 
     def c2(self, sigma: int, nu: int, p: int, q: int, i: int, cut: bool = True) -> ScalarExpr:
         """The y^nu_{pqi} coefficient; without ``cut``, less its 2 d_j' part."""
@@ -213,7 +233,7 @@ class _Expansion:
 
     def symmetrized(self, term, heads: int, sizes: tuple[int, ...]):
         """For each head of ``heads`` fiber indices and each choice of sorted
-        index groups of the given sizes, the canonical sum of
+        index groups of the given sizes, the sum of
         term(*head, *indices) over all permutations within each group, the
         last group permuting fastest; zero terms are left out of the sum."""
         groups = itertools.product(
@@ -226,7 +246,7 @@ class _Expansion:
                 value = {index: term(*head, *index) for index in dict.fromkeys(indices)}
                 value = {index: v for index, v in value.items() if not is_zero_expr(v)}
                 terms = tuple(value[index] for index in indices if index in value)
-                yield canonicalize(Add(terms)) if terms else ZERO
+                yield Add(terms)
 
 
 def trivial_conditions_second_order(
@@ -275,24 +295,15 @@ def _reducibility_conditions(ex: _Expansion):
                     ("order-reducibility[2]", pp(sigma, (1, 2), nu, (1, 1)), ""),
                     ("order-reducibility[3]", pp(sigma, (2, 1), nu, (2, 2)), ""),
                     ("order-reducibility[4]", pp(sigma, (2, 2), nu, (2, 2)), ""),
-                    (
-                        "order-reducibility[5]",
-                        canonicalize(
-                            pp(sigma, (2, 2), nu, (1, 1))
-                            + 2 * pp(sigma, (1, 2), nu, (1, 2))
-                        ),
-                        "",
-                    ),
+                    ("order-reducibility[5]",
+                     pp(sigma, (2, 2), nu, (1, 1)) + 2 * pp(sigma, (1, 2), nu, (1, 2)), ""),
                 ]
         return
     for sigma in ex.ctx.fiber_indices:
         for nu in ex.ctx.fiber_indices:
             for p, q, i, j in itertools.product(ex.base, repeat=4):
-                cyclic = canonicalize(
-                    pp(sigma, (i, j), nu, (p, q))
-                    + pp(sigma, (q, j), nu, (i, p))
-                    + pp(sigma, (p, j), nu, (q, i))
-                )
+                cyclic = (pp(sigma, (i, j), nu, (p, q)) + pp(sigma, (q, j), nu, (i, p))
+                          + pp(sigma, (p, j), nu, (q, i)))
                 yield "order-reducibility[cyclic]", cyclic, ""
 
 
@@ -335,7 +346,7 @@ def _combination_conditions(ex: _Expansion):
                     ),
                 ]
                 for label, expr in displays:
-                    yield label, canonicalize(expr), ""
+                    yield label, expr, ""
         return
     # Sym(pqi) of c2 less its 2 d_j' part
     def head(sigma, nu, p, q, i):
@@ -388,18 +399,19 @@ class DivergenceGenerator(Record):
                 )
         if s == 2:
             chart = ctx.at_order(2)
-            for sigma in chart.fiber_indices:
-                for i, j, k in itertools.product(chart.base_indices, repeat=3):
-                    cyclic = canonicalize(
-                        sym_partial(g[i - 1], sigma, (j, k), convention)
-                        + sym_partial(g[j - 1], sigma, (k, i), convention)
-                        + sym_partial(g[k - 1], sigma, (i, j), convention)
-                    )
-                    if not equals_zero(cyclic).is_zero:
-                        raise PreconditionError(
-                            "cyclic condition on dg^i/dy_{jk} fails at "
-                            f"(i,j,k)=({i},{j},{k}): {expr_to_text(cyclic)}"
-                        )
+            conditions = (
+                (f"({i},{j},{k})",
+                 sym_partial(g[i - 1], sigma, (j, k), convention)
+                 + sym_partial(g[j - 1], sigma, (k, i), convention)
+                 + sym_partial(g[k - 1], sigma, (i, j), convention), "")
+                for sigma in chart.fiber_indices
+                for i, j, k in itertools.product(chart.base_indices, repeat=3))
+            cyclic = _judge(conditions, DEFAULT_POLICY, "cyclic")
+            if not cyclic.passed:
+                raise PreconditionError(
+                    "cyclic condition on dg^i/dy_{jk} fails at "
+                    f"(i,j,k)={cyclic.label}: {expr_to_text(cyclic.witness)}"
+                )
         self.__dict__.update(ctx=ctx, g=g, s=s, convention=convention)
 
 
@@ -407,8 +419,7 @@ def make_divergence_lagrangian(gen: DivergenceGenerator) -> Lagrangian:
     """The trivial Lagrangian L = d_i g^i of order s + 1."""
     ctx = gen.ctx.at_order(gen.s)
     total = Add(tuple(total_derivative(gi, i, ctx) for i, gi in enumerate(gen.g, start=1)))
-    r = gen.s + 1
-    return Lagrangian(gen.ctx.at_order(r), r, canonicalize(total))
+    return Lagrangian(gen.ctx, gen.s + 1, total)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +453,7 @@ def _expansion_gaps(ex: _Expansion, lam: Lagrangian):
                 if not is_zero_expr(third):
                     expansion = expansion + third * Y(mu, s, t, i) * Y(nu, p, q, j)
             expansion = expansion + second * Y(nu, p, q, i, j)
-        yield f"el-expansion[{sigma}]", canonicalize(direct[sigma - 1] - expansion), ""
+        yield f"el-expansion[{sigma}]", direct[sigma - 1] - expansion, ""
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +471,7 @@ def _random_section_polynomial(ctx: ChartContext, rng: random.Random, degree: in
             if e:
                 term = term * (X(i) if e == 1 else X(i) ** e)
         total = total + term
-    return canonicalize(total)
+    return total
 
 
 def prolongation_bindings(

@@ -32,13 +32,9 @@ from lepage import (
     exterior_derivative,
     first_order_corpus,
     form_is_zero,
-    forms_equal,
     fundamental_first_order,
     fundamental_second_order_n2,
-    horizontalization,
-    is_lepage_form,
     is_trivial,
-    lagrangian_form,
     nontrivial_order_reducible_corpus,
     null_divergence_m2,
     order_reducible,
@@ -51,7 +47,7 @@ from lepage import (
 )
 from lepage.expr import is_zero_expr
 from lepage.forms import make_form, Dx
-from lepage.verification import random_polynomial
+from lepage.verification import _contract, random_polynomial
 
 POLICY = ZeroPolicy()  # 25 seeded samples, abs_tol 1e-9
 
@@ -64,22 +60,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _lepage_equivalent_contract(rho, lam) -> str | None:
-    """Returns a failure description or None."""
-    mismatch = horizontalization(rho) - lagrangian_form(lam).at_order(rho.order)
-    if not form_is_zero(mismatch, POLICY):
-        return "h(rho) != lambda"
-    lepage = is_lepage_form(rho, POLICY)
-    if not lepage.passed:
-        return f"not a Lepage form: {lepage.describe()}"
-    p1 = contact_component(exterior_derivative(rho), 1)
-    el = euler_lagrange_form(lam)
-    order = max(p1.order, el.order)
-    if not forms_equal(p1.at_order(order), el.at_order(order), POLICY):
-        return "p1(d rho) != Euler-Lagrange form"
-    return None
-
-
 def test_criterion_1_lepage_equivalent_contract():
     first = first_order_corpus()
     second = second_order_corpus()
@@ -88,8 +68,8 @@ def test_criterion_1_lepage_equivalent_contract():
     checked = 0
     for lam in first:
         for rho in (principal_lepage(lam), caratheodory_first(lam, POLICY), fundamental_first_order(lam)):
-            failure = _lepage_equivalent_contract(rho, lam)
-            assert failure is None, failure
+            report = _contract(rho, lam, POLICY)
+            assert report.passed, report.describe()
             checked += 1
     for lam in second:
         forms = [principal_lepage(lam), caratheodory_second(lam, policy=POLICY)]
@@ -97,8 +77,8 @@ def test_criterion_1_lepage_equivalent_contract():
             z, _ = fundamental_second_order_n2(lam, policy=POLICY)
             forms.append(z)
         for rho in forms:
-            failure = _lepage_equivalent_contract(rho, lam)
-            assert failure is None, failure
+            report = _contract(rho, lam, POLICY)
+            assert report.passed, report.describe()
             checked += 1
     _report("criterion 1: Lepage-equivalent contract", True, f"{checked} forms checked")
 
@@ -118,11 +98,9 @@ def test_criterion_2_closure_equivalence():
         report = closure_check(z, POLICY)
         assert not report.passed
         # the failure is witnessed by the Euler-Lagrange form: p1(dZ) = E != 0
-        p1 = contact_component(exterior_derivative(z), 1)
-        el = euler_lagrange_form(lam)
-        order = max(p1.order, el.order)
-        assert forms_equal(p1.at_order(order), el.at_order(order), POLICY)
-        assert not form_is_zero(el, POLICY)
+        contract = _contract(z, lam, POLICY)
+        assert contract.passed, contract.describe()
+        assert not form_is_zero(euler_lagrange_form(lam), POLICY)
     _report(
         "criterion 2: closure iff trivial (order-reducible, second order)",
         True,

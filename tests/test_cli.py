@@ -469,6 +469,12 @@ class TestUsageErrors:
             self._assert_one_error_line(code, out, err)
             assert "not a finite number" in err
 
+    @pytest.mark.parametrize("point", ["y_1", "y_1=1,y_2"])
+    def test_point_assignment_without_a_value(self, capsys, point):
+        code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", point)
+        self._assert_one_error_line(code, out, err)
+        assert err == f"error: malformed assignment {point.split(',')[-1]!r}\n"
+
     def test_point_that_assigns_a_coordinate_twice(self, capsys):
         code, out, err = run(capsys, "eval", "--lagrangian", "y_1^2", "--point", "y_1=1,y_1=3")
         self._assert_one_error_line(code, out, err)

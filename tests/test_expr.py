@@ -60,6 +60,7 @@ from lepage.expr import (
     _rf_diff,
     _to_rf,
     _tree_fields,
+    as_expr,
     constant_value,
     expr_key,
     is_zero_expr,
@@ -142,6 +143,20 @@ class TestCanonicalize:
         from lepage import Div
 
         assert not isinstance(c, Div)  # folded into a negative power
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Y1 ** 1.5, "only integer powers are supported, got 1.5"),
+        (lambda: as_expr(1.5), "cannot interpret 1.5 as a scalar expression"),
+    ], ids=["float-power", "float-operand"])
+    def test_input_error(self, make, message):
+        with pytest.raises(ExprError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_a_function_of_a_quotient_has_a_sort_key(self):
+        atom = canonicalize(sin(1 / (1 + Y(1))))
+        assert expr_key(atom)[:2] == (2, "sin") and expr_key(atom)[2][0] == 6
+        assert expr_to_text(atom, 1) == "sin((1)/(y + 1))"
 
     def test_division_by_canonical_zero_raises(self):
         from lepage import ExprError

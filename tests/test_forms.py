@@ -39,6 +39,7 @@ from lepage import (
     principal_lepage,
     total_derivative,
     wedge,
+    wedge_all,
     zero_form,
 )
 from lepage.expr import ExprError, Mul, Rat, as_expr, is_zero_expr
@@ -334,6 +335,23 @@ class TestPullbackOracle:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: zero_form(CTX, 2, 2).at_order(1), FormError, "cannot lower declared order 2 to 1"),
+        (lambda: zero_form(CTX, 2) + zero_form(CTX, 1), FormError, "cannot add forms of degree 2 and 1"),
+        (lambda: make_form(CTX, -1, [], 1), FormError, "negative degree -1"),
+        (lambda: make_form(CTX, 1, [((Omega(2, MultiIndex()),), const(1))], 1),
+         ChartError, "omega fiber index 2 out of range 1..1"),
+        (lambda: make_form(CTX, 1, [((Omega(1, MultiIndex((3,))),), const(1))], 2),
+         ChartError, "omega index (3,) out of range 1..2"),
+        (lambda: wedge_all([]), FormError, "empty wedge product"),
+        (lambda: contact_component(zero_form(CTX, 2), -1), FormError, "negative contact count -1"),
+    ], ids=["lowered-order", "mixed-degrees", "negative-degree", "omega-fiber", "omega-index",
+            "empty-wedge", "negative-contact-count"])
+    def test_input_error(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
     def test_contact_label_needs_order(self):
         with pytest.raises(FormError):
             make_form(CTX, 1, [((Omega(1, MultiIndex((1,))),), const(1))], 1)

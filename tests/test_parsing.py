@@ -170,6 +170,20 @@ class TestErrors:
         with pytest.raises(OrderMismatchError):
             parse_lagrangian(LagrangianSpec(2, 1, 1, "y_12"))
 
+    @pytest.mark.parametrize("source, message", [
+        ("z1", "unknown identifier 'z1' (at position 0)"),
+        ("(y_1", "expected ')', found 'end of input' (at position 4)"),
+        ("sin(y_1 y_2)", "expected ')', found 'y_2' (at position 8)"),
+    ], ids=["unknown-identifier", "unclosed-parenthesis", "unclosed-call"])
+    def test_error_message(self, source, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expression(source, CTX)
+        assert str(info.value) == message
+
+    def test_unary_plus_is_its_operand(self):
+        assert parse_expression("+y_1", CTX) == Y(1, 1)
+        assert expr_to_text(parse_expression("-(+y_1)", CTX), 1) == "-y_1"
+
 
 class TestLagrangianSpec:
     def test_declared_order_kept(self):

@@ -9,6 +9,7 @@ import pytest
 from lepage import variational
 from lepage import (
     ChartContext,
+    ChartError,
     Dx,
     Lagrangian,
     LagrangianSpec,
@@ -50,11 +51,11 @@ from lepage import (
     parse_lagrangian,
     principal_lepage,
     second_order_corpus,
+    trivial_conditions_second_order,
     wedge,
 )
 from lepage.expr import diff, is_zero_expr
-from lepage.jets import DEFAULT_CONVENTION
-from lepage.verification import _Expansion, first_order_corpus, random_polynomial
+from lepage.verification import _contract, first_order_corpus, random_polynomial
 
 CTX21 = ChartContext(2, 1, 1)
 CTX22 = ChartContext(2, 1, 2)
@@ -112,10 +113,8 @@ class TestPrincipalLepage:
 
     def test_p1_d_theta_is_euler_lagrange(self):
         for lam in (dirichlet(), lag(2, 1, 2, Y(1, 2) * Y(1, 1, 2)), camassa_holm()):
-            theta = principal_lepage(lam)
-            p1 = contact_component(exterior_derivative(theta), 1)
-            el = euler_lagrange_form(lam)
-            assert forms_equal(p1, el.at_order(max(p1.order, el.order)))
+            report = _contract(principal_lepage(lam), lam)
+            assert report.passed, report.describe()
 
     def test_linear_second_order_stays_second_order(self):
         lam = lag(2, 1, 2, X(1) * Y(1, 1, 1) + Y(1) * Y(1, 1, 2))
@@ -128,12 +127,8 @@ class TestPrincipalLepage:
     def test_third_order_local_formula(self):
         # allowed as a local-chart construction; the full contract still holds
         lam = lag(2, 1, 3, const(1, 2) * Y(1, 1, 1, 2) ** 2)
-        theta = principal_lepage(lam)
-        assert forms_equal(horizontalization(theta), lagrangian_form(lam).at_order(theta.order))
-        p1 = contact_component(exterior_derivative(theta), 1)
-        el = euler_lagrange_form(lam)
-        order = max(p1.order, el.order)
-        assert forms_equal(p1.at_order(order), el.at_order(order))
+        report = _contract(principal_lepage(lam), lam)
+        assert report.passed, report.describe()
 
     def test_order_guard(self):
         with pytest.raises(UndefinedFormError):
@@ -418,5 +413,20 @@ def test_results_over_two_denominators_are_canonical():
     lam = parse_lagrangian(LagrangianSpec(2, 1, 2, "y_11*y_22/(1+y_1^2) - y_12^2/(2+y_2^2)"))
     coeffs = fundamental_coefficients(lam)
     values = [*coeffs.P.values(), *coeffs.Q1.values(), *coeffs.Q2.values(), *coeffs.R12.values(),
-              coeffs.R(2, 1, 1, 1), _Expansion(lam, DEFAULT_CONVENTION).tc1(1)]
+              coeffs.R(2, 1, 1, 1), trivial_conditions_second_order(lam).witness]
     assert all(canonicalize(value) is value for value in values)
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: Lagrangian(CTX21, -1, Y(1)), ChartError, "negative order -1"),
+    (lambda: caratheodory_second_blocks(lag(3, 1, 2, Y(1, 1, 1) + 1)), UndefinedFormError,
+     "explicit decomposition is for a 2-dimensional base"),
+    (lambda: fundamental_second_order_n2(lag(3, 1, 2, Y(1, 1, 1))), UndefinedFormError,
+     "second-order fundamental form is for a 2-dimensional base"),
+    (lambda: fundamental_first_order(lag(5, 1, 1, Y(1, 1))), UndefinedFormError,
+     "combinatorial guard: n <= 4, got 5"),
+], ids=["negative-order", "blocks-n3", "fundamental-second-n3", "fundamental-first-n5"])
+def test_constructor_refusal(run, error, message):
+    with pytest.raises(error) as info:
+        run()
+    assert str(info.value) == message

@@ -35,11 +35,9 @@ from lepage import (
     first_order_corpus,
     form_is_zero,
     form_to_json,
-    forms_equal,
     fundamental_first_order,
     fundamental_second_order_n2,
     hessian_determinant,
-    horizontalization,
     is_lepage_equivalent,
     is_lepage_form,
     is_trivial,
@@ -55,11 +53,13 @@ from lepage import (
     trivial_order_reducible_corpus,
     zero_form,
 )
+from lepage import verification
 from lepage.expr import Add, canonicalize, is_zero_expr
 from lepage.jets import DEFAULT_CONVENTION, mixed_partial, sym_partial
 from lepage.serialize import expr_to_text
 from lepage.verification import (
     _Expansion,
+    _contract,
     _p1_of_d,
     _triviality_conditions,
     random_divergence_lagrangian,
@@ -187,20 +187,37 @@ def _contract_forms(lam):
 
 
 class TestContractProperties:
-    """d(d rho) = 0, h(rho) = lambda and p1(d rho) = E_lambda, exactly, for
-    every constructor on sparse generated Lagrangians."""
+    """d(d rho) = 0 and the contract (the Lepage property, h(rho) = lambda and
+    p1(d rho) = E_lambda), exactly, for every constructor on sparse generated
+    Lagrangians."""
 
     @settings(max_examples=40, deadline=None)
     @given(lam=_sparse_lagrangians())
     def test_contract(self, lam):
-        el = euler_lagrange_form(lam)
         for rho in _contract_forms(lam):
-            d_rho = exterior_derivative(rho)
-            assert form_is_zero(exterior_derivative(d_rho))
-            assert forms_equal(horizontalization(rho), lagrangian_form(lam).at_order(rho.order))
-            p1 = contact_component(d_rho, 1)
-            order = max(p1.order, el.order)
-            assert forms_equal(p1.at_order(order), el.at_order(order))
+            assert form_is_zero(exterior_derivative(exterior_derivative(rho)))
+            report = _contract(rho, lam)
+            assert report.passed, report.describe()
+
+
+class TestContractGuards:
+    """The contract fails on each of its three labels, in their order."""
+
+    def test_lepage_contact(self):
+        report = _contract(lagrangian_form(dirichlet()), dirichlet())
+        assert (report.passed, report.label) == (False, "lepage-contact")
+
+    def test_horizontal_mismatch(self):
+        report = _contract(principal_lepage(dirichlet()), _parsed(2, 1, "y_1^2 + y_2^2", 1))
+        assert (report.passed, report.label) == (False, "horizontal-mismatch")
+
+    def test_p1_euler_lagrange(self, monkeypatch):
+        other = euler_lagrange_form(_parsed(2, 1, "y_1^2 + y_2^2", 1))
+        monkeypatch.setattr(verification, "euler_lagrange_form", lambda lam: other)
+        report = _contract(principal_lepage(dirichlet()), dirichlet())
+        assert (report.passed, report.label) == (False, "p1-euler-lagrange")
+        assert report.describe(1) == \
+            "FAIL p1-euler-lagrange: witness y_22 + y_11: at y1_11=1.37769, y1_22=1.03182"
 
 
 class TestTriviality:
@@ -387,6 +404,24 @@ class TestDivergenceGenerator:
         assert is_zero_expr(lam.L)
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: trivial_conditions_second_order(dirichlet()), "second-order check got order 1"),
+    (lambda: order_reducible(dirichlet()), "order-reducibility check got order 1"),
+    (lambda: DivergenceGenerator(ChartContext(2, 1, 1), (Y(1, 1),), 1), "need 2 components, got 1"),
+    (lambda: DivergenceGenerator(ChartContext(2, 1, 3), (Y(1), Y(1)), 3),
+     "generator order 3 > 2 is unsupported"),
+    (lambda: DivergenceGenerator(ChartContext(2, 1, 2), (Y(1, 1, 2), Y(1)), 1),
+     "component of order 2 exceeds declared order 1"),
+    (lambda: DivergenceGenerator(ChartContext(2, 1, 2), (0, Y(1, 1, 1) * Y(1, 2) / (1 + Y(1, 1) ** 2)), 2),
+     "cyclic condition on dg^i/dy_{jk} fails at (i,j,k)=(1,1,2): (y1_2)/(y1_1^2 + 1)"),
+], ids=["expansion-order", "reducibility-order", "component-count", "generator-order", "component-order",
+        "cyclic-condition"])
+def test_precondition_refusal(run, message):
+    with pytest.raises(PreconditionError) as info:
+        run()
+    assert str(info.value) == message
+
+
 class TestElExpansion:
     def test_random_second_order(self):
         rng = random.Random(2)
@@ -424,7 +459,7 @@ class TestZeroTerms:
     def test_conditions_match_the_full_permutation_sums(self, lam):
         ex = _Expansion(lam, DEFAULT_CONVENTION)
         base, fibers = ex.base, ex.ctx.fiber_indices
-        want = [("triviality[1]", ex.tc1(sigma)) for sigma in fibers]
+        want = [("triviality[1]", canonicalize(ex.tc1(sigma))) for sigma in fibers]
         for label, term, heads, sizes in (("triviality[2]", ex.c2, 2, (3,)),
                                           ("triviality[3]", ex.c3, 3, (3, 3)),
                                           ("triviality[4]", ex.c4, 2, (4,))):
@@ -435,7 +470,7 @@ class TestZeroTerms:
                     perms = itertools.product(*map(itertools.permutations, group))
                     total = Add(tuple(term(*head, *sum(perm, ())) for perm in perms))
                     want.append((label, canonicalize(total)))
-        got = [(label, condition) for label, condition, _ in _triviality_conditions(ex)]
+        got = [(label, canonicalize(condition)) for label, condition, _ in _triviality_conditions(ex)]
         m = lam.ctx.m
         assert [(label, expr_to_text(c, m)) for label, c in got] == \
             [(label, expr_to_text(c, m)) for label, c in want]
