@@ -54,7 +54,10 @@ no module but this one reads or writes these caches:
 * ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
 * ``_memo``: derived canonical nodes, read and filled by ``_memoized`` and
   keyed by a coordinate (``diff``) or by the tagged tuples of the formal and
-  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).
+  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``); on
+  a Lagrangian's L it also holds the second-order expansion of
+  ``lepage.verification`` (``("expansion", chart, convention)``), which
+  refers back to L only weakly.
 
 So a repeated partial returns the same node, and ``canonicalize`` returns a
 node it built as it is.  Values are immutable, operations pure and caches
@@ -73,7 +76,7 @@ from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, Record, jet_orde
 from .poly import (_ATOMS, _EMPTY_MONO, _FACTORS, _FN_IDS, _IDS, _KEYS, _RF, ExprError, Poly,
                    _den_expand, _den_mul, _den_poly, _grow_atoms, _intern, _p_atom, _p_partial,
                    _p_times, _pairs, _poly_terms, _reach, _rf_const, _rf_div, _rf_mul, _rf_neg,
-                   _rf_pow, _rf_reduce, _rf_scales, _rf_sum)
+                   _rf_pow, _rf_reduce, _rf_scales, _rf_sum, _top_order)
 
 Number = Union[int, Fraction]
 
@@ -307,10 +310,9 @@ def variables(e: ScalarExpr) -> frozenset[JetVariable]:
 
 
 def max_jet_order(e: ScalarExpr) -> int:
-    """Highest jet order among the coordinates of the expression, read from
-    the atoms of its quotient."""
-    return max((jet_order(atom.ref) if atom.__class__ is Var else max_jet_order(atom.arg)
-                for atom in _rf_atoms(_to_rf(e))), default=0)
+    """Highest jet order among the coordinates of the expression (function
+    arguments included), read from the atoms its quotient reaches."""
+    return _top_order(_rf_reach(_to_rf(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +341,12 @@ def _coordinate_id(v: JetVariable) -> int:
 
 def _grow(i: int, key: tuple) -> None:
     # under the intern lock, before the id is published: the private node
-    # is canonical from the start, wherever it is read
-    _grow_atoms(i, key)
-    _ATOMS[i].__dict__.update(_aid=i, _rfc=_RF(_p_atom(i)), _canonical=True)
+    # is canonical from the start, wherever it is read.  A function atom's
+    # order is its argument's, read from the argument's cached quotient, so
+    # nothing is interned here
+    atom = _ATOMS[i]
+    _grow_atoms(i, key, jet_order(atom.ref) if atom.__class__ is Var else max_jet_order(atom.arg))
+    atom.__dict__.update(_aid=i, _rfc=_RF(_p_atom(i)), _canonical=True)
 
 
 def _to_rf(e: ScalarExpr) -> _RF:
@@ -740,6 +745,10 @@ class ZeroVerdict(Record):
         return self.is_zero
 
 
+# Most zero tests prove a zero, and a verdict is immutable: they all share one.
+_ZERO_VERDICT = ZeroVerdict(PROVEN_ZERO)
+
+
 class _SampleRejected(Exception):
     pass
 
@@ -799,7 +808,7 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
     """Symbolic zero test with a seeded randomized numeric fallback."""
     rf = _to_rf(e)
     if not rf.num:
-        return ZeroVerdict(PROVEN_ZERO)
+        return _ZERO_VERDICT
     value = constant_value(e)
     if value is not None:
         return ZeroVerdict(PROVEN_NONZERO, witness={}, value=float(value))
@@ -835,12 +844,17 @@ def equals_zero(e: ScalarExpr, policy: ZeroPolicy = DEFAULT_POLICY) -> ZeroVerdi
     return ZeroVerdict(NUMERIC_ZERO)
 
 
-def _rf_atoms(rf: _RF) -> list:
-    """The atoms of a quotient: those of its numerator and of its denominator's factors."""
+def _rf_reach(rf: _RF) -> int:
+    """The _reach of a quotient's numerator and of its denominator's factors."""
     r = _reach(rf.num)
     for f, _ in rf.den:
         r |= _reach(_FACTORS[f])
-    return [_ATOMS[i] for i, _ in _pairs(r)]
+    return r
+
+
+def _rf_atoms(rf: _RF) -> list:
+    """The atoms of a quotient: those of its numerator and of its denominator's factors."""
+    return [_ATOMS[i] for i, _ in _pairs(_rf_reach(rf))]
 
 
 def _is_rational(rf: _RF) -> bool:

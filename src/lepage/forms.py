@@ -6,7 +6,11 @@ dy^sigma_J = omega^sigma_J + y^sigma_{Ji} dx^i.  Horizontalization and the
 k-contact projections are then plain term filters, and the exterior
 derivative splits each coefficient differential into its horizontal part
 (formal derivatives) and contact part (coordinate partials) plus the
-structural rule d(omega^sigma_J) = dx^i wedge omega^sigma_{J+i}.
+structural rule d(omega^sigma_J) = dx^i wedge omega^sigma_{J+i}, one term
+at a time (``_d_term``).  A structural term of a key with omega^sigma_J at
+position pos enters make_form as dx^i, then the key with omega^sigma_{J+i}
+in that place, and its coefficient unchanged: the permutation sign of the
+sort is the (-1)^pos of the rule, so no negated coefficient is built.
 
 make_form alone normalizes a wedge tuple and validates a term.  It sums the
 kernel quotients of each key's pieces in one step (``expr._summed``), and
@@ -262,25 +266,34 @@ def wedge_all(factors: Sequence[ExteriorForm]) -> ExteriorForm:
 def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
     """d in the adapted basis; degree + 1, order + 1, satisfies d(d(.)) = 0."""
     ctx = a.ctx.at_order(a.order)
-    order = a.order + 1
     entries: list[tuple[tuple, ScalarExpr]] = []
     for key, coeff in a.terms.items():
-        free = [i for i in ctx.base_indices if Dx(i) not in key]  # dx^i ^ key = 0 for the rest
-        for i in free:
-            di = total_derivative(coeff, i, ctx)
-            if not is_zero_expr(di):
-                entries.append(((Dx(i),) + key, di))
-        for v in sorted(variables(coeff), key=var_key):
-            if isinstance(v, FiberVar):
-                dv = diff(coeff, v)
-                if not is_zero_expr(dv):
-                    entries.append(((Omega(v.sigma, v.jj),) + key, dv))
-        for pos, el in enumerate(key):
-            if isinstance(el, Omega):
-                for i in free:
-                    new_key = key[:pos] + (Dx(i), Omega(el.sigma, el.jj.append(i))) + key[pos + 1:]
-                    entries.append((new_key, -coeff if pos % 2 else coeff))
-    return make_form(a.ctx, a.degree + 1, entries, order)
+        entries += _d_term(key, coeff, ctx)
+    return make_form(a.ctx, a.degree + 1, entries, a.order + 1)
+
+
+def _d_term(key: tuple, coeff: ScalarExpr, ctx: ChartContext, vertical: bool = True) -> list:
+    """The entries of d(coeff key) over the chart ctx: d_H(coeff) ^ key, then
+    d_V(coeff) ^ key unless not vertical, then the structural terms, which
+    take each omega^sigma_J of key to dx^i ^ omega^sigma_{J+i}."""
+    entries = []
+    free = [i for i in ctx.base_indices if Dx(i) not in key]  # dx^i ^ key = 0 for the rest
+    for i in free:
+        di = total_derivative(coeff, i, ctx)
+        if not is_zero_expr(di):
+            entries.append(((Dx(i),) + key, di))
+    for v in sorted(variables(coeff), key=var_key) if vertical else ():
+        if isinstance(v, FiberVar):
+            dv = diff(coeff, v)
+            if not is_zero_expr(dv):
+                entries.append(((Omega(v.sigma, v.jj),) + key, dv))
+    for pos, el in enumerate(key):
+        if isinstance(el, Omega):
+            for i in free:
+                # dx^i written first: make_form's sort gives the sign (-1)^pos
+                raised = Omega(el.sigma, el.jj.append(i))
+                entries.append(((Dx(i),) + key[:pos] + (raised,) + key[pos + 1:], coeff))
+    return entries
 
 
 def horizontalization(a: ExteriorForm) -> ExteriorForm:

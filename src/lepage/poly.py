@@ -16,7 +16,11 @@ wrapped field.  Ids follow first use and no order reads them: a monomial
 decodes, and a denominator is made, in its atoms' or factors' sort-key order,
 and every output order compares those keys as kept.  The table lives as long
 as the process and only grows; entries join under a lock (``_intern``), so
-every atom gets one id whichever threads meet it first.
+every atom gets one id whichever threads meet it first.  An atom joins with
+its jet order, and for each order k the table keeps a mask of the fields of
+the atoms of order at least k; the masks nest, so the jet order of a set of
+monomials is read from the fields they reach with at most one AND per order
+(``_top_order``), and no monomial is decoded.
 
 Every kernel coefficient is an int: a quotient keeps one positive integer
 denominator beside its polynomials, and a multi-term denominator is a
@@ -95,12 +99,15 @@ _MAX_EXP = 1 << (_W - 3)
 # grow; entries are appended under the lock, the lists before the dict, so a
 # reader that finds an id finds its entries.  A new atom also extends, under
 # the lock (_grow_atoms): _SAFE, the top three bits of each field (_p_mul),
-# and _FN_IDS, the ids of function atoms (those whose key starts nonzero).
+# _FN_IDS, the ids of function atoms (those whose key starts nonzero), and
+# _ORDERS, whose entry k - 1 holds the fields of the atoms of jet order at
+# least k (_top_order).
 _IDS: dict = {}
 _ATOMS: list = []
 _KEYS: list = []
 _SAFE = 0
 _FN_IDS: list = []
+_ORDERS: list = []
 _FIDS: dict = {}
 _FACTORS: list = []
 _FKEYS: list = []
@@ -130,11 +137,25 @@ def _intern(ids: dict, entries: list, keys: list, handle, entry, make_key, grow=
     return i
 
 
-def _grow_atoms(i, key):
+def _grow_atoms(i, key, order):
     global _SAFE
     _SAFE |= 7 << (_W * i + _W - 3)
     if key[0]:
         _FN_IDS.append(i)
+    _ORDERS.extend([0] * (order - len(_ORDERS)))
+    for k in range(order):
+        _ORDERS[k] |= _FIELD << (_W * i)
+
+
+def _top_order(reach: int) -> int:
+    """The highest jet order among the atoms whose fields reach (a _reach)
+    covers, 0 for none: the masks nest, so the first one it misses ends it."""
+    k = 0
+    for mask in _ORDERS:
+        if not reach & mask:
+            break
+        k += 1
+    return k
 
 
 def _factor_id(p: Poly) -> int:

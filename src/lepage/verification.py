@@ -1,12 +1,15 @@
 """Machine checks for the variational characterizations.
 
 Every "if and only if" of the theory is a runnable check here: the Lepage
-property of an n-form, which reads p1(d rho) and so differentiates only the
-0- and 1-contact terms of rho, variational triviality (by E_sigma and by
-the second-order chart conditions), order-reducibility of the principal
+property of an n-form, variational triviality (by E_sigma and by the
+second-order chart conditions), order-reducibility of the principal
 equivalent, the triviality conditions restricted to order-reducible
-Lagrangians, and closure of a form, on the full d.  The module also houses
-the test-Lagrangian generators, the random-section oracle for the formal
+Lagrangians, and closure of a form, on the full d.  The Lepage property
+reads p1(d rho) = d_V(rho_0) + p1(d_H rho_1), with rho_k the k-contact part
+of rho: d_H of the n-form rho_0 and d_V of rho_1 have no 1-contact term, so
+only those two pieces are built, with the per-term d of ``lepage.forms``,
+and no 2-contact term is formed.  The module also houses the
+test-Lagrangian generators, the random-section oracle for the formal
 derivative, and the calibration oracle that fixes the index convention.
 
 Each check raises its precondition errors at once and is otherwise a lazy
@@ -17,15 +20,20 @@ may be a raw sum, since the zero test reads only its quotient; ``_judge``
 canonicalizes the failing one alone, as the witness that the report prints.
 
 The second-order checks share one expansion of E_sigma, ``_Expansion``,
-which writes each chart coefficient once.  Its symmetrizer sums a
-coefficient over the permutations within sorted index groups: the
-triviality and combination conditions are such sums, and the expansion
-cross-check sums the same coefficients against their coordinates.
+which writes each chart coefficient once.  One is made per L node, chart
+and convention and kept in the node's memo (``_expansion``), and it keeps
+tc1 and c2 per index tuple, so the checks of one Lagrangian read the same
+coefficient nodes; each check still refuses an order other than 2 with its
+own message before it looks.  Its symmetrizer sums a coefficient over the
+permutations within sorted index groups: the triviality and combination
+conditions are such sums, and the expansion cross-check sums the same
+coefficients against their coordinates.
 """
 from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, Record, var_key
@@ -40,6 +48,7 @@ from .expr import (
     Y,
     ZERO,
     ZeroPolicy,
+    _memoized,
     as_expr,
     canonicalize,
     diff,
@@ -52,16 +61,16 @@ from .expr import (
 from .forms import (
     ExteriorForm,
     Omega,
-    contact_component,
+    _d_term,
     exterior_derivative,
     horizontalization,
+    make_form,
 )
 from .jets import (
     Convention,
     DEFAULT_CONVENTION,
     cut_derivative,
     mixed_partial,
-    second_partials,
     sym_partial,
     total_derivative,
 )
@@ -137,12 +146,18 @@ def _form_conditions(terms, label: str, where: str = ""):
 
 
 def _p1_of_d(rho: ExteriorForm) -> ExteriorForm:
-    """p1(d rho) of an n-form rho, which is d_V(rho_0) + p1(d_H rho_1): the
-    2- and more-contact terms never reach it."""
+    """p1(d rho) of an n-form rho, built as d_V(rho_0) + p1(d_H rho_1) term by
+    term (``forms._d_term``): d_H of the n-form rho_0 and d_V of rho_1 have no
+    1-contact term, and the 2- and more-contact terms never reach it."""
     if rho.degree != rho.ctx.n:
         raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
-    low = {key: c for key, c in rho.terms.items() if rho.contact_count(key) < 2}
-    return contact_component(exterior_derivative(ExteriorForm(rho.ctx, rho.degree, low, rho.order)), 1)
+    ctx = rho.ctx.at_order(rho.order)
+    entries = []
+    for key, c in rho.terms.items():
+        contacts = rho.contact_count(key)
+        if contacts < 2:
+            entries += _d_term(key, c, ctx, vertical=not contacts)
+    return make_form(rho.ctx, rho.degree + 1, entries, rho.order + 1)
 
 
 def _lepage_conditions(p1: ExteriorForm):
@@ -190,42 +205,65 @@ def is_trivial(lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRep
     return _judge(conditions, policy, "euler-lagrange")
 
 
+def _expansion(lam: Lagrangian, convention: Convention, check: str = "second-order") -> "_Expansion":
+    """The one ``_Expansion`` of lam's L node, chart and convention, kept in
+    the node's memo (``expr._memoized``), so the second-order checks of one
+    Lagrangian share its coefficients; at another order ``check`` refuses."""
+    if lam.r != 2:
+        raise PreconditionError(f"{check} check got order {lam.r}")
+    return _memoized(lam.L, ("expansion", lam.ctx, convention), _Expansion, lam, convention)
+
+
 class _Expansion:
     """E_sigma of an order-2 Lagrangian in cut derivatives, with free index sums:
 
         E_sigma = tc1 + c2 y^nu_{pqi} + c3 y^mu_{sti} y^nu_{pqj} + c4 y^nu_{pqij}
 
-    Each coefficient is written once here and takes its partials when read.
+    Each coefficient is written once here and takes its partials when read;
+    tc1 and c2 are kept per index tuple.  L's memo holds the expansion, so
+    the expansion refers to L weakly: no reference cycle keeps L alive.
     """
 
-    def __init__(self, lam: Lagrangian, convention: Convention, check: str = "second-order"):
-        if lam.r != 2:
-            raise PreconditionError(f"{check} check got order {lam.r}")
-        self.L, self.ctx, self.base, self.convention = lam.L, lam.ctx, lam.ctx.base_indices, convention
-        self.pp = second_partials(lam.L, convention)
+    def __init__(self, lam: Lagrangian, convention: Convention):
+        self.L = weakref.ref(lam.L)
+        self.ctx, self.base, self.convention = lam.ctx, lam.ctx.base_indices, convention
+        self.kept: dict = {}
+
+    def pp(self, sa: int, ia: tuple, sb: int, ib: tuple) -> ScalarExpr:
+        """The mixed partial of L by the slots (sa, ia) and (sb, ib)."""
+        return mixed_partial(self.L(), [(sa, ia), (sb, ib)], self.convention)
 
     def tc1(self, sigma: int) -> ScalarExpr:
         """dL/dy^s - d_i' dL/dy^s_i + d_i' d_j' dL/dy^s_{ij}."""
-        L, ctx, conv = self.L, self.ctx, self.convention
+        total = self.kept.get(("tc1", sigma))
+        if total is not None:
+            return total
+        L, ctx, conv = self.L(), self.ctx, self.convention
         total = sym_partial(L, sigma, (), conv)
         for i in self.base:
             total = total - cut_derivative(sym_partial(L, sigma, (i,), conv), i, ctx)
         for i, j in itertools.product(self.base, repeat=2):
             inner = cut_derivative(sym_partial(L, sigma, (i, j), conv), j, ctx)
             total = total + cut_derivative(inner, i, ctx)
+        self.kept["tc1", sigma] = total
         return total
 
     def c2(self, sigma: int, nu: int, p: int, q: int, i: int, cut: bool = True) -> ScalarExpr:
         """The y^nu_{pqi} coefficient; without ``cut``, less its 2 d_j' part."""
+        index = ("c2", sigma, nu, p, q, i, cut)
+        coeff = self.kept.get(index)
+        if coeff is not None:
+            return coeff
         pp = self.pp
         coeff = pp(sigma, (i, q), nu, (p,)) - pp(sigma, (i,), nu, (p, q))
         for j in self.base if cut else ():
             coeff = coeff + 2 * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, self.ctx)
+        self.kept[index] = coeff
         return coeff
 
     def c3(self, mu: int, nu: int, sigma: int, s: int, t: int, j: int, p: int, q: int, i: int) -> ScalarExpr:
         """The y^mu_{sti} y^nu_{pqj} coefficient."""
-        return mixed_partial(self.L, [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))], self.convention)
+        return mixed_partial(self.L(), [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))], self.convention)
 
     def c4(self, sigma: int, nu: int, p: int, q: int, i: int, j: int) -> ScalarExpr:
         """The y^nu_{pqij} coefficient."""
@@ -255,7 +293,7 @@ def trivial_conditions_second_order(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """The four explicit chart conditions equivalent to triviality at order two."""
-    return _judge(_triviality_conditions(_Expansion(lam, convention)), policy, "triviality")
+    return _judge(_triviality_conditions(_expansion(lam, convention)), policy, "triviality")
 
 
 def _triviality_conditions(ex: _Expansion):
@@ -280,7 +318,7 @@ def order_reducible(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Pass iff the principal Lepage equivalent stays at the Lagrangian's order."""
-    ex = _Expansion(lam, convention, "order-reducibility")
+    ex = _expansion(lam, convention, "order-reducibility")
     return _judge(_reducibility_conditions(ex), policy, "order-reducibility")
 
 
@@ -313,7 +351,7 @@ def combination_conditions(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Triviality conditions for order-reducible second-order Lagrangians."""
-    ex = _Expansion(lam, convention)
+    ex = _expansion(lam, convention)
     reducible = order_reducible(lam, convention, policy)
     if not reducible.passed:
         raise PreconditionError(f"Lagrangian is not order-reducible: {reducible.describe()}")
@@ -433,7 +471,7 @@ def el_expansion_crosscheck(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Euler-Lagrange expressions versus their cut-derivative expansion."""
-    return _judge(_expansion_gaps(_Expansion(lam, convention), lam), policy, "el-expansion")
+    return _judge(_expansion_gaps(_expansion(lam, convention), lam), policy, "el-expansion")
 
 
 def _expansion_gaps(ex: _Expansion, lam: Lagrangian):

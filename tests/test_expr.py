@@ -28,6 +28,7 @@ from lepage import (
     X,
     Y,
     ZeroPolicy,
+    ZeroVerdict,
     canonicalize,
     const,
     cos,
@@ -36,7 +37,9 @@ from lepage import (
     eval_numeric,
     exp,
     expr_to_text,
+    jet_order,
     ln,
+    max_jet_order,
     parse_expression,
     sin,
     substitute,
@@ -57,6 +60,7 @@ from lepage.expr import (
     Var,
     _atom_id,
     _render,
+    _rf_atoms,
     _rf_diff,
     _to_rf,
     _tree_fields,
@@ -366,6 +370,14 @@ class TestEqualsZero:
     def test_sampling_failure(self):
         with pytest.raises(SamplingFailure):
             equals_zero(ln(-2 - exp(YY)))
+
+    def test_proven_zero_verdicts_are_one_shared_value(self):
+        # a verdict is immutable, so every proven zero returns the same one,
+        # with the kind, witness and value a fresh verdict has
+        first, second = equals_zero(Y1 - Y1), equals_zero(Y2 * 0)
+        assert first is second
+        assert (first.kind, first.witness, first.value) == (PROVEN_ZERO, None, None)
+        assert first == ZeroVerdict(PROVEN_ZERO) and first.is_zero
 
     def test_deterministic_under_seed(self):
         policy = ZeroPolicy(seed=123)
@@ -837,7 +849,8 @@ class TestRepresentationBoundary:
         vs = [FiberVar(7, MultiIndex((1, 3))), FiberVar(8, MultiIndex((2,))), BaseVar(1)]
 
         def run(es):
-            return [(canonicalize(e), [diff(diff(e, v), v) for v in vs]) for e in es]
+            # the jet orders are read from the order masks the threads extend
+            return [(canonicalize(e), max_jet_order(e), [diff(diff(e, v), v) for v in vs]) for e in es]
 
         shared = build()
         start = threading.Barrier(8)
@@ -860,11 +873,12 @@ class TestRepresentationBoundary:
         assert not any(t.is_alive() for t in threads)
         want = run(build())
         assert len(got) == 8 and all(result == want for result in got)
+        assert [order for _, order, _ in want] == [_decoded_order(e) for e in shared] == [2, 2, 2]
         assert len(_IDS) == len(_ATOMS) == len(_KEYS)
         # the table keys a coordinate atom by its coordinate
         handle = lambda atom: atom.ref if isinstance(atom, Var) else atom  # noqa: E731
         assert all(_IDS[handle(atom)] == i for i, atom in enumerate(_ATOMS))
-        atoms = {node for tree, _ in want for node in _subtrees(tree)
+        atoms = {node for tree, *_ in want for node in _subtrees(tree)
                  if isinstance(node, (Var, Fn))}
         assert atoms and all(handle(atom) in _IDS for atom in atoms)
         # the denominators' factors share the table's lock
@@ -1241,6 +1255,56 @@ for e in euler_lagrange_expressions(lam):
         verdict = equals_zero(in_key_order(canonicalize(q)))
         print(verdict.kind, repr(verdict.value))
 """
+
+
+def _decoded_order(e):
+    """The highest jet order of e as every atom of its quotient gives it:
+    a coordinate's order, and a function atom's argument's, decoded."""
+    return max((jet_order(atom.ref) if isinstance(atom, Var) else _decoded_order(atom.arg)
+                for atom in _rf_atoms(_to_rf(e))), default=0)
+
+
+# coordinates of jet orders 0 to 4 over fibers no other test uses, so the
+# examples intern them in the order they are drawn and canonicalized
+_ORDER_POOL = [X(3), Y(21), Y(22, 2), Y(21, 1, 3), Y(23, 1, 2, 2), Y(22, 1, 1, 3, 3)]
+_FUNCTIONS = [sin, cos, exp, ln]
+
+
+def _nest(children):
+    pairs = st.tuples(children, children)
+    return (
+        pairs.map(lambda ab: ab[0] + ab[1])
+        | pairs.map(lambda ab: ab[0] * ab[1])
+        # a multi-term denominator: b^2 + 1 is never identically zero
+        | pairs.map(lambda ab: ab[0] / (ab[1] ** 2 + 1))
+        | st.tuples(st.sampled_from(_FUNCTIONS), children).map(lambda fe: fe[0](fe[1]))
+    )
+
+
+_order_exprs = st.recursive(st.sampled_from(_ORDER_POOL) | st.integers(-2, 2).map(const), _nest,
+                            max_leaves=8)
+
+
+class TestJetOrderMasks:
+    """max_jet_order reads the order masks of the atom table; it equals the
+    order decoded from the atoms, whichever order the atoms joined in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_order_exprs, min_size=1, max_size=4).flatmap(
+        lambda es: st.tuples(st.just(es), st.permutations(range(len(es))))))
+    def test_the_mask_read_equals_the_decoded_order(self, drawn):
+        es, order = drawn
+        for k in order:
+            canonicalize(es[k])
+        for e in es:
+            assert max_jet_order(e) == _decoded_order(e)
+            for v in (Y(21, 1, 3).ref, X(3).ref):
+                assert max_jet_order(diff(e, v)) == _decoded_order(diff(e, v))
+
+    def test_a_function_atom_takes_its_arguments_order(self):
+        assert max_jet_order(sin(Y(24, 1, 2, 2) + X(4))) == 3
+        assert max_jet_order(exp(ln(Y(24)) / (Y(24, 1) ** 2 + 1)) * X(4)) == 1
+        assert max_jet_order(cos(const(2))) == max_jet_order(const(5)) == 0
 
 
 class TestInterningOrder:

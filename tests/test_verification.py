@@ -53,13 +53,14 @@ from lepage import (
     trivial_order_reducible_corpus,
     zero_form,
 )
-from lepage import verification
+from lepage import forms, verification
 from lepage.expr import Add, canonicalize, is_zero_expr
 from lepage.jets import DEFAULT_CONVENTION, mixed_partial, sym_partial
 from lepage.serialize import expr_to_text
 from lepage.verification import (
     _Expansion,
     _contract,
+    _expansion,
     _p1_of_d,
     _triviality_conditions,
     random_divergence_lagrangian,
@@ -154,6 +155,25 @@ class TestP1OfD:
         for lam in corpus():
             for rho in _constructors(lam):
                 self._assert_full_d_agrees(rho)
+
+    def test_no_two_contact_entry_is_formed(self, monkeypatch):
+        # d_V of the 1-contact terms is all 2-contact, so p1(d rho) never
+        # forms it: every entry handed to make_form has at most one omega
+        lam = camassa_holm()
+        rhos = [principal_lepage(lam), caratheodory_second(lam)]
+        made = []
+        make_form = forms.make_form
+
+        def recording(ctx, degree, entries, order):
+            entries = list(entries)
+            made.extend(key for key, _ in entries)
+            return make_form(ctx, degree, entries, order)
+
+        for module in (forms, verification):
+            monkeypatch.setattr(module, "make_form", recording, raising=False)
+        for rho in rhos:
+            _p1_of_d(rho)
+        assert made and all(sum(isinstance(el, Omega) for el in key) < 2 for key in made)
 
 
 @st.composite
@@ -445,6 +465,51 @@ class TestElExpansion:
         coords = " + ".join(f"y1_{a}{b}" for a in range(1, 4) for b in range(a, 4))
         lam = parse_lagrangian(LagrangianSpec(3, m, 2, f"({coords})^3"))
         assert el_expansion_crosscheck(lam).passed
+
+
+class TestSharedExpansion:
+    """The second-order checks of one Lagrangian share one expansion per
+    chart and convention, so they read the same coefficient nodes."""
+
+    # a nontrivial L, whose tc1 is nonzero and fails the triviality check
+    # at once, and a trivial one, whose triviality check reads every c2,
+    # some of them nonzero
+    @pytest.mark.parametrize("lam, name", [
+        (camassa_holm(), "tc1"),
+        (make_divergence_lagrangian(DivergenceGenerator(
+            ChartContext(2, 1, 1), (Y(1, 1) * Y(1, 2) ** 2 / 2, const(0)), 1)), "c2"),
+    ], ids=["tc1", "c2"])
+    def test_two_checks_read_the_identical_nonzero_nodes(self, monkeypatch, lam, name):
+        read: dict = {}
+
+        def spying(name):
+            method = getattr(_Expansion, name)
+
+            def spy(self, *args, **kwargs):
+                out = method(self, *args, **kwargs)
+                read.setdefault((name, args, tuple(kwargs.items())), []).append(out)
+                return out
+            return spy
+
+        for method in ("tc1", "c2"):
+            monkeypatch.setattr(_Expansion, method, spying(method))
+        trivial_conditions_second_order(lam)
+        first = {key: len(outs) for key, outs in read.items()}
+        assert el_expansion_crosscheck(lam).passed
+        shared = {key: outs for key, outs in read.items() if len(outs) > first.get(key, 0) > 0}
+        assert all(out is outs[0] for outs in shared.values() for out in outs)
+        assert any(key[0] == name and not is_zero_expr(outs[0]) for key, outs in shared.items())
+
+    def test_one_expansion_per_node_chart_and_convention(self):
+        lam = camassa_holm()
+        ex = _expansion(lam, DEFAULT_CONVENTION)
+        assert ex.tc1(1) is ex.tc1(1) and ex.c2(1, 1, 1, 1, 2) is ex.c2(1, 1, 1, 1, 2)
+        # another Lagrangian over the same L node and chart shares it
+        assert _expansion(Lagrangian(lam.ctx, 2, lam.L), DEFAULT_CONVENTION) is ex
+        # the plain convention gets its own, with its own coefficients
+        other = _expansion(lam, Convention.PLAIN)
+        assert other is not ex and other.convention is Convention.PLAIN
+        assert other.tc1(1) != ex.tc1(1) and other.c2(1, 1, 1, 1, 2) != ex.c2(1, 1, 1, 1, 2)
 
 
 _SECOND_ORDER_CORPORA = [*second_order_corpus(), *trivial_order_reducible_corpus(),
