@@ -40,7 +40,11 @@ value could keep a factor that the flat sum of the whole chain drops, since
 no factor is related to another; so such a sum stays a raw ``Add`` and
 canonicalize sums it flat.  A raw operand keeps the raw chain, so parsed and
 hand-built trees print as written.  ``_summed`` adds signed pieces in one
-step, as ``lepage.forms.make_form`` needs.
+step, as ``lepage.forms.make_form`` needs.  Unit operations keep the node:
+-x of a canonical node is memoized on x, and -(-x) is x itself; a unit
+``Rat`` times x is x or -x; and ``_summed`` returns a lone piece or its
+memoized negation.  So the forms of one Lagrangian that agree on a
+coefficient hold one node for it, and its partials are taken once.
 
 Each node caches what is derived from it, for as long as the node lives, and
 no module but this one reads or writes these caches:
@@ -53,11 +57,16 @@ no module but this one reads or writes these caches:
   (``_canonical_parts``).  Threads that read one unbuilt node build equal trees;
 * ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
 * ``_memo``: derived canonical nodes, read and filled by ``_memoized`` and
-  keyed by a coordinate (``diff``) or by the tagged tuples of the formal and
-  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``); on
-  a Lagrangian's L it also holds the second-order expansion of
-  ``lepage.verification`` (``("expansion", chart, convention)``), which
-  refers back to L only weakly.
+  keyed by a coordinate (``diff``), by ``"neg"`` (the negation, whose own
+  memo holds the node back) or by the tagged tuples of the formal and
+  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).  On
+  a Lagrangian's L it also holds what ``lepage.variational`` derives once
+  per chart and order r: ``("momenta", chart, r, convention)``,
+  ``("euler-lagrange", chart, r)`` (the E_sigma tuple),
+  ``("lagrangian-form", chart, r)`` and ``("euler-lagrange-form", chart,
+  r)``; and the second-order expansion of ``lepage.verification``
+  (``("expansion", chart, convention)``), which refers back to L only
+  weakly.
 
 So a repeated partial returns the same node, and ``canonicalize`` returns a
 node it built as it is.  Values are immutable, operations pure and caches
@@ -139,7 +148,9 @@ class ScalarExpr(Record):
 
     def __neg__(self) -> "ScalarExpr":
         rf = _operand_rf(self)
-        return Mul((Rat(Fraction(-1)), self)) if rf is None else _render(_rf_neg(rf))
+        if rf is None:
+            return Mul((Rat(Fraction(-1)), self))
+        return _memoized(self, "neg", _negated, self, rf)
 
     def __getstate__(self) -> dict:
         # the caches hold ids of this process's atom and factor tables, so a
@@ -485,21 +496,34 @@ def _plus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     return _render(_rf_sum((ra, rb)))
 
 
+def _negated(e: ScalarExpr, rf: _RF) -> ScalarExpr:
+    """The canonical -e, which keeps e as its own negation: -(-e) is e."""
+    out = _render(_rf_neg(rf))
+    if "_canonical" in e.__dict__:
+        out.__dict__.setdefault("_memo", {}).setdefault("neg", e)
+    return out
+
+
 def _times(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    """a * b: canonical for two canonical operands, else a raw Mul."""
+    """a * b: canonical for two canonical operands, else a raw Mul; a unit
+    Rat times a node canonicalize made is that node or its negation."""
     ra = _operand_rf(a)
     rb = None if ra is None else _operand_rf(b)
-    return Mul((a, b)) if rb is None else _render(_rf_mul(ra, rb))
+    if rb is None:
+        return Mul((a, b))
+    if a.__class__ is Rat and a.value in (1, -1) and "_canonical" in b.__dict__:
+        return b if a.value == 1 else -b
+    return _render(_rf_mul(ra, rb))
 
 
 def _summed(pieces: list) -> ScalarExpr:
     """The canonical sum of (node, sign) pieces, sign 1 or -1, as one _rf_sum
     over their quotients: a raw Add with sign 1 gives its terms, as ``Add``
-    opens it, and a lone canonical piece with sign 1 is returned itself."""
+    opens it, and a lone canonical piece is returned itself or negated (-e)."""
     if len(pieces) == 1:
         e, sign = pieces[0]
-        if sign == 1 and "_canonical" in e.__dict__:
-            return e
+        if "_canonical" in e.__dict__:
+            return e if sign == 1 else -e
     rfs = []
     for e, sign in pieces:
         if sign != 1:

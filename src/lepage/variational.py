@@ -7,11 +7,21 @@ first-order fundamental (Krupka-Betounes) form, and the second-order
 fundamental form over a 2-dimensional base for order-reducible
 Lagrangians.
 
-The Lepage equivalents agree with Theta up to 2-contact terms, so each builds
+The Lepage equivalents agree with Theta up to 2-contact terms, so they share
 one table of momenta, ``_momenta``: p_sigma^{Ji} = sum_l (-1)^l d_{p1}..d_{pl}
-dL/dy^sigma_{J p1..pl i} for |J| < r, once per call.  ``_theta_entries`` is
-the one writer of Theta's entries; both Caratheodory forms and the n = 2
-blocks (A^sigma_j = p_sigma^j, B^sigma_{ij} = p_sigma^{ij}) read the table.
+dL/dy^sigma_{J p1..pl i} for |J| < r.  ``_theta_entries`` is the one writer
+of Theta's entries; both Caratheodory forms and the n = 2 blocks
+(A^sigma_j = p_sigma^j, B^sigma_{ij} = p_sigma^{ij}) read the table.
+
+What every form of one Lagrangian shares is derived once and kept in the
+memo of its L node (``expr._memoized``, through ``_kept``), keyed by the
+chart and order: the momenta table (per convention), the E_sigma tuple,
+L omega_0 and E_lambda.  With the identity rules of ``lepage.expr`` (-(-x)
+is x, a unit times x is x or -x), Theta and both fundamental forms hold the
+same coefficient nodes for their 0- and 1-contact terms, so each partial and
+formal derivative of those terms is taken once.  A pickled L carries none
+of it.  L omega_0 holds L itself, so an L node whose form was made is freed
+by the cycle collector.
 
 Over a 2-dimensional base, ``_second_order_n2`` appends to Theta's entries
 the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
@@ -39,6 +49,7 @@ from .expr import (
     is_zero_expr,
     max_jet_order,
     variables,
+    _memoized,
     _summed,
 )
 from .forms import (
@@ -91,14 +102,30 @@ class Lagrangian(Record):
         self.__dict__.update(ctx=chart, r=r, L=L)
 
 
+def _kept(lam: Lagrangian, name: str, make, *args):
+    """make(lam, *args), kept in the memo of lam's L node under (name, chart,
+    order, *args): every Lagrangian over one L node, chart and order reads
+    the same value, which no caller may change."""
+    return _memoized(lam.L, (name, lam.ctx, lam.r, *args), make, lam, *args)
+
+
 def lagrangian_form(lam: Lagrangian) -> ExteriorForm:
-    """The horizontal n-form L omega_0."""
+    """The horizontal n-form L omega_0, made once per L node, chart and order."""
+    return _kept(lam, "lagrangian-form", _lagrangian_form)
+
+
+def _lagrangian_form(lam: Lagrangian) -> ExteriorForm:
     key = tuple(Dx(i) for i in lam.ctx.base_indices)
     return make_form(lam.ctx, lam.ctx.n, [(key, lam.L)], lam.r)
 
 
 def euler_lagrange_expressions(lam: Lagrangian) -> list[ScalarExpr]:
-    """E_sigma(L) = sum_k (-1)^k d_{i1}...d_{ik} dL/dy^sigma_{i1..ik} (sorted inner sum)."""
+    """E_sigma(L) = sum_k (-1)^k d_{i1}...d_{ik} dL/dy^sigma_{i1..ik} (sorted
+    inner sum), derived once per L node, chart and order; the list is new."""
+    return list(_kept(lam, "euler-lagrange", _euler_lagrange))
+
+
+def _euler_lagrange(lam: Lagrangian) -> tuple:
     ctx = lam.ctx
     out = []
     for sigma in ctx.fiber_indices:
@@ -110,11 +137,16 @@ def euler_lagrange_expressions(lam: Lagrangian) -> list[ScalarExpr]:
                     continue
                 pieces.append((iterated_total_derivative(partial, jj, ctx), (-1) ** k))
         out.append(_summed(pieces))
-    return out
+    return tuple(out)
 
 
 def euler_lagrange_form(lam: Lagrangian) -> ExteriorForm:
-    """The 1-contact (n+1)-form E_sigma(L) omega^sigma ^ omega_0 at order 2r."""
+    """The 1-contact (n+1)-form E_sigma(L) omega^sigma ^ omega_0 at order 2r,
+    made once per L node, chart and order."""
+    return _kept(lam, "euler-lagrange-form", _euler_lagrange_form)
+
+
+def _euler_lagrange_form(lam: Lagrangian) -> ExteriorForm:
     ctx = lam.ctx
     order = max(2 * lam.r, 1)
     vol = tuple(Dx(i) for i in ctx.base_indices)
@@ -126,7 +158,13 @@ def euler_lagrange_form(lam: Lagrangian) -> ExteriorForm:
 def _momenta(lam: Lagrangian, convention: Convention) -> dict:
     """The momenta p_sigma^{Ji} = sum_{l=0}^{r-1-|J|} (-1)^l d_{p1}..d_{pl}
     dL/dy^sigma_{J p1..pl i}, keyed (sigma, J, i) for every free index tuple J
-    with |J| < r, the derivative indices resolved by sym_partial."""
+    with |J| < r, the derivative indices resolved by sym_partial.  The table
+    is built once per L node, chart, order and convention and shared by every
+    constructor, so it is read, never written."""
+    return _kept(lam, "momenta", _momentum_table, convention)
+
+
+def _momentum_table(lam: Lagrangian, convention: Convention) -> dict:
     ctx = lam.ctx
     base = list(ctx.base_indices)
     table: dict = {}
@@ -269,7 +307,10 @@ def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
     # a repeated index, so a partial is extended only by a new direction j
     partials = [((), (), lam.L)]
     for k in range(1, n + 1):
-        scale = Fraction(1, factorial(n - k) * factorial(k) ** 2)
+        # the (n-k)! orderings of the remaining base indices wedge to one
+        # basis term with one sign, so each partial enters once, with the
+        # sorted ones and (n-k)! times the scale
+        scale = Fraction(1, factorial(k) ** 2)
         deeper = []
         for sigmas, js, partial in partials:
             for sigma in fibers:
@@ -279,13 +320,12 @@ def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
                     d = diff(partial, FiberVar(sigma, MultiIndex((j,))))
                     if not is_zero_expr(d):
                         deeper.append((sigmas + (sigma,), js + (j,), d))
-        # the entries in the order of product(fibers) x product(base) x
-        # permutations of the remaining base indices
+        # the entries in the order of product(fibers) x product(base)
         partials = sorted(deeper, key=lambda entry: entry[:2])
         for sigmas, js, partial in partials:
-            for rest in itertools.permutations([i for i in base if i not in js]):
-                key = tuple(Omega(s, empty) for s in sigmas) + tuple(Dx(i) for i in rest)
-                entries.append((key, Rat(scale * levi_civita(js + rest)) * partial))
+            rest = tuple(i for i in base if i not in js)
+            key = tuple(Omega(s, empty) for s in sigmas) + tuple(Dx(i) for i in rest)
+            entries.append((key, Rat(scale * levi_civita(js + rest)) * partial))
     return make_form(ctx, n, entries, 1)
 
 

@@ -27,7 +27,13 @@ coefficient nodes; each check still refuses an order other than 2 with its
 own message before it looks.  Its symmetrizer sums a coefficient over the
 permutations within sorted index groups: the triviality and combination
 conditions are such sums, and the expansion cross-check sums the same
-coefficients against their coordinates.
+coefficients against their coordinates.  c3 and c4 are partials of the
+(sigma, nu) block of second partials by second-order coordinates, so where
+that block is zero (``_Expansion.blocked``) the triviality[3] and [4]
+conditions of the pair are yielded as zero with no term taken; the
+condition stream and every verdict and witness are unchanged.  The
+order-reducibility report is kept with the expansion, per zero policy, so
+the checks and the n = 2 fundamental form of one Lagrangian judge it once.
 """
 from __future__ import annotations
 
@@ -220,7 +226,9 @@ class _Expansion:
         E_sigma = tc1 + c2 y^nu_{pqi} + c3 y^mu_{sti} y^nu_{pqj} + c4 y^nu_{pqij}
 
     Each coefficient is written once here and takes its partials when read;
-    tc1 and c2 are kept per index tuple.  L's memo holds the expansion, so
+    tc1 and c2 are kept per index tuple, and ``kept`` also holds the zero
+    verdict of each (sigma, nu) block and the order-reducibility report of
+    each zero policy.  L's memo holds the expansion, so
     the expansion refers to L weakly: no reference cycle keeps L alive.
     """
 
@@ -269,16 +277,33 @@ class _Expansion:
         """The y^nu_{pqij} coefficient."""
         return self.pp(sigma, (i, j), nu, (p, q))
 
-    def symmetrized(self, term, heads: int, sizes: tuple[int, ...]):
+    def blocked(self, sigma: int, nu: int) -> bool:
+        """True iff the (sigma, nu) block of second partials of L by
+        y^sigma_I and y^nu_K, |I| = |K| = 2, is zero, so c4 and every c3
+        over the pair, a further partial of the block, vanish."""
+        index = ("blocked", sigma, nu)
+        zero = self.kept.get(index)
+        if zero is None:
+            pairs = list(itertools.combinations_with_replacement(self.base, 2))
+            zero = self.kept[index] = all(is_zero_expr(self.pp(sigma, i, nu, k))
+                                          for i, k in itertools.product(pairs, pairs))
+        return zero
+
+    def symmetrized(self, term, heads: int, sizes: tuple[int, ...], skip=None):
         """For each head of ``heads`` fiber indices and each choice of sorted
         index groups of the given sizes, the sum of
         term(*head, *indices) over all permutations within each group, the
-        last group permuting fastest; zero terms are left out of the sum."""
+        last group permuting fastest; zero terms are left out of the sum.  A
+        head for which skip(*head) is true yields ZERO for each choice, with
+        no term taken."""
         groups = itertools.product(
             *(itertools.combinations_with_replacement(self.base, k) for k in sizes))
         choices = [[sum(perm, ()) for perm in itertools.product(*map(itertools.permutations, group))]
                    for group in groups]
         for head in itertools.product(self.ctx.fiber_indices, repeat=heads):
+            if skip is not None and skip(*head):
+                yield from itertools.repeat(ZERO, len(choices))
+                continue
             for indices in choices:
                 # a repeated index repeats a term: each distinct one is taken once
                 value = {index: term(*head, *index) for index in dict.fromkeys(indices)}
@@ -299,11 +324,13 @@ def trivial_conditions_second_order(
 def _triviality_conditions(ex: _Expansion):
     for sigma in ex.ctx.fiber_indices:
         yield "triviality[1]", ex.tc1(sigma), ""
-    # Sym(pqi) of c2, Sym(stj) Sym(pqi) of c3 and Sym(pqij) of c4
-    for label, term, heads, sizes in (("triviality[2]", ex.c2, 2, (3,)),
-                                      ("triviality[3]", ex.c3, 3, (3, 3)),
-                                      ("triviality[4]", ex.c4, 2, (4,))):
-        for condition in ex.symmetrized(term, heads, sizes):
+    # Sym(pqi) of c2, Sym(stj) Sym(pqi) of c3 and Sym(pqij) of c4; c3 and c4
+    # of a zero (sigma, nu) block are zero, so their heads take no term
+    for label, term, heads, sizes, skip in (
+            ("triviality[2]", ex.c2, 2, (3,), None),
+            ("triviality[3]", ex.c3, 3, (3, 3), lambda mu, nu, sigma: ex.blocked(sigma, nu)),
+            ("triviality[4]", ex.c4, 2, (4,), ex.blocked)):
+        for condition in ex.symmetrized(term, heads, sizes, skip):
             yield label, condition, ""
 
 
@@ -317,9 +344,14 @@ def order_reducible(
     convention: Convention = DEFAULT_CONVENTION,
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
-    """Pass iff the principal Lepage equivalent stays at the Lagrangian's order."""
+    """Pass iff the principal Lepage equivalent stays at the Lagrangian's order.
+    The report is judged once per expansion and policy and kept with it."""
     ex = _expansion(lam, convention, "order-reducibility")
-    return _judge(_reducibility_conditions(ex), policy, "order-reducibility")
+    index = ("order-reducible", policy)
+    report = ex.kept.get(index)
+    if report is None:
+        report = ex.kept[index] = _judge(_reducibility_conditions(ex), policy, "order-reducibility")
+    return report
 
 
 def _reducibility_conditions(ex: _Expansion):
@@ -480,7 +512,9 @@ def _expansion_gaps(ex: _Expansion, lam: Lagrangian):
     for sigma in fibers:
         expansion = ex.tc1(sigma)
         for nu, p, q, i in itertools.product(fibers, *[base] * 3):
-            expansion = expansion + ex.c2(sigma, nu, p, q, i) * Y(nu, p, q, i)
+            first = ex.c2(sigma, nu, p, q, i)
+            if not is_zero_expr(first):
+                expansion = expansion + first * Y(nu, p, q, i)
         # c3 is a partial of c4 by (mu, (s, t)), so it vanishes with c4
         for nu, p, q, i, j in itertools.product(fibers, *[base] * 4):
             second = ex.c4(sigma, nu, p, q, i, j)

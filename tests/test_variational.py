@@ -1,5 +1,6 @@
 """Euler-Lagrange operator and the Lepage-equivalent constructors."""
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -10,6 +11,7 @@ from lepage import variational
 from lepage import (
     ChartContext,
     ChartError,
+    Convention,
     Dx,
     Lagrangian,
     LagrangianSpec,
@@ -37,6 +39,7 @@ from lepage import (
     fundamental_coefficients,
     fundamental_first_order,
     fundamental_second_order_n2,
+    form_to_json,
     form_to_text,
     horizontalization,
     hessian_determinant,
@@ -48,6 +51,7 @@ from lepage import (
     make_form,
     null_divergence_m2,
     omega_basis,
+    order_reducible,
     parse_lagrangian,
     principal_lepage,
     second_order_corpus,
@@ -430,3 +434,109 @@ def test_constructor_refusal(run, error, message):
     with pytest.raises(error) as info:
         run()
     assert str(info.value) == message
+
+
+def _fundamental(lam):
+    """Z_1 at order one, Z_2 of an order-reducible L at order two, else None."""
+    if lam.r == 1:
+        return fundamental_first_order(lam)
+    if order_reducible(lam).passed:
+        return fundamental_second_order_n2(lam)[0]
+    return None
+
+
+def _wide_first_order():
+    """First-order Lagrangians over n = 3 and 4, where Z_1 wedges each partial
+    with (n - k)! orderings of the remaining base indices."""
+    return [parse_lagrangian(LagrangianSpec(n, m, 1, source)) for n, m, source in [
+        (3, 2, "y1_1*y2_2 - y1_2*y2_1 + y1_3*y2_3^2 + x1*y2"),
+        (4, 1, "1 + y_1*y_4 + y_2^2*y_3"),
+    ]]
+
+
+class TestSharedNodes:
+    """Theta and the fundamental forms of one Lagrangian hold the same
+    coefficient nodes for their 0- and 1-contact terms, as the per-L memos
+    and the identity rules of the operators give them."""
+
+    @pytest.mark.parametrize("theta_first", [True, False], ids=["theta-first", "z-first"])
+    @pytest.mark.parametrize("corpus", [first_order_corpus, second_order_corpus, _wide_first_order])
+    def test_low_contact_coefficients_are_thetas(self, corpus, theta_first):
+        compared = 0
+        for lam in corpus():
+            theta = principal_lepage(lam) if theta_first else None
+            z = _fundamental(lam)
+            if z is None:
+                continue
+            if theta is None:
+                theta = principal_lepage(lam)
+            for key, c in z.terms.items():
+                if z.contact_count(key) < 2:
+                    assert theta.terms[key] is c, (lam.L, key)
+                    compared += 1
+        assert compared > 10
+
+    def test_unit_operations_keep_the_node(self):
+        x = canonicalize(Y(1, 1) * Y(1, 2) / (1 + Y(1) ** 2) + X(1))
+        assert -(-x) is x and -x is -x
+        assert Rat(Fraction(1)) * x is x
+        assert Rat(Fraction(-1)) * x is -x
+        # a raw operand keeps its raw tree
+        raw = Y(1, 1) + Y(1, 2)
+        assert expr_to_text(Rat(Fraction(-1)) * raw) == expr_to_text(-raw)
+
+
+_BUILDS = {
+    "theta": lambda lam, conv: principal_lepage(lam, conv),
+    "caratheodory": lambda lam, conv: caratheodory_second(lam, conv),
+    # the Hessian part of L is order-reducible under the symmetrized theta convention only
+    "fundamental": lambda lam, conv: fundamental_second_order_n2(lam, Convention.SYMMETRIZED, conv)[0],
+    "lagrangian": lambda lam, conv: lagrangian_form(lam),
+    "euler-lagrange": lambda lam, conv: euler_lagrange_form(lam),
+}
+
+
+class TestLagrangianMemos:
+    """What L's node memo keeps is safe to share."""
+
+    SOURCE = "y_11*y_22 - y_12^2 + x1*y_1*y_12 + y_2^2 + 1"
+
+    def _lam(self):
+        return parse_lagrangian(LagrangianSpec(2, 1, 2, self.SOURCE))
+
+    def test_euler_lagrange_expressions_are_a_new_list(self):
+        lam = hessian_determinant()
+        first = euler_lagrange_expressions(lam)
+        want = [expr_to_text(e) for e in first]
+        first.clear()
+        first.append(Y(1))
+        second = euler_lagrange_expressions(lam)
+        assert second is not first and [expr_to_text(e) for e in second] == want
+        assert [expr_to_text(e) for e in euler_lagrange_expressions(self._lam())] == \
+            [expr_to_text(e) for e in euler_lagrange_expressions(self._lam())]
+
+    def test_kept_forms_match_a_build_on_a_fresh_node(self):
+        warm = self._lam()
+        conventions = [Convention.SYMMETRIZED, Convention.PLAIN]
+        for conv in conventions * 2:
+            for build in _BUILDS.values():
+                build(warm, conv)
+        for conv in conventions:
+            fresh = self._lam()
+            assert fresh.L is not warm.L
+            for name, build in _BUILDS.items():
+                assert form_to_json(build(warm, conv)) == form_to_json(build(fresh, conv)), (name, conv)
+            kept, built = variational._momenta(warm, conv), variational._momenta(fresh, conv)
+            assert list(kept) == list(built)
+            assert [expr_to_text(p) for p in kept.values()] == [expr_to_text(p) for p in built.values()]
+
+    def test_a_pickled_lagrangian_carries_no_memo(self):
+        lam = self._lam()
+        for build in _BUILDS.values():
+            build(lam, Convention.SYMMETRIZED)
+        trivial_conditions_second_order(lam)
+        assert "_memo" in lam.L.__dict__
+        copy = pickle.loads(pickle.dumps(lam))
+        assert copy == lam and set(copy.L.__dict__) <= set(copy.L._fields)
+        assert form_to_json(principal_lepage(parse_lagrangian(LagrangianSpec(2, 1, 2, self.SOURCE)))) == \
+            form_to_json(principal_lepage(lam))

@@ -552,6 +552,44 @@ class TestZeroTerms:
                 assert mixed_partial(lam.L, slots, DEFAULT_CONVENTION) == chained
 
 
+class TestZeroBlocks:
+    """The triviality[3] and [4] heads of a zero (sigma, nu) block of second
+    partials yield zero without taking a term; the conditions, the verdict
+    and the first failing witness are those of the full sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=_sparse_lagrangians().filter(lambda lam: lam.r == 2))
+    def test_conditions_match_the_full_permutation_sums(self, lam):
+        TestZeroTerms().test_conditions_match_the_full_permutation_sums(lam)
+
+    # recorded before the skip; each has a nonzero block, and the two m = 2
+    # Lagrangians zero blocks too: the diagonal ones of y1_11*y2_22, and the
+    # (2, 2) block of y1_12^2*y2_11
+    @pytest.mark.parametrize("m, source, want", [
+        (1, "1/2*y_11^2", "FAIL triviality[4]: witness 24"),
+        (1, "y_11^2*y_22", "FAIL triviality[3]: witness 24"),
+        (2, "y1_11*y2_22", "FAIL triviality[4]: witness 4"),
+        (2, "y1_12^2*y2_11", "FAIL triviality[3]: witness 8"),
+        (1, "y_11*y_22 - y_12^2", "PASS triviality"),
+        (2, "y1_1*y2_2 - y1_2*y2_1", "PASS triviality"),
+    ])
+    def test_pinned_reports(self, m, source, want):
+        lam = parse_lagrangian(LagrangianSpec(2, m, 2, source))
+        assert trivial_conditions_second_order(lam).describe(m) == want
+
+    def test_a_zero_block_takes_no_term(self, monkeypatch):
+        # the m = 2 null Lagrangian is first order, so every block is zero
+        taken = []
+        c3, c4 = _Expansion.c3, _Expansion.c4
+        monkeypatch.setattr(_Expansion, "c3", lambda self, *a: taken.append(a) or c3(self, *a))
+        monkeypatch.setattr(_Expansion, "c4", lambda self, *a: taken.append(a) or c4(self, *a))
+        lam = parse_lagrangian(LagrangianSpec(2, 2, 2, "y1_1*y2_2 - y1_2*y2_1"))
+        ex = _Expansion(lam, DEFAULT_CONVENTION)
+        conditions = [label for label, _, _ in _triviality_conditions(ex)]
+        assert not taken
+        assert conditions.count("triviality[3]") == 8 * 16 and conditions.count("triviality[4]") == 4 * 5
+
+
 def _hessian_minors(n, sigma):
     """The sum of the 2x2 principal minors of the Hessian y^sigma_{ab}, a null Lagrangian."""
     pairs = itertools.combinations(range(1, n + 1), 2)
