@@ -56,17 +56,10 @@ no module but this one reads or writes these caches:
   read (``ScalarExpr.__getattr__``); the printers read it
   (``_canonical_parts``).  Threads that read one unbuilt node build equal trees;
 * ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
-* ``_memo``: derived canonical nodes, read and filled by ``_memoized`` and
-  keyed by a coordinate (``diff``), by ``"neg"`` (the negation, whose own
-  memo holds the node back) or by the tagged tuples of the formal and
-  symmetrized derivatives of ``jets`` (``("d", ...)``, ``("sym", ...)``).  On
-  a Lagrangian's L it also holds what ``lepage.variational`` derives once
-  per chart and order r: ``("momenta", chart, r, convention)``,
-  ``("euler-lagrange", chart, r)`` (the E_sigma tuple),
-  ``("lagrangian-form", chart, r)`` and ``("euler-lagrange-form", chart,
-  r)``; and the second-order expansion of ``lepage.verification``
-  (``("expansion", chart, convention)``), which refers back to L only
-  weakly.
+* ``_memo``: derived values, read and filled by ``_memoized`` and keyed
+  here by a coordinate (``diff``) or by ``"neg"`` (the negation, whose own
+  memo holds the node back); other modules store values under tagged tuples
+  through ``_memoized``, and each names its own keys.
 
 So a repeated partial returns the same node, and ``canonicalize`` returns a
 node it built as it is.  Values are immutable, operations pure and caches

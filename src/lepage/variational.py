@@ -13,15 +13,15 @@ dL/dy^sigma_{J p1..pl i} for |J| < r.  ``_theta_entries`` is the one writer
 of Theta's entries; both Caratheodory forms and the n = 2 blocks
 (A^sigma_j = p_sigma^j, B^sigma_{ij} = p_sigma^{ij}) read the table.
 
-What every form of one Lagrangian shares is derived once and kept in the
-memo of its L node (``expr._memoized``, through ``_kept``), keyed by the
-chart and order: the momenta table (per convention), the E_sigma tuple,
-L omega_0 and E_lambda.  With the identity rules of ``lepage.expr`` (-(-x)
-is x, a unit times x is x or -x), Theta and both fundamental forms hold the
-same coefficient nodes for their 0- and 1-contact terms, so each partial and
-formal derivative of those terms is taken once.  A pickled L carries none
-of it.  L omega_0 holds L itself, so an L node whose form was made is freed
-by the cycle collector.
+What one Lagrangian derives is kept in the memo of its L node by ``_kept``
+alone, under (name, chart, order, *args): ``"momenta"`` per convention, the
+E_sigma tuple ``"euler-lagrange"``, E_lambda ``"euler-lagrange-form"``, and
+the expansion's ``"tc1"``, ``"c2"``, ``"blocked"`` and ``"reducibility"``
+(``lepage.verification``) per convention and index tuple or zero policy.
+None holds L, and a pickled L carries none.  With the identity rules of
+``lepage.expr`` (-(-x) is x, a unit times x is x or -x), Theta and both
+fundamental forms hold the same coefficient nodes for their 0- and 1-contact
+terms, so each partial and formal derivative of those terms is taken once.
 
 Over a 2-dimensional base, ``_second_order_n2`` appends to Theta's entries
 the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
@@ -110,11 +110,7 @@ def _kept(lam: Lagrangian, name: str, make, *args):
 
 
 def lagrangian_form(lam: Lagrangian) -> ExteriorForm:
-    """The horizontal n-form L omega_0, made once per L node, chart and order."""
-    return _kept(lam, "lagrangian-form", _lagrangian_form)
-
-
-def _lagrangian_form(lam: Lagrangian) -> ExteriorForm:
+    """The horizontal n-form L omega_0."""
     key = tuple(Dx(i) for i in lam.ctx.base_indices)
     return make_form(lam.ctx, lam.ctx.n, [(key, lam.L)], lam.r)
 

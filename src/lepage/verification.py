@@ -19,27 +19,27 @@ failing report, so every verdict is decided in that one place.  A condition
 may be a raw sum, since the zero test reads only its quotient; ``_judge``
 canonicalizes the failing one alone, as the witness that the report prints.
 
-The second-order checks share one expansion of E_sigma, ``_Expansion``,
-which writes each chart coefficient once.  One is made per L node, chart
-and convention and kept in the node's memo (``_expansion``), and it keeps
-tc1 and c2 per index tuple, so the checks of one Lagrangian read the same
-coefficient nodes; each check still refuses an order other than 2 with its
-own message before it looks.  Its symmetrizer sums a coefficient over the
+The second-order checks read one expansion of E_sigma, ``_Expansion``,
+which writes each chart coefficient once.  It is a view of a Lagrangian and
+a convention, made per call once the check has refused an order other than
+2; its tc1 and c2, block verdicts and order-reducibility reports are kept in
+L's memo (``variational._kept``), so the checks of one L node read the same
+values.  Its symmetrizer sums a coefficient over the
 permutations within sorted index groups: the triviality and combination
 conditions are such sums, and the expansion cross-check sums the same
 coefficients against their coordinates.  c3 and c4 are partials of the
 (sigma, nu) block of second partials by second-order coordinates, so where
 that block is zero (``_Expansion.blocked``) the triviality[3] and [4]
 conditions of the pair are yielded as zero with no term taken; the
-condition stream and every verdict and witness are unchanged.  The
-order-reducibility report is kept with the expansion, per zero policy, so
-the checks and the n = 2 fundamental form of one Lagrangian judge it once.
+condition stream and every verdict and witness are unchanged.  The checks
+and the n = 2 fundamental form of one L node judge order-reducibility once
+per convention and policy.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-import weakref
 from fractions import Fraction
 
 from .charts import BaseVar, ChartContext, FiberVar, MultiIndex, Record, var_key
@@ -54,7 +54,6 @@ from .expr import (
     Y,
     ZERO,
     ZeroPolicy,
-    _memoized,
     as_expr,
     canonicalize,
     diff,
@@ -77,6 +76,7 @@ from .jets import (
     DEFAULT_CONVENTION,
     cut_derivative,
     mixed_partial,
+    second_partials,
     sym_partial,
     total_derivative,
 )
@@ -85,6 +85,7 @@ from .serialize import basis_label, expr_to_text, variable_name
 from .variational import (
     Lagrangian,
     OrderReducibilityError,
+    _kept,
     euler_lagrange_expressions,
     euler_lagrange_form,
     fundamental_second_order_n2,
@@ -212,12 +213,21 @@ def is_trivial(lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckRep
 
 
 def _expansion(lam: Lagrangian, convention: Convention, check: str = "second-order") -> "_Expansion":
-    """The one ``_Expansion`` of lam's L node, chart and convention, kept in
-    the node's memo (``expr._memoized``), so the second-order checks of one
-    Lagrangian share its coefficients; at another order ``check`` refuses."""
+    """The expansion of lam under ``convention``; at another order ``check`` refuses."""
     if lam.r != 2:
         raise PreconditionError(f"{check} check got order {lam.r}")
-    return _memoized(lam.L, ("expansion", lam.ctx, convention), _Expansion, lam, convention)
+    return _Expansion(lam, convention)
+
+
+def _stored(method):
+    """An ``_Expansion`` method whose value is kept in the memo of L's node
+    (``variational._kept``) under its name, the convention and its arguments."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def read(ex, *args):
+        return _kept(ex.lam, name, lambda *_: method(ex, *args), ex.convention, *args)
+    return read
 
 
 class _Expansion:
@@ -226,68 +236,55 @@ class _Expansion:
         E_sigma = tc1 + c2 y^nu_{pqi} + c3 y^mu_{sti} y^nu_{pqj} + c4 y^nu_{pqij}
 
     Each coefficient is written once here and takes its partials when read;
-    tc1 and c2 are kept per index tuple, and ``kept`` also holds the zero
-    verdict of each (sigma, nu) block and the order-reducibility report of
-    each zero policy.  L's memo holds the expansion, so
-    the expansion refers to L weakly: no reference cycle keeps L alive.
+    the ``_stored`` methods keep their values in L's memo, and none of those
+    values refers back to L.
     """
 
     def __init__(self, lam: Lagrangian, convention: Convention):
-        self.L = weakref.ref(lam.L)
-        self.ctx, self.base, self.convention = lam.ctx, lam.ctx.base_indices, convention
-        self.kept: dict = {}
+        self.lam, self.ctx, self.base, self.convention = lam, lam.ctx, lam.ctx.base_indices, convention
+        self.pp = second_partials(lam.L, convention)
 
-    def pp(self, sa: int, ia: tuple, sb: int, ib: tuple) -> ScalarExpr:
-        """The mixed partial of L by the slots (sa, ia) and (sb, ib)."""
-        return mixed_partial(self.L(), [(sa, ia), (sb, ib)], self.convention)
-
+    @_stored
     def tc1(self, sigma: int) -> ScalarExpr:
         """dL/dy^s - d_i' dL/dy^s_i + d_i' d_j' dL/dy^s_{ij}."""
-        total = self.kept.get(("tc1", sigma))
-        if total is not None:
-            return total
-        L, ctx, conv = self.L(), self.ctx, self.convention
+        L, ctx, conv = self.lam.L, self.ctx, self.convention
         total = sym_partial(L, sigma, (), conv)
         for i in self.base:
             total = total - cut_derivative(sym_partial(L, sigma, (i,), conv), i, ctx)
         for i, j in itertools.product(self.base, repeat=2):
             inner = cut_derivative(sym_partial(L, sigma, (i, j), conv), j, ctx)
             total = total + cut_derivative(inner, i, ctx)
-        self.kept["tc1", sigma] = total
         return total
 
+    @_stored
     def c2(self, sigma: int, nu: int, p: int, q: int, i: int, cut: bool = True) -> ScalarExpr:
         """The y^nu_{pqi} coefficient; without ``cut``, less its 2 d_j' part."""
-        index = ("c2", sigma, nu, p, q, i, cut)
-        coeff = self.kept.get(index)
-        if coeff is not None:
-            return coeff
         pp = self.pp
         coeff = pp(sigma, (i, q), nu, (p,)) - pp(sigma, (i,), nu, (p, q))
         for j in self.base if cut else ():
             coeff = coeff + 2 * cut_derivative(pp(sigma, (i, j), nu, (p, q)), j, self.ctx)
-        self.kept[index] = coeff
         return coeff
 
     def c3(self, mu: int, nu: int, sigma: int, s: int, t: int, j: int, p: int, q: int, i: int) -> ScalarExpr:
         """The y^mu_{sti} y^nu_{pqj} coefficient."""
-        return mixed_partial(self.L(), [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))], self.convention)
+        return mixed_partial(self.lam.L, [(sigma, (i, j)), (nu, (p, q)), (mu, (s, t))], self.convention)
 
     def c4(self, sigma: int, nu: int, p: int, q: int, i: int, j: int) -> ScalarExpr:
         """The y^nu_{pqij} coefficient."""
         return self.pp(sigma, (i, j), nu, (p, q))
 
+    @_stored
     def blocked(self, sigma: int, nu: int) -> bool:
         """True iff the (sigma, nu) block of second partials of L by
         y^sigma_I and y^nu_K, |I| = |K| = 2, is zero, so c4 and every c3
         over the pair, a further partial of the block, vanish."""
-        index = ("blocked", sigma, nu)
-        zero = self.kept.get(index)
-        if zero is None:
-            pairs = list(itertools.combinations_with_replacement(self.base, 2))
-            zero = self.kept[index] = all(is_zero_expr(self.pp(sigma, i, nu, k))
-                                          for i, k in itertools.product(pairs, pairs))
-        return zero
+        pairs = list(itertools.combinations_with_replacement(self.base, 2))
+        return all(is_zero_expr(self.pp(sigma, i, nu, k)) for i, k in itertools.product(pairs, pairs))
+
+    @_stored
+    def reducibility(self, policy: ZeroPolicy) -> CheckReport:
+        """The order-reducibility report under ``policy``."""
+        return _judge(_reducibility_conditions(self), policy, "order-reducibility")
 
     def symmetrized(self, term, heads: int, sizes: tuple[int, ...], skip=None):
         """For each head of ``heads`` fiber indices and each choice of sorted
@@ -345,13 +342,8 @@ def order_reducible(
     policy: ZeroPolicy = DEFAULT_POLICY,
 ) -> CheckReport:
     """Pass iff the principal Lepage equivalent stays at the Lagrangian's order.
-    The report is judged once per expansion and policy and kept with it."""
-    ex = _expansion(lam, convention, "order-reducibility")
-    index = ("order-reducible", policy)
-    report = ex.kept.get(index)
-    if report is None:
-        report = ex.kept[index] = _judge(_reducibility_conditions(ex), policy, "order-reducibility")
-    return report
+    The report is judged once per L node, chart, convention and policy."""
+    return _expansion(lam, convention, "order-reducibility").reducibility(policy)
 
 
 def _reducibility_conditions(ex: _Expansion):
@@ -420,7 +412,7 @@ def _combination_conditions(ex: _Expansion):
         return
     # Sym(pqi) of c2 less its 2 d_j' part
     def head(sigma, nu, p, q, i):
-        return ex.c2(sigma, nu, p, q, i, cut=False)
+        return ex.c2(sigma, nu, p, q, i, False)
 
     for condition in ex.symmetrized(head, 2, (3,)):
         yield "combination[sym]", condition, ""
@@ -569,15 +561,16 @@ def _central_difference(f: ScalarExpr, point: dict, x: BaseVar, h: float, guard:
     return (eval_pole_guarded(f, up, guard) - eval_pole_guarded(f, down, guard)) / (2 * h)
 
 
+# the oracle's seed, finite-difference step h and guard distance from a pole
+_ORACLE_SEED, _ORACLE_STEP, _ORACLE_POLE_GUARD = 0, 1e-4, 0.3
+
+
 def random_section_oracle(
     f: ScalarExpr,
     ctx: ChartContext,
     trials: int = 10,
-    seed: int = 0,
     points: int = 10,
-    step: float = 1e-4,
     tol: float = 1e-5,
-    pole_guard: float = 0.3,
 ) -> CheckReport:
     """Compare d_i f along prolonged polynomial sections with finite differences.
 
@@ -587,7 +580,7 @@ def random_section_oracle(
     Sample points where a denominator of the pulled-back function comes
     within the guard of a pole are resampled (at most 10 times per point).
     """
-    rng = random.Random(seed)
+    rng = random.Random(_ORACLE_SEED)
     worst = 0.0
     for _ in range(trials):
         gamma = [_random_section_polynomial(ctx, rng) for _ in ctx.fiber_indices]
@@ -599,10 +592,10 @@ def random_section_oracle(
                 for _ in range(10):
                     point = {BaseVar(j): rng.uniform(-1.0, 1.0) for j in ctx.base_indices}
                     try:
-                        center = eval_pole_guarded(derived, point, pole_guard)
+                        center = eval_pole_guarded(derived, point, _ORACLE_POLE_GUARD)
                         wide, narrow = (
-                            _central_difference(pulled, point, BaseVar(i), h, pole_guard)
-                            for h in (step, step / 2)
+                            _central_difference(pulled, point, BaseVar(i), h, _ORACLE_POLE_GUARD)
+                            for h in (_ORACLE_STEP, _ORACLE_STEP / 2)
                         )
                         # Richardson extrapolation cancels the O(h^2) error term
                         fd = (4 * narrow - wide) / 3
@@ -648,6 +641,8 @@ def _divergence(m: int, *g: str) -> Lagrangian:
 
 
 _NULL_M2 = "y1_1*y2_2 - y1_2*y2_1"
+# the terms of each random divergence generator, and the trivial corpus's seed
+_DIVERGENCE_TERMS, _CORPUS_SEED = 3, 0
 
 
 def camassa_holm() -> Lagrangian:
@@ -698,12 +693,10 @@ def _order1_pool(ctx: ChartContext) -> list:
     return pool
 
 
-def random_divergence_lagrangian(
-    ctx: ChartContext, rng: random.Random, terms: int = 3
-) -> Lagrangian:
+def random_divergence_lagrangian(ctx: ChartContext, rng: random.Random) -> Lagrangian:
     """A seeded trivial second-order Lagrangian d_i g^i with first-order g^i."""
     pool = _order1_pool(ctx)
-    g = tuple(random_polynomial(rng, pool, terms=terms, degree=2) for _ in ctx.base_indices)
+    g = tuple(random_polynomial(rng, pool, terms=_DIVERGENCE_TERMS, degree=2) for _ in ctx.base_indices)
     gen = DivergenceGenerator(ctx.at_order(1), g, 1)
     return make_divergence_lagrangian(gen)
 
@@ -763,10 +756,10 @@ def second_order_corpus() -> list[Lagrangian]:
     ]
 
 
-def trivial_order_reducible_corpus(count: int = 6, seed: int = 0) -> list[Lagrangian]:
+def trivial_order_reducible_corpus(count: int = 6) -> list[Lagrangian]:
     """Divergence-generated trivial second-order Lagrangians plus the Hessian determinant."""
     members = [hessian_determinant(), _divergence(1, "1/2*y_2^2", "0")]
-    rng = random.Random(seed)
+    rng = random.Random(_CORPUS_SEED)
     while len(members) < count:
         members.append(random_divergence_lagrangian(ChartContext(2, 1, 1), rng))
     return members

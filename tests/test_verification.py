@@ -1,6 +1,8 @@
 """Verification checks: Lepage property, triviality, order-reducibility, closure."""
+import gc
 import itertools
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -54,7 +56,7 @@ from lepage import (
     zero_form,
 )
 from lepage import forms, verification
-from lepage.expr import Add, canonicalize, is_zero_expr
+from lepage.expr import Add, ZeroPolicy, canonicalize, is_zero_expr
 from lepage.jets import DEFAULT_CONVENTION, mixed_partial, sym_partial
 from lepage.serialize import expr_to_text
 from lepage.verification import (
@@ -468,8 +470,8 @@ class TestElExpansion:
 
 
 class TestSharedExpansion:
-    """The second-order checks of one Lagrangian share one expansion per
-    chart and convention, so they read the same coefficient nodes."""
+    """The second-order checks of one L node share the kept values of one
+    expansion per chart and convention, so they read the same nodes."""
 
     # a nontrivial L, whose tc1 is nonzero and fails the triviality check
     # at once, and a trivial one, whose triviality check reads every c2,
@@ -502,14 +504,54 @@ class TestSharedExpansion:
 
     def test_one_expansion_per_node_chart_and_convention(self):
         lam = camassa_holm()
-        ex = _expansion(lam, DEFAULT_CONVENTION)
-        assert ex.tc1(1) is ex.tc1(1) and ex.c2(1, 1, 1, 1, 2) is ex.c2(1, 1, 1, 1, 2)
-        # another Lagrangian over the same L node and chart shares it
-        assert _expansion(Lagrangian(lam.ctx, 2, lam.L), DEFAULT_CONVENTION) is ex
-        # the plain convention gets its own, with its own coefficients
-        other = _expansion(lam, Convention.PLAIN)
-        assert other is not ex and other.convention is Convention.PLAIN
-        assert other.tc1(1) != ex.tc1(1) and other.c2(1, 1, 1, 1, 2) != ex.c2(1, 1, 1, 1, 2)
+        twin = Lagrangian(lam.ctx, 2, lam.L)
+        ex, shared = _expansion(lam, DEFAULT_CONVENTION), _expansion(twin, DEFAULT_CONVENTION)
+        # two Lagrangians over one L node read the same kept nodes and report
+        assert ex.tc1(1) is shared.tc1(1) and ex.c2(1, 1, 1, 1, 2) is shared.c2(1, 1, 1, 1, 2)
+        assert order_reducible(lam) is order_reducible(twin)
+        # the plain convention gets its own coefficients and report
+        plain = _expansion(lam, Convention.PLAIN)
+        assert plain.tc1(1) != ex.tc1(1) and plain.c2(1, 1, 1, 1, 2) != ex.c2(1, 1, 1, 1, 2)
+        assert order_reducible(lam, Convention.PLAIN) is not order_reducible(lam)
+        # and a second zero policy its own report, shared over the node
+        policy = ZeroPolicy(seed=1)
+        assert order_reducible(lam, policy=policy) is not order_reducible(lam)
+        assert order_reducible(lam, policy=policy) is order_reducible(twin, policy=policy)
+
+
+class TestFreedByReferenceCounting:
+    """No value kept in the memo of L's node holds L, so a Lagrangian whose
+    forms were built and whose checks were run is freed once it is dropped,
+    with the cycle collector off.  ``is_lepage_equivalent`` is left out: its
+    h(rho) - L omega_0 takes -L, and the negation's memo holds L back."""
+
+    @pytest.mark.parametrize("r, source", [
+        (2, "y_11*y_22 - y_12^2 + y_1^2 + 1"),
+        (2, "1/2*(y_1*y_2^2 + y_12^2/y_1)"),
+        (1, "1/2*(y_1^2 + y_2^2)"),
+    ], ids=["hessian-plus", "camassa-holm", "dirichlet"])
+    def test_a_dropped_lagrangian_is_freed(self, r, source):
+        gc.disable()
+        try:
+            lam = parse_lagrangian(LagrangianSpec(2, 1, r, source))
+            node = weakref.ref(lam.L)
+            lagrangian_form(lam)
+            euler_lagrange_form(lam)
+            principal_lepage(lam)
+            if r == 1:
+                caratheodory_first(lam)
+                fundamental_first_order(lam)
+            else:
+                caratheodory_second(lam)
+                trivial_conditions_second_order(lam)
+                el_expansion_crosscheck(lam)
+                if order_reducible(lam).passed:
+                    fundamental_second_order_n2(lam)
+                    combination_conditions(lam)
+            del lam
+            assert node() is None
+        finally:
+            gc.enable()
 
 
 _SECOND_ORDER_CORPORA = [*second_order_corpus(), *trivial_order_reducible_corpus(),
