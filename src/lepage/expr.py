@@ -26,10 +26,11 @@ Laurent monomials over interned atoms and factored denominators.  This
 module interns the atoms (``_atom_id``), turns nodes into quotients
 (``_to_rf``) and back (``_render``), and differentiates, substitutes,
 evaluates and zero-tests them.  The atom table holds a private node of each
-atom, so no node that a caller holds is ever marked canonical, and it keys a
-coordinate's atom by the coordinate (``_coordinate_id``), so a partial or a
-formal derivative finds an id without building a ``Var``.  ``_chain_sum``
-takes a formal derivative as one sum of quotients (see ``lepage.jets``).
+atom, so no node that a caller holds is ever marked canonical.  It keys a
+coordinate's atom by the coordinate (``_coordinate_id``) and a function atom
+by its name and its argument's quotient, so a lookup builds no ``Var`` and
+no tree of a lazy argument.  ``_chain_sum`` takes a formal derivative as one
+sum of quotients (see ``lepage.jets``).
 
 The operators are canonical in, canonical out.  An operand is canonical
 when canonicalize made it or it is a ``Rat``.  On two canonical operands,
@@ -41,10 +42,10 @@ no factor is related to another; so such a sum stays a raw ``Add`` and
 canonicalize sums it flat.  A raw operand keeps the raw chain, so parsed and
 hand-built trees print as written.  ``_summed`` adds signed pieces in one
 step, as ``lepage.forms.make_form`` needs.  Unit operations keep the node:
--x of a canonical node is memoized on x, and -(-x) is x itself; a unit
-``Rat`` times x is x or -x; and ``_summed`` returns a lone piece or its
-memoized negation.  So the forms of one Lagrangian that agree on a
-coefficient hold one node for it, and its partials are taken once.
+-x of a canonical node is memoized on x; a unit ``Rat`` times x is x or -x;
+and ``_summed`` returns a lone piece or its memoized negation.  So the forms
+of one Lagrangian that agree on a coefficient hold one node for it, and its
+partials are taken once.
 
 Each node caches what is derived from it, for as long as the node lives, and
 no module but this one reads or writes these caches:
@@ -57,14 +58,16 @@ no module but this one reads or writes these caches:
   (``_canonical_parts``).  Threads that read one unbuilt node build equal trees;
 * ``_aid``: the intern id of an atom; ``_vars``: its coordinates;
 * ``_memo``: derived values, read and filled by ``_memoized`` and keyed
-  here by a coordinate (``diff``) or by ``"neg"`` (the negation, whose own
-  memo holds the node back); other modules store values under tagged tuples
-  through ``_memoized``, and each names its own keys.
+  here by a coordinate (``diff``) or by ``"neg"`` (the negation); other
+  modules store values under tagged tuples through ``_memoized``, and each
+  names its own keys.
 
-So a repeated partial returns the same node, and ``canonicalize`` returns a
-node it built as it is.  Values are immutable, operations pure and caches
-safe to share across threads; threads racing on one memo entry compute
-equal values, and the last one stored wins.
+A memo entry points from a node to values derived from it, never back, so
+reference counting frees a dropped node and its memo.  A repeated partial
+returns the same node, and ``canonicalize`` returns a node it built as it
+is.  Values are immutable, operations pure and caches safe to share across
+threads; threads racing on one memo entry compute equal values, and the
+last one stored wins.
 """
 from __future__ import annotations
 
@@ -143,7 +146,7 @@ class ScalarExpr(Record):
         rf = _operand_rf(self)
         if rf is None:
             return Mul((Rat(Fraction(-1)), self))
-        return _memoized(self, "neg", _negated, self, rf)
+        return _memoized(self, "neg", lambda: _render(_rf_neg(rf)))
 
     def __getstate__(self) -> dict:
         # the caches hold ids of this process's atom and factor tables, so a
@@ -329,9 +332,10 @@ def _atom_id(atom: ScalarExpr) -> int:
     so no node that a caller holds is ever marked canonical."""
     i = atom.__dict__.get("_aid")
     if i is None:
-        i = _coordinate_id(atom.ref) if atom.__class__ is Var else _intern(
-            _IDS, _ATOMS, _KEYS, atom, Fn(atom.name, atom.arg),
-            lambda: (1, atom.name, expr_key(atom.arg)), _grow)
+        rf = None if atom.__class__ is Var else _to_rf(atom.arg)
+        i = _coordinate_id(atom.ref) if rf is None else _intern(
+            _IDS, _ATOMS, _KEYS, (atom.name, frozenset(rf.num.items()), rf.den, rf.d),
+            Fn(atom.name, atom.arg), lambda: (1, atom.name, expr_key(atom.arg)), _grow)
         atom.__dict__["_aid"] = i
     return i
 
@@ -487,14 +491,6 @@ def _plus(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if ra.den != rb.den:
         return Add((a, b))
     return _render(_rf_sum((ra, rb)))
-
-
-def _negated(e: ScalarExpr, rf: _RF) -> ScalarExpr:
-    """The canonical -e, which keeps e as its own negation: -(-e) is e."""
-    out = _render(_rf_neg(rf))
-    if "_canonical" in e.__dict__:
-        out.__dict__.setdefault("_memo", {}).setdefault("neg", e)
-    return out
 
 
 def _times(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:

@@ -14,14 +14,14 @@ of Theta's entries; both Caratheodory forms and the n = 2 blocks
 (A^sigma_j = p_sigma^j, B^sigma_{ij} = p_sigma^{ij}) read the table.
 
 What one Lagrangian derives is kept in the memo of its L node by ``_kept``
-alone, under (name, chart, order, *args): ``"momenta"`` per convention, the
-E_sigma tuple ``"euler-lagrange"``, E_lambda ``"euler-lagrange-form"``, and
-the expansion's ``"tc1"``, ``"c2"``, ``"blocked"`` and ``"reducibility"``
+alone, under (name, chart at L's order, *args): ``"momenta"`` per convention,
+the E_sigma tuple ``"euler-lagrange"``, E_lambda ``"euler-lagrange-form"``,
+and the expansion's ``"tc1"``, ``"c2"``, ``"blocked"`` and ``"reducibility"``
 (``lepage.verification``) per convention and index tuple or zero policy.
-None holds L, and a pickled L carries none.  With the identity rules of
-``lepage.expr`` (-(-x) is x, a unit times x is x or -x), Theta and both
-fundamental forms hold the same coefficient nodes for their 0- and 1-contact
-terms, so each partial and formal derivative of those terms is taken once.
+None holds L, and a pickled L carries none.  With the unit operations of
+``lepage.expr``, Theta and both fundamental forms hold the same coefficient
+nodes for their 0- and 1-contact terms, so each partial and formal
+derivative of those terms is taken once.
 
 Over a 2-dimensional base, ``_second_order_n2`` appends to Theta's entries
 the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
@@ -104,9 +104,9 @@ class Lagrangian(Record):
 
 def _kept(lam: Lagrangian, name: str, make, *args):
     """make(lam, *args), kept in the memo of lam's L node under (name, chart,
-    order, *args): every Lagrangian over one L node, chart and order reads
-    the same value, which no caller may change."""
-    return _memoized(lam.L, (name, lam.ctx, lam.r, *args), make, lam, *args)
+    *args), the chart being at lam's order: every Lagrangian over one L node
+    and chart reads the same value, which no caller may change."""
+    return _memoized(lam.L, (name, lam.ctx, *args), make, lam, *args)
 
 
 def lagrangian_form(lam: Lagrangian) -> ExteriorForm:

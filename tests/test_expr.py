@@ -566,6 +566,18 @@ class TestLazyTree:
         assert product.factors == (Rat(Fraction(-3)), X(1), Pow(Y1, 2)) and tree_builds == [Pow, Mul]
         assert power == Pow(Y2, 3) and len(tree_builds) == 2
 
+    def test_a_function_atom_builds_no_tree_of_its_argument(self, tree_builds):
+        # the atom table keys sin(a) by a's quotient, so a fresh unread node
+        # of an interned argument finds the atom without building its tree
+        def argument():
+            return canonicalize(Y1 * Y2 + X(1) ** 2 + 1)
+
+        canonicalize(sin(argument()) * Y1)
+        tree_builds.clear()
+        a = argument()
+        canonicalize(sin(a) * Y1)
+        assert tree_builds == [] and not _built(a)
+
     def test_other_names_are_missing(self, tree_builds):
         quotient, total = (canonicalize(raw()) for raw in self.RAW.values())
         for node, name in [(total, "num"), (total, "factors"), (quotient, "terms"),
@@ -875,8 +887,14 @@ class TestRepresentationBoundary:
         assert len(got) == 8 and all(result == want for result in got)
         assert [order for _, order, _ in want] == [_decoded_order(e) for e in shared] == [2, 2, 2]
         assert len(_IDS) == len(_ATOMS) == len(_KEYS)
-        # the table keys a coordinate atom by its coordinate
-        handle = lambda atom: atom.ref if isinstance(atom, Var) else atom  # noqa: E731
+        # the table keys a coordinate atom by its coordinate, and a function
+        # atom by its name and its argument's quotient
+        def handle(atom):
+            if isinstance(atom, Var):
+                return atom.ref
+            rf = _to_rf(atom.arg)
+            return (atom.name, frozenset(rf.num.items()), rf.den, rf.d)
+
         assert all(_IDS[handle(atom)] == i for i, atom in enumerate(_ATOMS))
         atoms = {node for tree, *_ in want for node in _subtrees(tree)
                  if isinstance(node, (Var, Fn))}

@@ -32,6 +32,7 @@ from lepage import (
     dirichlet,
     euler_lagrange_expressions,
     euler_lagrange_form,
+    expr_to_latex,
     expr_to_text,
     exterior_derivative,
     form_is_zero,
@@ -478,7 +479,10 @@ class TestSharedNodes:
 
     def test_unit_operations_keep_the_node(self):
         x = canonicalize(Y(1, 1) * Y(1, 2) / (1 + Y(1) ** 2) + X(1))
-        assert -(-x) is x and -x is -x
+        # -x is memoized on x, and -(-x) on -x: equal to x, not x itself,
+        # so no memo entry points back at x
+        assert -(-x) == x and -(-x) is -(-x) and -x is -x
+        assert expr_to_text(-(-x)) == expr_to_text(x) and expr_to_latex(-(-x)) == expr_to_latex(x)
         assert Rat(Fraction(1)) * x is x
         assert Rat(Fraction(-1)) * x is -x
         # a raw operand keeps its raw tree

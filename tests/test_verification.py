@@ -519,11 +519,31 @@ class TestSharedExpansion:
         assert order_reducible(lam, policy=policy) is order_reducible(twin, policy=policy)
 
 
+def _checked_equivalents(lam):
+    """Build Theta, the Caratheodory form and, where it is defined, the
+    fundamental form of lam, and run the contract and the checks on them and
+    on lam; nothing built is returned."""
+    equivalents = [principal_lepage(lam)]
+    if lam.r == 1:
+        equivalents += [caratheodory_first(lam), fundamental_first_order(lam)]
+    else:
+        equivalents.append(caratheodory_second(lam))
+        trivial_conditions_second_order(lam)
+        el_expansion_crosscheck(lam)
+        if order_reducible(lam).passed:
+            equivalents.append(fundamental_second_order_n2(lam)[0])
+            combination_conditions(lam)
+    for rho in equivalents:
+        _contract(rho, lam)
+        is_lepage_equivalent(rho, lam)
+        closure_check(rho)
+    is_trivial(lam)
+
+
 class TestFreedByReferenceCounting:
-    """No value kept in the memo of L's node holds L, so a Lagrangian whose
-    forms were built and whose checks were run is freed once it is dropped,
-    with the cycle collector off.  ``is_lepage_equivalent`` is left out: its
-    h(rho) - L omega_0 takes -L, and the negation's memo holds L back."""
+    """A memo entry points from a node to what is derived from it, never
+    back, so everything the forms and the checks build is freed by reference
+    counting once it is dropped, with the cycle collector off."""
 
     @pytest.mark.parametrize("r, source", [
         (2, "y_11*y_22 - y_12^2 + y_1^2 + 1"),
@@ -537,19 +557,20 @@ class TestFreedByReferenceCounting:
             node = weakref.ref(lam.L)
             lagrangian_form(lam)
             euler_lagrange_form(lam)
-            principal_lepage(lam)
-            if r == 1:
-                caratheodory_first(lam)
-                fundamental_first_order(lam)
-            else:
-                caratheodory_second(lam)
-                trivial_conditions_second_order(lam)
-                el_expansion_crosscheck(lam)
-                if order_reducible(lam).passed:
-                    fundamental_second_order_n2(lam)
-                    combination_conditions(lam)
+            _checked_equivalents(lam)
             del lam
             assert node() is None
+        finally:
+            gc.enable()
+
+    def test_the_corpora_leave_no_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for lam in first_order_corpus() + second_order_corpus():
+                _checked_equivalents(lam)
+            del lam
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
