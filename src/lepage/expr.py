@@ -26,11 +26,10 @@ Laurent monomials over interned atoms and factored denominators.  This
 module interns the atoms (``_atom_id``), turns nodes into quotients
 (``_to_rf``) and back (``_render``), and differentiates, substitutes,
 evaluates and zero-tests them.  The atom table holds a private node of each
-atom, so no node that a caller holds is ever marked canonical.  It keys a
-coordinate's atom by the coordinate (``_coordinate_id``) and a function atom
-by its name and its argument's quotient, so a lookup builds no ``Var`` and
-no tree of a lazy argument.  ``_chain_sum`` takes a formal derivative as one
-sum of quotients (see ``lepage.jets``).
+atom, so no node that a caller holds is ever marked canonical, and it keys a
+coordinate's atom by the coordinate (``_coordinate_id``), so a partial or a
+formal derivative finds an id without building a ``Var``.  ``_chain_sum``
+takes a formal derivative as one sum of quotients (see ``lepage.jets``).
 
 The operators are canonical in, canonical out.  An operand is canonical
 when canonicalize made it or it is a ``Rat``.  On two canonical operands,
@@ -332,10 +331,9 @@ def _atom_id(atom: ScalarExpr) -> int:
     so no node that a caller holds is ever marked canonical."""
     i = atom.__dict__.get("_aid")
     if i is None:
-        rf = None if atom.__class__ is Var else _to_rf(atom.arg)
-        i = _coordinate_id(atom.ref) if rf is None else _intern(
-            _IDS, _ATOMS, _KEYS, (atom.name, frozenset(rf.num.items()), rf.den, rf.d),
-            Fn(atom.name, atom.arg), lambda: (1, atom.name, expr_key(atom.arg)), _grow)
+        i = _coordinate_id(atom.ref) if atom.__class__ is Var else _intern(
+            _IDS, _ATOMS, _KEYS, atom, Fn(atom.name, atom.arg),
+            lambda: (1, atom.name, expr_key(atom.arg)), _grow)
         atom.__dict__["_aid"] = i
     return i
 

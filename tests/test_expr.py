@@ -566,18 +566,6 @@ class TestLazyTree:
         assert product.factors == (Rat(Fraction(-3)), X(1), Pow(Y1, 2)) and tree_builds == [Pow, Mul]
         assert power == Pow(Y2, 3) and len(tree_builds) == 2
 
-    def test_a_function_atom_builds_no_tree_of_its_argument(self, tree_builds):
-        # the atom table keys sin(a) by a's quotient, so a fresh unread node
-        # of an interned argument finds the atom without building its tree
-        def argument():
-            return canonicalize(Y1 * Y2 + X(1) ** 2 + 1)
-
-        canonicalize(sin(argument()) * Y1)
-        tree_builds.clear()
-        a = argument()
-        canonicalize(sin(a) * Y1)
-        assert tree_builds == [] and not _built(a)
-
     def test_other_names_are_missing(self, tree_builds):
         quotient, total = (canonicalize(raw()) for raw in self.RAW.values())
         for node, name in [(total, "num"), (total, "factors"), (quotient, "terms"),
@@ -847,6 +835,16 @@ class TestRepresentationBoundary:
         assert not set(copy.__dict__) - set(copy._fields)
         assert diff(copy, BaseVar(1)) == d
 
+    def test_a_function_atom_is_one_atom_per_argument_value(self):
+        # a parsed or unpickled argument holds its denominator as one expanded
+        # factor, the factored one as two; sin of either is one atom
+        ctx = ChartContext(2, 1, 1)
+        a = canonicalize(parse_expression("1/((1+y_1^2)*(2+y_1^2))", ctx))
+        for b in (canonicalize(parse_expression("1/(y_1^4+3*y_1^2+2)", ctx)),
+                  pickle.loads(pickle.dumps(a))):
+            assert canonicalize(sin(a) - sin(b)) == ZERO
+            assert equals_zero(sin(a) - sin(b)).kind == PROVEN_ZERO
+
     def test_threads_intern_each_atom_once(self):
         # coordinates and function atoms no other test uses, so the threads
         # intern them concurrently
@@ -887,18 +885,13 @@ class TestRepresentationBoundary:
         assert len(got) == 8 and all(result == want for result in got)
         assert [order for _, order, _ in want] == [_decoded_order(e) for e in shared] == [2, 2, 2]
         assert len(_IDS) == len(_ATOMS) == len(_KEYS)
-        # the table keys a coordinate atom by its coordinate, and a function
-        # atom by its name and its argument's quotient
-        def handle(atom):
-            if isinstance(atom, Var):
-                return atom.ref
-            rf = _to_rf(atom.arg)
-            return (atom.name, frozenset(rf.num.items()), rf.den, rf.d)
-
-        assert all(_IDS[handle(atom)] == i for i, atom in enumerate(_ATOMS))
+        # a fresh copy of each atom finds its id, and none is interned anew
+        size = len(_IDS)
+        assert all(_atom_id(copy.copy(atom)) == i for i, atom in enumerate(_ATOMS))
         atoms = {node for tree, *_ in want for node in _subtrees(tree)
                  if isinstance(node, (Var, Fn))}
-        assert atoms and all(handle(atom) in _IDS for atom in atoms)
+        assert atoms and all(_atom_id(copy.copy(atom)) < size for atom in atoms)
+        assert len(_IDS) == size
         # the denominators' factors share the table's lock
         assert len(_FIDS) == len(_FACTORS) == len(_FKEYS)
         assert all(_FIDS[frozenset(p.items())] == i for i, p in enumerate(_FACTORS))
