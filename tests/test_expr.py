@@ -836,8 +836,9 @@ class TestRepresentationBoundary:
         assert diff(copy, BaseVar(1)) == d
 
     def test_a_function_atom_is_one_atom_per_argument_value(self):
-        # a parsed or unpickled argument holds its denominator as one expanded
-        # factor, the factored one as two; sin of either is one atom
+        # equal arguments may hold their denominator as two factors or as one
+        # expanded factor (an expanded text, an unpickled node); sin of each
+        # is one atom
         ctx = ChartContext(2, 1, 1)
         a = canonicalize(parse_expression("1/((1+y_1^2)*(2+y_1^2))", ctx))
         for b in (canonicalize(parse_expression("1/(y_1^4+3*y_1^2+2)", ctx)),
