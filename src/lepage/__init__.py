@@ -107,7 +107,6 @@ from .verification import (
     null_divergence_m2,
     order_reducible,
     random_divergence_lagrangian,
-    random_section_oracle,
     second_order_corpus,
     trivial_conditions_second_order,
     trivial_order_reducible_corpus,

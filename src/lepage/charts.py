@@ -81,7 +81,7 @@ class MultiIndex(tuple):
     def __new__(cls, entries: tuple[int, ...] | list[int] = ()) -> "MultiIndex":
         items = tuple(sorted(entries))
         for j in items:
-            if not isinstance(j, int) or j < 1:
+            if type(j) is not int or j < 1:
                 raise ChartError(f"multi-index entries must be positive integers, got {j!r}")
         return super().__new__(cls, items)
 
@@ -115,6 +115,17 @@ class FiberVar(NamedTuple):
 
 
 JetVariable = Union[BaseVar, FiberVar]
+
+
+def checked_coordinate(v: JetVariable) -> JetVariable:
+    """v, if it is a BaseVar or FiberVar with int indices, else ChartError: a Dx
+    or Omega equals the coordinate of its indices, and True == 1, so either
+    would stand in for a coordinate and be printed in its place."""
+    if v.__class__ is not BaseVar and v.__class__ is not FiberVar:
+        raise ChartError(f"{v!r} is not a coordinate")
+    if any(type(j) is not int for j in (v if v.__class__ is BaseVar else (v.sigma, *v.jj))):
+        raise ChartError(f"coordinate indices must be ints, got {v!r}")
+    return v
 
 
 def jet_order(v: JetVariable) -> int:

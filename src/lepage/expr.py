@@ -24,9 +24,9 @@ atoms, and supplies witness points.
 The arithmetic on the canonical quotients is ``lepage.poly``'s: packed
 Laurent monomials over interned atoms and factored denominators.  This
 module interns the atoms (``_atom_id``), turns nodes into quotients
-(``_to_rf``) and back (``_render``), and differentiates, substitutes,
-evaluates and zero-tests them.  The atom table holds a private node of each
-atom, so no node that a caller holds is ever marked canonical, and it keys a
+(``_to_rf``) and back (``_render``), and differentiates, substitutes and
+zero-tests them.  The atom table holds a private node of each atom, so no
+node that a caller holds is ever marked canonical, and it keys a
 coordinate's atom by the coordinate (``_coordinate_id``), so a partial or a
 formal derivative finds an id without building a ``Var``.  ``_chain_sum``
 takes a formal derivative as one sum of quotients (see ``lepage.jets``).
@@ -76,7 +76,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, Record, jet_order, var_key
+from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, Record, checked_coordinate, jet_order, var_key
 from .poly import (_ATOMS, _EMPTY_MONO, _FACTORS, _FN_IDS, _IDS, _KEYS, _RF, ExprError, Poly,
                    _den_expand, _den_mul, _den_poly, _grow_atoms, _intern, _p_atom, _p_partial,
                    _p_times, _pairs, _poly_terms, _reach, _rf_const, _rf_div, _rf_mul, _rf_neg,
@@ -137,7 +137,7 @@ class ScalarExpr(Record):
         return Div(as_expr(other), self)
 
     def __pow__(self, exponent: int) -> "ScalarExpr":
-        if not isinstance(exponent, int):
+        if type(exponent) is not int:
             raise ExprError(f"only integer powers are supported, got {exponent!r}")
         return Pow(self, exponent)
 
@@ -178,7 +178,7 @@ class Var(ScalarExpr):
     ref: JetVariable
 
     def __init__(self, ref: JetVariable) -> None:
-        self.__dict__["ref"] = ref
+        self.__dict__["ref"] = checked_coordinate(ref)
 
 
 def _flat(kind: type, items: tuple) -> tuple:
@@ -630,7 +630,7 @@ def _chain_sum(f: ScalarExpr, i: int, fibers: list) -> ScalarExpr:
 
 def substitute(e: ScalarExpr, bindings: Mapping[JetVariable, ScalarExpr]) -> ScalarExpr:
     """Simultaneous substitution, then canonicalization."""
-    rfs = {v: _to_rf(as_expr(t)) for v, t in bindings.items()}
+    rfs = {checked_coordinate(v): _to_rf(as_expr(t)) for v, t in bindings.items()}
     return _render(_rf_subst(_to_rf(e), rfs))
 
 
@@ -653,17 +653,6 @@ def _poly_subst(p: Poly, rfs: Mapping[JetVariable, _RF]) -> _RF:
             term = _rf_mul(term, _rf_pow(target, e))
         pieces.append(term)
     return _rf_sum(pieces)
-
-
-def eval_pole_guarded(e: ScalarExpr, point: Mapping[JetVariable, float], guard: float) -> float:
-    """Evaluate via the canonical form, rejecting points where any denominator
-    magnitude falls below the guard (raises EvalDomainError)."""
-    try:
-        rf = _to_rf(e)
-        value, _ = _rf_eval(rf, _rf_scales(rf), point, guard)
-    except _SampleRejected:
-        raise EvalDomainError(f"denominator within {guard} of a pole", e) from None
-    return value
 
 
 def eval_numeric(e: ScalarExpr, point: Mapping[JetVariable, float]) -> float:

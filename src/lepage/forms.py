@@ -99,7 +99,7 @@ class ExteriorForm(Record):
         return iter(sorted(self.terms.items(), key=lambda kv: tuple(map(var_key, kv[0]))))
 
     def coefficient(self, elements: Sequence[CoframeElement]) -> ScalarExpr:
-        normal = _normal_tuple(elements)
+        normal = _normal_tuple(_coframe_tuple(elements))
         coeff = None if normal is None else self.terms.get(normal[0])
         if coeff is None:
             return ZERO
@@ -165,7 +165,7 @@ def make_form(
             raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
         if coeff.__class__ is Rat and not coeff.value:
             continue
-        normal = _normal_key(tuple(elements))
+        normal = _normal_key(_coframe_tuple(elements))
         if normal is None:
             continue
         key, sign = normal
@@ -180,15 +180,24 @@ def make_form(
     return ExteriorForm(ctx.at_order(order), degree, terms, order)
 
 
-# A pass makes a few hundred distinct wedge tuples (under 600 for a dense
-# (3,1,2) Lambda_2 with its Lepage check and d), so each is sorted and checked
-# once; lru_cache keeps no exception, so a bad tuple raises on every call.
-@functools.lru_cache(maxsize=4096)
-def _normal_key(elements: tuple) -> tuple[tuple, int] | None:
-    """_normal_tuple of a tuple of coframe elements."""
+def _coframe_tuple(elements: Sequence) -> tuple:
+    # checked before the cache: a BaseVar or FiberVar equals the Dx or Omega of its indices
     for el in elements:
         if el.__class__ is not Dx and el.__class__ is not Omega:
             raise FormError(f"{el!r} is not a coframe element")
+    return tuple(elements)
+
+
+# A pass makes a few hundred distinct wedge tuples (under 600 for a dense
+# (3,1,2) Lambda_2 with its Lepage check and d), so each is sorted once;
+# lru_cache keeps no exception, so a bad tuple raises on every call.
+@functools.lru_cache(maxsize=4096)
+def _normal_key(elements: tuple) -> tuple[tuple, int] | None:
+    """_normal_tuple of a tuple of coframe elements, whose indices are ints:
+    True == 1, and equal tuples get the one cached first."""
+    for el in elements:
+        if any(type(j) is not int for j in (el if el.__class__ is Dx else (el.sigma, *el.jj))):
+            raise ChartError(f"coframe indices must be ints, got {el!r}")
     return _normal_tuple(elements)
 
 

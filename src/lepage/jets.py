@@ -48,8 +48,8 @@ def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> Sc
 
 
 def _formal(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
-    if not 1 <= i <= ctx.n:
-        raise ChartError(f"base index {i} out of range 1..{ctx.n}")
+    if type(i) is not int or not 1 <= i <= ctx.n:
+        raise ChartError(f"base index {i!r} out of range 1..{ctx.n}")
     vs = sorted(variables(f), key=var_key)
     for v in vs:
         ctx.check_variable(v)

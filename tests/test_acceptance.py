@@ -39,7 +39,6 @@ from lepage import (
     null_divergence_m2,
     order_reducible,
     principal_lepage,
-    random_section_oracle,
     second_order_corpus,
     total_derivative,
     trivial_conditions_second_order,
@@ -48,6 +47,7 @@ from lepage import (
 from lepage.expr import is_zero_expr
 from lepage.forms import make_form, Dx
 from lepage.verification import _contract, random_polynomial
+from section_oracle import random_section_oracle
 
 POLICY = ZeroPolicy()  # 25 seeded samples, abs_tol 1e-9
 

@@ -38,7 +38,7 @@ PUBLIC_NAMES = """
     jet_order lagrangian_form levi_civita ln make_divergence_lagrangian
     make_form max_jet_order nontrivial_order_reducible_corpus null_divergence_m2
     omega omega_basis order_reducible parse_expression parse_lagrangian
-    principal_lepage random_divergence_lagrangian random_section_oracle
+    principal_lepage random_divergence_lagrangian
     second_order_corpus sin substitute sym_partial total_derivative
     trivial_conditions_second_order trivial_order_reducible_corpus variables
     wedge wedge_all zero_form

@@ -1,6 +1,10 @@
 """Chart model and formal-derivative operators."""
+import functools
+import os
+from pathlib import Path
 import random
 from fractions import Fraction
+import subprocess
 import sys
 import threading
 
@@ -30,7 +34,8 @@ from lepage import (
 )
 from lepage.charts import var_key
 from lepage.expr import Add, Fn, Mul, Rat, Var, is_zero_expr
-from lepage.verification import random_polynomial, random_section_oracle
+from lepage.verification import random_polynomial
+from section_oracle import random_section_oracle
 
 
 def fiber(*jj):
@@ -53,6 +58,54 @@ class TestMultiIndex:
     def test_rejects_bad_entries(self):
         with pytest.raises(ChartError):
             MultiIndex((0,))
+
+
+# Runs the statement argv[1], then prints outputs that name x1, y1_1, y1_11
+# and dx1; a refused statement prints one line first.
+_BOOL_PROBE = """
+import sys
+from lepage import *
+try:
+    exec(sys.argv[1])
+except (ChartError, ExprError) as e:
+    print("refused:", type(e).__name__)
+lam = dirichlet()
+print(*map(expr_to_text, euler_lagrange_expressions(lam)), expr_to_text(canonicalize(X(1) ** 2 * X(2))))
+print(form_to_text(principal_lepage(lam)))
+print(form_to_text(form_from_json(form_to_json(euler_lagrange_form(lam)))))
+"""
+
+
+@functools.cache
+def _bool_probe(statement: str) -> str:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", _BOOL_PROBE, statement], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBoolIndices:
+    """True == 1, so an index spelled True would be interned as the first
+    spelling of its coordinate or wedge tuple, and every later output of the
+    process would print it; each such index is refused."""
+
+    @pytest.mark.parametrize("statement", [
+        "canonicalize(Y(1, True))",
+        "canonicalize(Y(True))",
+        "canonicalize(X(True))",
+        "canonicalize(Var(BaseVar(True)))",
+        "total_derivative(Y(1, 1) ** 2, True, ChartContext(2, 1, 1))",
+        "canonicalize(X(1) ** True)",
+        "make_form(ChartContext(2, 1, 1), 2, [((Dx(True), Dx(2)), Y(1, 1))], 1)",
+    ])
+    def test_a_bool_index_is_refused_and_changes_no_later_output(self, statement):
+        clean = _bool_probe("pass")
+        assert not clean.startswith("refused")
+        refused, _, rest = _bool_probe(statement).partition("\n")
+        assert refused.startswith("refused:")
+        assert rest == clean
 
 
 class TestChartContext:
@@ -214,11 +267,11 @@ class TestDerivativeProperties:
 
     @pytest.mark.parametrize("f", [Y(1, 1) * Y(1, 2), Y(1, 1, 2) ** 2 / Y(1, 1)])
     def test_section_oracle_fails_on_a_perturbed_total_derivative(self, monkeypatch, f):
-        import lepage.verification
+        import section_oracle
 
-        real = lepage.verification.total_derivative
+        real = section_oracle.total_derivative
         monkeypatch.setattr(
-            lepage.verification,
+            section_oracle,
             "total_derivative",
             lambda g, i, ctx: real(g, i, ctx) + Y(1) / 1000,
         )

@@ -101,9 +101,9 @@ from lepage.variational import Lagrangian, caratheodory_first, euler_lagrange_ex
 from lepage.verification import (
     first_order_corpus,
     random_polynomial,
-    random_section_oracle,
     second_order_corpus,
 )
+from section_oracle import random_section_oracle
 
 Y1 = Y(1, 1)
 Y2 = Y(1, 2)

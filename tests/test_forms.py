@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lepage import (
+    BaseVar,
     ChartContext,
     ChartError,
     Dx,
@@ -37,6 +38,7 @@ from lepage import (
     omega,
     omega_basis,
     principal_lepage,
+    substitute,
     total_derivative,
     wedge,
     wedge_all,
@@ -309,10 +311,7 @@ class TestPullbackOracle:
         import random as _random
 
         from lepage import BaseVar, substitute
-        from lepage.verification import (
-            _random_section_polynomial,
-            prolongation_bindings,
-        )
+        from section_oracle import _random_section_polynomial, prolongation_bindings
 
         ctx = ChartContext(2, 1, 1)
         rng = _random.Random(9)
@@ -366,6 +365,18 @@ class TestValidation:
             with pytest.raises(FormError, match="not a coframe element"):
                 make_form(CTX, 1, [((("dx", 1),), const(1))], 1)
         assert list(make_form(CTX, 1, [((Dx(1),), const(1))], 1).terms) == [(Dx(1),)]
+
+    def test_coordinates_are_refused_after_equal_coframe_tuples(self):
+        # BaseVar(1) == Dx(1) as tuples, so a coordinate tuple would hit the
+        # normalization cache that the dx1 ∧ dx2 form warms
+        form = make_form(CTX, 2, [((Dx(1), Dx(2)), Y(1, 1))], 1)
+        for elements in [(BaseVar(1), BaseVar(2)), (FiberVar(1, MultiIndex()), Dx(1)), ("junk",)]:
+            with pytest.raises(FormError, match="is not a coframe element"):
+                make_form(CTX, len(elements), [(elements, Y(1, 1))], 1)
+            with pytest.raises(FormError, match="is not a coframe element"):
+                form.coefficient(elements)
+        with pytest.raises(ChartError, match="is not a coordinate"):
+            substitute(X(1) * Y(1, 1), {Dx(1): 3})
 
     def test_coefficient_order_bound(self):
         with pytest.raises(FormError):
