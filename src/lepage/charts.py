@@ -184,8 +184,10 @@ class ChartContext(Record):
                     yield FiberVar(sigma, jj)
 
     def contains(self, v: JetVariable) -> bool:
-        if isinstance(v, BaseVar):
+        if v.__class__ is BaseVar:
             return 1 <= v.i <= self.n
+        if v.__class__ is not FiberVar:
+            raise ChartError(f"{v!r} is not a coordinate")
         return (
             1 <= v.sigma <= self.m
             and len(v.jj) <= self.max_order

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .charts import ChartContext, ChartError, var_key
-from .expr import (DEFAULT_POLICY, EvalDomainError, ExprError, SamplingFailure, Var, ZeroPolicy,
+from .expr import (DEFAULT_POLICY, EvalDomainError, ExprError, Var, ZeroPolicy,
                    eval_numeric, variables)
 from .forms import ExteriorForm, FormError, contact_component, exterior_derivative, horizontalization
 from .jets import Convention
@@ -281,8 +281,7 @@ def run_command(argv) -> int:
         print(str(err), file=sys.stderr)
         return 1
     except (ExprSyntaxError, OrderMismatchError, ChartError, FormError,
-            UndefinedFormError, PreconditionError, _UsageError, ExprError,
-            SamplingFailure) as err:
+            UndefinedFormError, PreconditionError, _UsageError, ExprError) as err:
         if isinstance(err, EvalDomainError):
             err = f"{err.reason}: {expr_to_text(err.offender, args.m)}"
         print(f"error: {err}", file=sys.stderr)

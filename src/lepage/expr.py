@@ -76,7 +76,8 @@ import random
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .charts import BaseVar, FiberVar, JetVariable, MultiIndex, Record, checked_coordinate, jet_order, var_key
+from .charts import (BaseVar, ChartError, FiberVar, JetVariable, MultiIndex, Record, checked_coordinate, jet_order,
+                     var_key)
 from .poly import (_ATOMS, _EMPTY_MONO, _FACTORS, _FN_IDS, _IDS, _KEYS, _RF, ExprError, Poly,
                    _den_expand, _den_mul, _den_poly, _grow_atoms, _intern, _p_atom, _p_partial,
                    _p_times, _pairs, _poly_terms, _reach, _rf_const, _rf_div, _rf_mul, _rf_neg,
@@ -604,6 +605,9 @@ def _partial(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
 
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
     """Plain coordinate partial, treating each sorted jet coordinate as independent."""
+    if v.__class__ is not BaseVar and v.__class__ is not FiberVar:
+        # refused before the memo, where a Dx or Omega would find the coordinate of its indices
+        raise ChartError(f"{v!r} is not a coordinate")
     return _memoized(e, v, _partial, e, v)
 
 

@@ -12,16 +12,19 @@ position pos enters make_form as dx^i, then the key with omega^sigma_{J+i}
 in that place, and its coefficient unchanged: the permutation sign of the
 sort is the (-1)^pos of the rule, so no negated coefficient is built.
 
-make_form alone normalizes a wedge tuple and validates a term.  It sums the
-kernel quotients of each key's pieces in one step (``expr._summed``), and
-normalizes and range-checks each distinct wedge tuple once, in two bounded
-caches.  A form's terms are made (a form built directly is taken as made),
-so the operations that change only coefficients keep its keys.  Zero tests,
-negation and jet order are lepage.expr's.
+One cached step, ``_normal_key``, checks a wedge tuple against a chart and
+an order and sorts it with its sign, once per distinct (tuple, n, m, order);
+make_form, ExteriorForm.coefficient and the JSON reader of lepage.serialize
+all go through it, behind the uncached class and int gate ``_coframe_tuple``.
+make_form sums the kernel quotients of each key's pieces in one step
+(``expr._summed``).  A form's terms are made (a form built directly is taken
+as made), so the operations that change only coefficients keep its keys.
+Zero tests, negation and jet order are lepage.expr's.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .charts import ChartContext, ChartError, FiberVar, MultiIndex, Record, var_key
@@ -62,26 +65,11 @@ class Omega(NamedTuple):
 CoframeElement = Union[Dx, Omega]
 
 
-def _normal_tuple(elements: Sequence, key=var_key) -> tuple[tuple, int] | None:
-    """Sort a wedge tuple, tracking the permutation sign; None on repeats."""
-    items = list(elements)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and key(items[j]) < key(items[j - 1]):
-            items[j], items[j - 1] = items[j - 1], items[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return None
-    return tuple(items), sign
-
-
-def levi_civita(indices: Sequence[int]) -> int:
+def levi_civita(indices: Sequence) -> int:
     """Sign of the permutation; 0 on repeated entries."""
-    normal = _normal_tuple(indices, key=lambda i: i)
-    return 0 if normal is None else normal[1]
+    if len(set(indices)) < len(indices):
+        return 0
+    return -1 if sum(a > b for a, b in itertools.combinations(indices, 2)) % 2 else 1
 
 
 class ExteriorForm(Record):
@@ -99,7 +87,7 @@ class ExteriorForm(Record):
         return iter(sorted(self.terms.items(), key=lambda kv: tuple(map(var_key, kv[0]))))
 
     def coefficient(self, elements: Sequence[CoframeElement]) -> ScalarExpr:
-        normal = _normal_tuple(_coframe_tuple(elements))
+        normal = _normal_key(_coframe_tuple(elements), self.ctx.n, self.ctx.m, self.order)
         coeff = None if normal is None else self.terms.get(normal[0])
         if coeff is None:
             return ZERO
@@ -159,13 +147,14 @@ def make_form(
     """Build a form from (wedge tuple, coefficient) entries, normalizing signs."""
     if degree < 0:
         raise FormError(f"negative degree {degree}")
+    n, m = ctx.n, ctx.m
     acc: dict[tuple, list] = {}
     for elements, coeff in entries:
         if len(elements) != degree:
             raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
         if coeff.__class__ is Rat and not coeff.value:
             continue
-        normal = _normal_key(_coframe_tuple(elements))
+        normal = _normal_key(_coframe_tuple(elements), n, m, order)
         if normal is None:
             continue
         key, sign = normal
@@ -175,44 +164,36 @@ def make_form(
         total = _summed(pieces)
         if is_zero_expr(total):
             continue
-        _validate_term(ctx, key, total, order)
+        bad = max_jet_order(total)
+        if bad > order:
+            raise FormError(f"coefficient of jet order {bad} exceeds declared order {order}")
         terms[key] = total
     return ExteriorForm(ctx.at_order(order), degree, terms, order)
 
 
 def _coframe_tuple(elements: Sequence) -> tuple:
-    # checked before the cache: a BaseVar or FiberVar equals the Dx or Omega of its indices
+    # checked before the cache, whose keys compare by value: a BaseVar or
+    # FiberVar equals the Dx or Omega of its indices, and True == 1
     for el in elements:
-        if el.__class__ is not Dx and el.__class__ is not Omega:
+        cls = el.__class__
+        if not (cls is Dx or cls is Omega and el.jj.__class__ is MultiIndex):
             raise FormError(f"{el!r} is not a coframe element")
+        if el[0].__class__ is not int:
+            raise ChartError(f"coframe indices must be ints, got {el!r}")
     return tuple(elements)
 
 
 # A pass makes a few hundred distinct wedge tuples (under 600 for a dense
-# (3,1,2) Lambda_2 with its Lepage check and d), so each is sorted once;
-# lru_cache keeps no exception, so a bad tuple raises on every call.
+# (3,1,2) Lambda_2 with its Lepage check and d), so each is checked and sorted
+# once per chart and order; lru_cache keeps no exception, so a bad tuple
+# raises on every call.
 @functools.lru_cache(maxsize=4096)
-def _normal_key(elements: tuple) -> tuple[tuple, int] | None:
-    """_normal_tuple of a tuple of coframe elements, whose indices are ints:
-    True == 1, and equal tuples get the one cached first."""
+def _normal_key(elements: tuple, n: int, m: int, order: int) -> tuple[tuple, int] | None:
+    """The wedge tuple of coframe elements sorted by var_key and the sign of
+    the sort, or None on a repeated element; an element out of range for the
+    chart is a ChartError, a contact label above order - 1 a FormError."""
     for el in elements:
-        if any(type(j) is not int for j in (el if el.__class__ is Dx else (el.sigma, *el.jj))):
-            raise ChartError(f"coframe indices must be ints, got {el!r}")
-    return _normal_tuple(elements)
-
-
-def _validate_term(ctx: ChartContext, key: tuple, coeff: ScalarExpr, order: int) -> None:
-    _check_key(key, ctx.n, ctx.m, order)
-    bad = max_jet_order(coeff)
-    if bad > order:
-        raise FormError(f"coefficient of jet order {bad} exceeds declared order {order}")
-
-
-@functools.lru_cache(maxsize=4096)
-def _check_key(key: tuple, n: int, m: int, order: int) -> None:
-    """Raise unless each element of key is in range for the chart and order."""
-    for el in key:
-        if isinstance(el, Dx):
+        if el.__class__ is Dx:
             if not 1 <= el.i <= n:
                 raise ChartError(f"dx index {el.i} out of range 1..{n}")
         else:
@@ -225,6 +206,8 @@ def _check_key(key: tuple, n: int, m: int, order: int) -> None:
                     f"contact label omega^{el.sigma}_{tuple(el.jj)} needs order {len(el.jj) + 1}, "
                     f"declared {order}"
                 )
+    sign = levi_civita([var_key(el) for el in elements])
+    return (tuple(sorted(elements, key=var_key)), sign) if sign else None
 
 
 def zero_form(ctx: ChartContext, degree: int, order: int = 0) -> ExteriorForm:

@@ -17,7 +17,8 @@ to the same node.
 The results are memoized on the differentiated node by ``expr._memoized``:
 a formal derivative under ``("d", i, top, ctx)``, so a chart's variable
 check runs once per node and chart and a failing check is raised again on
-every call, and a symmetrized partial under ``("sym", sigma, tuple(index),
+every call (the base index is checked before the memo, whose key would take
+True for 1), and a symmetrized partial under ``("sym", sigma, tuple(index),
 convention)``, where an unsorted index gets the node of the sorted one.
 """
 from __future__ import annotations
@@ -44,12 +45,13 @@ DEFAULT_CONVENTION = Convention.SYMMETRIZED
 
 def _formal_derivative(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
     """d_i f chaining through the fiber coordinates of order below top."""
+    if i.__class__ is not int or not 1 <= i <= ctx.n:
+        # refused before the memo, where True would find the entry of 1
+        raise ChartError(f"base index {i!r} out of range 1..{ctx.n}")
     return _memoized(f, ("d", i, top, ctx), _formal, f, i, ctx, top)
 
 
 def _formal(f: ScalarExpr, i: int, ctx: ChartContext, top: int) -> ScalarExpr:
-    if type(i) is not int or not 1 <= i <= ctx.n:
-        raise ChartError(f"base index {i!r} out of range 1..{ctx.n}")
     vs = sorted(variables(f), key=var_key)
     for v in vs:
         ctx.check_variable(v)

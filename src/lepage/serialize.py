@@ -15,6 +15,12 @@ output, a tree built by hand) prints node by node, and a canonical sum among
 a raw sum's terms as its terms.  Both routes share one speller of signed
 terms, so they write the same text.  The JSON text of a form is written
 directly, in the layout of json.dumps(document, indent=2).
+
+One speller per language spells a coordinate and a coframe label alike
+(``variable_name``, ``_latex_var``): x1, y2_12 with the letters x and y,
+dx1, w2_12 with dx and w (omega in LaTeX).  The reader checks a document's
+basis with the step of make_form (``forms._normal_key``): it is valid iff
+that step gives it back unchanged with sign 1.
 """
 from __future__ import annotations
 
@@ -23,9 +29,9 @@ import json
 import re
 from typing import Callable, NamedTuple, Optional
 
-from .charts import BaseVar, ChartContext, MultiIndex, var_key
+from .charts import ChartContext, MultiIndex
 from .expr import Add, Div, Fn, Mul, Pow, Rat, ScalarExpr, Var, _canonical_parts
-from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, make_form
+from .forms import CoframeElement, Dx, ExteriorForm, FormError, Omega, _normal_key, make_form
 from .poly import _ATOMS, _den_entry, _poly_terms
 
 SCHEMA_VERSION = "lepage.form/1"
@@ -34,22 +40,23 @@ _P_ADD = 10
 _P_MUL = 20
 
 
-def variable_name(ref, fiber_count: Optional[int] = None) -> str:
-    """Coordinate spelling: x1, y2_12; the fiber index is dropped when m = 1."""
-    if isinstance(ref, BaseVar):
-        return f"x{ref.i}"
+def variable_name(ref, fiber_count: Optional[int] = None, base: str = "x", fiber: str = "y") -> str:
+    """Coordinate spelling: x1, y2_12; the fiber index is dropped when m = 1.
+    With the letters "dx" and "w" it spells a coframe label: dx1, w2_12."""
+    if len(ref) == 1:
+        return f"{base}{ref.i}"
     sigma = "" if fiber_count == 1 else str(ref.sigma)
     if ref.jj:
-        return f"y{sigma}_{''.join(str(j) for j in ref.jj)}"
-    return f"y{sigma}"
+        return f"{fiber}{sigma}_{''.join(str(j) for j in ref.jj)}"
+    return f"{fiber}{sigma}"
 
 
-def _latex_var(ref, m: Optional[int]) -> str:
-    if isinstance(ref, BaseVar):
-        return f"x^{{{ref.i}}}"
+def _latex_var(ref, m: Optional[int], base: str = "x", fiber: str = "y") -> str:
+    if len(ref) == 1:
+        return f"{base}^{{{ref.i}}}"
     upper = "" if m == 1 else f"^{{{ref.sigma}}}"
     lower = f"_{{{''.join(str(j) for j in ref.jj)}}}" if ref.jj else ""
-    return f"y{upper}{lower}"
+    return f"{fiber}{upper}{lower}"
 
 
 class _Style(NamedTuple):
@@ -224,11 +231,7 @@ _LABEL_W = re.compile(r"^w(\d+)(?:_(\d+))?$")
 
 
 def coframe_label(el: CoframeElement) -> str:
-    if isinstance(el, Dx):
-        return f"dx{el.i}"
-    if el.jj:
-        return f"w{el.sigma}_{''.join(str(j) for j in el.jj)}"
-    return f"w{el.sigma}"
+    return variable_name(el, None, "dx", "w")
 
 
 def basis_label(key: tuple) -> str:
@@ -248,10 +251,7 @@ def parse_coframe_label(text: str) -> CoframeElement:
 
 
 def coframe_latex(el: CoframeElement) -> str:
-    if isinstance(el, Dx):
-        return f"dx^{{{el.i}}}"
-    lower = f"_{{{''.join(str(j) for j in el.jj)}}}" if el.jj else ""
-    return f"\\omega^{{{el.sigma}}}{lower}"
+    return _latex_var(el, None, "dx", "\\omega")
 
 
 def form_to_text(form: ExteriorForm, fiber_count: Optional[int] = None) -> str:
@@ -352,8 +352,7 @@ def form_from_document(doc: dict) -> ExteriorForm:
     for k, term in enumerate(_field(doc, "terms", list)):
         where = f"terms[{k}]."
         basis = tuple(parse_coframe_label(label) for label in _field(term, "basis", list, where))
-        keys = [var_key(el) for el in basis]
-        if any(b <= a for a, b in zip(keys, keys[1:])):
+        if _normal_key(basis, ctx.n, ctx.m, ctx.max_order) != (basis, 1):
             raise FormError(f"basis {term['basis']!r} is not strictly increasing")
         entries.append((basis, parse_expression(_field(term, "coeff", str, where), ctx)))
     return make_form(ctx, degree, entries, ctx.max_order)

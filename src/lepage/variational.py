@@ -16,8 +16,8 @@ of Theta's entries; both Caratheodory forms and the n = 2 blocks
 What one Lagrangian derives is kept in the memo of its L node by ``_kept``
 alone, under (name, chart at L's order, *args): ``"momenta"`` per convention,
 the E_sigma tuple ``"euler-lagrange"``, E_lambda ``"euler-lagrange-form"``,
-and the expansion's ``"tc1"``, ``"c2"``, ``"blocked"`` and ``"reducibility"``
-(``lepage.verification``) per convention and index tuple or zero policy.
+and per convention the ``"expansion"`` dict of ``lepage.verification``, which
+keeps its tc1, c2, block verdicts and order-reducibility reports.
 None holds L, and a pickled L carries none.  With the unit operations of
 ``lepage.expr``, Theta and both fundamental forms hold the same coefficient
 nodes for their 0- and 1-contact terms, so each partial and formal

@@ -23,17 +23,17 @@ The second-order checks read one expansion of E_sigma, ``_Expansion``,
 which writes each chart coefficient once.  It is a view of a Lagrangian and
 a convention, made per call once the check has refused an order other than
 2; its tc1 and c2, block verdicts and order-reducibility reports are kept in
-L's memo (``variational._kept``), so the checks of one L node read the same
-values.  Its symmetrizer sums a coefficient over the
-permutations within sorted index groups: the triviality and combination
-conditions are such sums, and the expansion cross-check sums the same
-coefficients against their coordinates.  c3 and c4 are partials of the
-(sigma, nu) block of second partials by second-order coordinates, so where
-that block is zero (``_Expansion.blocked``) the triviality[3] and [4]
-conditions of the pair are yielded as zero with no term taken; the
-condition stream and every verdict and witness are unchanged.  The checks
-and the n = 2 fundamental form of one L node judge order-reducibility once
-per convention and policy.
+one dict that L's memo holds per chart and convention
+(``variational._kept``), so the checks of one L node read the same values.
+Its symmetrizer sums a coefficient over the permutations within sorted
+index groups: the triviality and combination conditions are such sums, and
+the expansion cross-check sums the same coefficients against their
+coordinates.  c3 and c4 are partials of the (sigma, nu) block of second
+partials by second-order coordinates, so where that block is zero
+(``_Expansion.blocked``) the triviality[3] and [4] conditions of the pair
+are yielded as zero with no term taken; the condition stream and every
+verdict and witness are unchanged.  The checks and the n = 2 fundamental
+form of one L node judge order-reducibility once per convention and policy.
 """
 from __future__ import annotations
 
@@ -215,13 +215,17 @@ def _expansion(lam: Lagrangian, convention: Convention, check: str = "second-ord
 
 
 def _stored(method):
-    """An ``_Expansion`` method whose value is kept in the memo of L's node
-    (``variational._kept``) under its name, the convention and its arguments."""
+    """An ``_Expansion`` method whose value is kept, under its name and its
+    arguments, in the expansion's dict in the memo of L's node."""
     name = method.__name__
 
     @functools.wraps(method)
     def read(ex, *args):
-        return _kept(ex.lam, name, lambda *_: method(ex, *args), ex.convention, *args)
+        key = (name, *args)
+        out = ex.kept.get(key)  # no kept value is None
+        if out is None:
+            out = ex.kept[key] = method(ex, *args)
+        return out
     return read
 
 
@@ -231,13 +235,14 @@ class _Expansion:
         E_sigma = tc1 + c2 y^nu_{pqi} + c3 y^mu_{sti} y^nu_{pqj} + c4 y^nu_{pqij}
 
     Each coefficient is written once here and takes its partials when read;
-    the ``_stored`` methods keep their values in L's memo, and none of those
-    values refers back to L.
+    the ``_stored`` methods keep their values in one dict per chart and
+    convention in L's memo, and none of those values refers back to L.
     """
 
     def __init__(self, lam: Lagrangian, convention: Convention):
         self.lam, self.ctx, self.base, self.convention = lam, lam.ctx, lam.ctx.base_indices, convention
         self.pp = second_partials(lam.L, convention)
+        self.kept = _kept(lam, "expansion", lambda *_: {}, convention)
 
     @_stored
     def tc1(self, sigma: int) -> ScalarExpr:
@@ -532,8 +537,8 @@ def _divergence(m: int, *g: str) -> Lagrangian:
 
 
 _NULL_M2 = "y1_1*y2_2 - y1_2*y2_1"
-# the terms of each random divergence generator, and the trivial corpus's seed
-_DIVERGENCE_TERMS, _CORPUS_SEED = 3, 0
+# the terms of each random divergence generator, and the trivial corpus's seed and size
+_DIVERGENCE_TERMS, _CORPUS_SEED, _CORPUS_SIZE = 3, 0, 6
 
 
 def camassa_holm() -> Lagrangian:
@@ -558,7 +563,7 @@ def null_divergence_m2() -> Lagrangian:
 def random_polynomial(
     rng: random.Random,
     pool: list,
-    terms: int = 4,
+    terms: int = _DIVERGENCE_TERMS,
     degree: int = 2,
 ) -> ScalarExpr:
     """Random rational-coefficient polynomial in the given coordinates."""
@@ -587,7 +592,7 @@ def _order1_pool(ctx: ChartContext) -> list:
 def random_divergence_lagrangian(ctx: ChartContext, rng: random.Random) -> Lagrangian:
     """A seeded trivial second-order Lagrangian d_i g^i with first-order g^i."""
     pool = _order1_pool(ctx)
-    g = tuple(random_polynomial(rng, pool, terms=_DIVERGENCE_TERMS, degree=2) for _ in ctx.base_indices)
+    g = tuple(random_polynomial(rng, pool) for _ in ctx.base_indices)
     gen = DivergenceGenerator(ctx.at_order(1), g, 1)
     return make_divergence_lagrangian(gen)
 
@@ -647,11 +652,11 @@ def second_order_corpus() -> list[Lagrangian]:
     ]
 
 
-def trivial_order_reducible_corpus(count: int = 6) -> list[Lagrangian]:
+def trivial_order_reducible_corpus() -> list[Lagrangian]:
     """Divergence-generated trivial second-order Lagrangians plus the Hessian determinant."""
     members = [hessian_determinant(), _divergence(1, "1/2*y_2^2", "0")]
     rng = random.Random(_CORPUS_SEED)
-    while len(members) < count:
+    while len(members) < _CORPUS_SIZE:
         members.append(random_divergence_lagrangian(ChartContext(2, 1, 1), rng))
     return members
 

@@ -84,7 +84,7 @@ def test_criterion_1_lepage_equivalent_contract():
 
 
 def test_criterion_2_closure_equivalence():
-    trivial = trivial_order_reducible_corpus(count=6)
+    trivial = trivial_order_reducible_corpus()
     assert len(trivial) >= 6
     for lam in trivial:
         assert is_trivial(lam, POLICY).passed

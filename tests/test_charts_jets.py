@@ -17,8 +17,10 @@ from lepage import (
     ChartContext,
     ChartError,
     Convention,
+    Dx,
     FiberVar,
     MultiIndex,
+    Omega,
     X,
     Y,
     canonicalize,
@@ -108,6 +110,29 @@ class TestBoolIndices:
         assert rest == clean
 
 
+class TestMemoKeysEqualToACoordinate:
+    """A memo compares keys by value: Dx(1) == BaseVar(1), Omega(1, J) ==
+    FiberVar(1, J) and True == 1.  So each spelling that is not a coordinate
+    or an int index is refused before the memo, also once the equal entry is
+    kept."""
+
+    def test_diff_refuses_a_coframe_element(self):
+        f = canonicalize(X(1) ** 2 * Y(1, 1))
+        g = canonicalize(X(1) * Y(1))
+        assert expr_to_text(diff(f, BaseVar(1))) == "2*x1*y1_1"
+        assert expr_to_text(diff(g, FiberVar(1, MultiIndex()))) == "x1"
+        for e, v in ((f, Dx(1)), (g, Omega(1, MultiIndex()))):
+            with pytest.raises(ChartError, match="is not a coordinate"):
+                diff(e, v)
+
+    def test_total_derivative_refuses_a_bool_index_after_the_int_one(self):
+        ctx = ChartContext(2, 1, 1)
+        f = canonicalize(Y(1, 1) ** 2)
+        assert expr_to_text(total_derivative(f, 1, ctx)) == "2*y1_1*y1_11"
+        with pytest.raises(ChartError, match="base index True out of range"):
+            total_derivative(f, True, ctx)
+
+
 class TestChartContext:
     def test_validation(self):
         with pytest.raises(ChartError):
@@ -128,6 +153,11 @@ class TestChartContext:
         assert not ctx.contains(FiberVar(2, MultiIndex()))
         assert ctx.contains(BaseVar(2))
         assert not ctx.contains(BaseVar(3))
+
+    def test_contains_refuses_a_coframe_element(self):
+        # Dx(1) == BaseVar(1) as tuples; contains dispatches on the exact class
+        with pytest.raises(ChartError, match="is not a coordinate"):
+            ChartContext(2, 1, 1).contains(Dx(1))
 
     def test_coordinate_count(self):
         ctx = ChartContext(2, 1, 2)

@@ -1,5 +1,6 @@
 """Exterior algebra in the contact-adapted coframe."""
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from lepage import (
     diff,
     dx,
     exterior_derivative,
+    form_from_json,
     form_is_zero,
     forms_equal,
     fundamental_first_order,
@@ -46,6 +48,7 @@ from lepage import (
 )
 from lepage.expr import ExprError, Mul, Rat, as_expr, is_zero_expr
 from lepage.charts import var_key as coframe_key
+from lepage.serialize import SCHEMA_VERSION
 from lepage.verification import first_order_corpus, random_polynomial, second_order_corpus
 
 CTX = ChartContext(2, 1, 1)
@@ -203,7 +206,7 @@ class TestProjections:
 
         a, b = self.mixed, wedge(dx(CTX, 1), self.w).scaled(X(1)) + wedge(self.w, dx(CTX, 2))
         calls = []
-        for name in ("_normal_tuple", "_validate_term", "make_form"):
+        for name in ("_normal_key", "make_form"):
             real = getattr(forms, name)
             monkeypatch.setattr(forms, name, lambda *a, _real=real, _name=name, **kw:
                                 calls.append(_name) or _real(*a, **kw))
@@ -219,13 +222,14 @@ class TestProjections:
         assert difference == a + b.scaled(-1)
         assert calls.count("make_form") == 1
         calls.clear()
-        # coefficient-only operations keep the made keys
+        # coefficient-only operations keep the made keys; coefficient checks
+        # and sorts its tuple through the same step as make_form
         scaled, negated = b.scaled(X(1)), -b
         assert calls == []
         assert scaled.terms.keys() == negated.terms.keys() == b.terms.keys()
         for key, c in b.terms.items():
             assert b.coefficient(key) is c and b.coefficient(key[::-1]) == canonicalize(-c)
-        assert "make_form" not in calls and "_validate_term" not in calls
+        assert "make_form" not in calls
 
 
 def _corpus_forms():
@@ -410,3 +414,51 @@ class TestValidation:
         assert coframe_key(Dx(2)) < coframe_key(Omega(1, MultiIndex()))
         assert coframe_key(Omega(1, MultiIndex())) < coframe_key(Omega(1, MultiIndex((1,))))
         assert coframe_key(Omega(1, MultiIndex((2,)))) < coframe_key(Omega(2, MultiIndex()))
+
+
+# One malformed degree-1 wedge tuple per row over the chart (2, 1, order):
+# (elements, order, error, message, the label a form document spells it
+# with, or None where no document can)
+_MALFORMED_TUPLES = [
+    ((Dx(True),), 1, ChartError, "coframe indices must be ints, got Dx(i=True)", None),
+    ((BaseVar(1),), 1, FormError, "BaseVar(i=1) is not a coframe element", None),
+    ((Dx(3),), 1, ChartError, "dx index 3 out of range 1..2", "dx3"),
+    ((Omega(2, MultiIndex()),), 1, ChartError, "omega fiber index 2 out of range 1..1", "w2"),
+    ((Omega(1, MultiIndex((3,))),), 2, ChartError, "omega index (3,) out of range 1..2", "w1_3"),
+    ((Omega(1, MultiIndex((1,))),), 1, FormError,
+     "contact label omega^1_(1,) needs order 2, declared 1", "w1_1"),
+]
+
+
+class TestOneWedgeTuplePath:
+    """make_form, ExteriorForm.coefficient and the JSON reader check and sort
+    a wedge tuple through one step, so each refuses a malformed one alike."""
+
+    @pytest.mark.parametrize("elements, order, error, message, label", _MALFORMED_TUPLES,
+                             ids=["bool-index", "coordinate", "dx-range", "omega-fiber", "omega-index",
+                                  "omega-order"])
+    def test_every_path_refuses_alike(self, elements, order, error, message, label):
+        ctx = ChartContext(2, 1, order)
+        # dx1 is made first: True == 1 and BaseVar(1) == Dx(1), so the first
+        # two rows would find its cached entry if they reached the cache
+        made = make_form(ctx, 1, [((Dx(1),), X(1))], order)
+        builds = [lambda: make_form(ctx, 1, [(elements, X(1))], order), lambda: made.coefficient(elements)]
+        if label is not None:
+            doc = {"schema": SCHEMA_VERSION, "chart": {"n": 2, "m": 1, "order": order}, "degree": 1,
+                   "terms": [{"coeff": "x1", "basis": [label]}]}
+            builds.append(lambda: form_from_json(json.dumps(doc)))
+        for build in builds:
+            with pytest.raises(error) as info:
+                build()
+            assert type(info.value) is error and str(info.value) == message
+
+    def test_an_entry_whose_pieces_cancel_is_checked(self):
+        with pytest.raises(ChartError, match="dx index 3 out of range"):
+            make_form(CTX, 1, [((Dx(3),), X(1)), ((Dx(3),), -X(1))], 1)
+
+    def test_a_repeated_document_basis_is_refused(self):
+        # the step gives None for a repeated element, which is not the basis
+        doc = {"schema": SCHEMA_VERSION, "chart": {"n": 2, "m": 1, "order": 1}, "degree": 2,
+               "terms": [{"coeff": "1", "basis": ["dx1", "dx1"]}]}
+        with pytest.raises(FormError, match="is not strictly increasing"):
+            form_from_json(json.dumps(doc))
