@@ -264,18 +264,26 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
     return make_form(a.ctx, a.degree + 1, entries, a.order + 1)
 
 
-def _d_term(key: tuple, coeff: ScalarExpr, ctx: ChartContext, vertical: bool = True) -> list:
+def _d_term(key: tuple, coeff: ScalarExpr, ctx: ChartContext, vertical: bool = True,
+            euler_lagrange: bool = True) -> list:
     """The entries of d(coeff key) over the chart ctx: d_H(coeff) ^ key, then
     d_V(coeff) ^ key unless not vertical, then the structural terms, which
-    take each omega^sigma_J of key to dx^i ^ omega^sigma_{J+i}."""
+    take each omega^sigma_J of key to dx^i ^ omega^sigma_{J+i}.
+
+    exterior_derivative builds every entry.  Without euler_lagrange, the
+    d_H and d_V entries holding an omega^sigma with J empty are left out:
+    in p1(d rho) they make the omega^sigma (Euler-Lagrange) part, which the
+    Lepage checks do not judge.  The structural terms all stay, since each
+    raises J to J + i."""
     entries = []
     free = [i for i in ctx.base_indices if Dx(i) not in key]  # dx^i ^ key = 0 for the rest
-    for i in free:
+    horizontal = euler_lagrange or all(el.__class__ is Dx or el.jj for el in key)
+    for i in free if horizontal else ():
         di = total_derivative(coeff, i, ctx)
         if not is_zero_expr(di):
             entries.append(((Dx(i),) + key, di))
     for v in sorted(variables(coeff), key=var_key) if vertical else ():
-        if isinstance(v, FiberVar):
+        if isinstance(v, FiberVar) and (euler_lagrange or v.jj):
             dv = diff(coeff, v)
             if not is_zero_expr(dv):
                 entries.append(((Omega(v.sigma, v.jj),) + key, dv))

@@ -18,9 +18,10 @@ directly, in the layout of json.dumps(document, indent=2).
 
 One speller per language spells a coordinate and a coframe label alike
 (``variable_name``, ``_latex_var``): x1, y2_12 with the letters x and y,
-dx1, w2_12 with dx and w (omega in LaTeX).  The reader checks a document's
-basis with the step of make_form (``forms._normal_key``): it is valid iff
-that step gives it back unchanged with sign 1.
+dx1, w2_12 with dx and w (omega in LaTeX).  The reader takes a coframe
+label only in that spelling, and checks a document's basis with the step of
+make_form (``forms._normal_key``): it is valid iff that step gives it back
+unchanged with sign 1.
 """
 from __future__ import annotations
 
@@ -240,14 +241,20 @@ def basis_label(key: tuple) -> str:
 
 
 def parse_coframe_label(text: str) -> CoframeElement:
+    """The coframe element a label spells; only the writer's own spelling is
+    read, so "w1_21" (unsorted) and "dx01" (a leading zero) are refused."""
     mx = isinstance(text, str) and _LABEL_DX.match(text)
-    if mx:
-        return Dx(int(mx.group(1)))
     mw = isinstance(text, str) and _LABEL_W.match(text)
-    if mw:
-        jj = tuple(int(c) for c in (mw.group(2) or ""))
-        return Omega(int(mw.group(1)), MultiIndex(jj))
-    raise FormError(f"unknown coframe label {text!r}")
+    if mx:
+        el = Dx(int(mx.group(1)))
+    elif mw:
+        el = Omega(int(mw.group(1)), MultiIndex(tuple(int(c) for c in (mw.group(2) or ""))))
+    else:
+        raise FormError(f"unknown coframe label {text!r}")
+    spelled = coframe_label(el)
+    if spelled != text:
+        raise FormError(f"coframe label {text!r} must be spelled {spelled!r}")
+    return el
 
 
 def coframe_latex(el: CoframeElement) -> str:

@@ -8,9 +8,13 @@ Lagrangians, and closure of a form, on the full d.  The Lepage property
 reads p1(d rho) = d_V(rho_0) + p1(d_H rho_1), with rho_k the k-contact part
 of rho: d_H of the n-form rho_0 and d_V of rho_1 have no 1-contact term, so
 only those two pieces are built, with the per-term d of ``lepage.forms``,
-and no 2-contact term is formed.  The module also houses the
-test-Lagrangian generators and the calibration oracle that fixes the index
-convention.
+and no 2-contact term is formed.  The Lepage property judges only the terms
+of p1 along the omega^sigma_J with |J| >= 1, so ``is_lepage_form`` and
+``is_lepage_equivalent`` build those alone: no d_H of a term on omega^sigma
+and no partial by y^sigma are taken.  The contract check ``_contract``
+builds the full p1, whose omega^sigma part it compares with E_lambda.  The
+module also houses the test-Lagrangian generators and the calibration oracle
+that fixes the index convention.
 
 Each check raises its precondition errors at once and is otherwise a lazy
 stream of (label, expression, message) conditions, built in a fixed order;
@@ -147,10 +151,12 @@ def _form_conditions(terms, label: str, where: str = ""):
 # ---------------------------------------------------------------------------
 
 
-def _p1_of_d(rho: ExteriorForm) -> ExteriorForm:
+def _p1_of_d(rho: ExteriorForm, euler_lagrange: bool = True) -> ExteriorForm:
     """p1(d rho) of an n-form rho, built as d_V(rho_0) + p1(d_H rho_1) term by
     term (``forms._d_term``): d_H of the n-form rho_0 and d_V of rho_1 have no
-    1-contact term, and the 2- and more-contact terms never reach it."""
+    1-contact term, and the 2- and more-contact terms never reach it.  Without
+    euler_lagrange only its terms off the omega^sigma are built, which are
+    all that the Lepage checks judge; ``_contract`` builds the full p1."""
     if rho.degree != rho.ctx.n:
         raise PreconditionError(f"expected an n-form (n = {rho.ctx.n}), got degree {rho.degree}")
     ctx = rho.ctx.at_order(rho.order)
@@ -158,7 +164,7 @@ def _p1_of_d(rho: ExteriorForm) -> ExteriorForm:
     for key, c in rho.terms.items():
         contacts = rho.contact_count(key)
         if contacts < 2:
-            entries += _d_term(key, c, ctx, vertical=not contacts)
+            entries += _d_term(key, c, ctx, vertical=not contacts, euler_lagrange=euler_lagrange)
     return make_form(rho.ctx, rho.degree + 1, entries, rho.order + 1)
 
 
@@ -177,14 +183,15 @@ def _equivalence_conditions(rho: ExteriorForm, lam: Lagrangian, p1: ExteriorForm
 
 def is_lepage_form(rho: ExteriorForm, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:
     """Pass iff the 1-contact part of d(rho) is generated by the omega^sigma alone."""
-    return _judge(_lepage_conditions(_p1_of_d(rho)), policy, "lepage-contact")
+    return _judge(_lepage_conditions(_p1_of_d(rho, euler_lagrange=False)), policy, "lepage-contact")
 
 
 def is_lepage_equivalent(
     rho: ExteriorForm, lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY
 ) -> CheckReport:
     """Pass iff rho is a Lepage form and h(rho) = L omega_0."""
-    return _judge(_equivalence_conditions(rho, lam, _p1_of_d(rho)), policy, "lepage-equivalent")
+    p1 = _p1_of_d(rho, euler_lagrange=False)
+    return _judge(_equivalence_conditions(rho, lam, p1), policy, "lepage-equivalent")
 
 
 def _contract(rho: ExteriorForm, lam: Lagrangian, policy: ZeroPolicy = DEFAULT_POLICY) -> CheckReport:

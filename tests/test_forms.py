@@ -30,6 +30,7 @@ from lepage import (
     exterior_derivative,
     form_from_json,
     form_is_zero,
+    form_to_json,
     forms_equal,
     fundamental_first_order,
     fundamental_second_order_n2,
@@ -455,6 +456,21 @@ class TestOneWedgeTuplePath:
     def test_an_entry_whose_pieces_cancel_is_checked(self):
         with pytest.raises(ChartError, match="dx index 3 out of range"):
             make_form(CTX, 1, [((Dx(3),), X(1)), ((Dx(3),), -X(1))], 1)
+
+    @pytest.mark.parametrize("label, order, message", [
+        ("w1_21", 3, "coframe label 'w1_21' must be spelled 'w1_12'"),
+        ("dx01", 1, "coframe label 'dx01' must be spelled 'dx1'"),
+        ("w1_12", 3, None),
+    ], ids=["unsorted-index", "leading-zero", "written-spelling"])
+    def test_a_document_label_is_read_only_as_written(self, label, order, message):
+        doc = {"schema": SCHEMA_VERSION, "chart": {"n": 2, "m": 1, "order": order}, "degree": 1,
+               "terms": [{"coeff": "x1", "basis": [label]}]}
+        if message is not None:
+            with pytest.raises(FormError) as info:
+                form_from_json(json.dumps(doc))
+            assert str(info.value) == message
+        else:
+            assert json.loads(form_to_json(form_from_json(json.dumps(doc)))) == doc
 
     def test_a_repeated_document_basis_is_refused(self):
         # the step gives None for a repeated element, which is not the basis

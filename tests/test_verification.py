@@ -14,6 +14,7 @@ from lepage import (
     Convention,
     DivergenceGenerator,
     Dx,
+    ExteriorForm,
     Lagrangian,
     LagrangianSpec,
     Omega,
@@ -56,13 +57,16 @@ from lepage import (
     zero_form,
 )
 from lepage import forms, verification
-from lepage.expr import Add, ZeroPolicy, canonicalize, is_zero_expr
+from lepage.expr import Add, DEFAULT_POLICY, ZeroPolicy, canonicalize, is_zero_expr
 from lepage.jets import DEFAULT_CONVENTION, mixed_partial, sym_partial
 from lepage.serialize import expr_to_text
 from lepage.verification import (
     _Expansion,
     _contract,
+    _equivalence_conditions,
     _expansion,
+    _judge,
+    _lepage_conditions,
     _p1_of_d,
     _triviality_conditions,
     random_divergence_lagrangian,
@@ -176,6 +180,89 @@ class TestP1OfD:
         for rho in rhos:
             _p1_of_d(rho)
         assert made and all(sum(isinstance(el, Omega) for el in key) < 2 for key in made)
+
+
+def _off_omega(p1):
+    """The terms of a p1(d rho) off the omega^sigma (J empty): those a Lepage check judges."""
+    judged = {key: c for key, c in p1.terms.items() if next(el for el in key if isinstance(el, Omega)).jj}
+    return ExteriorForm(p1.ctx, p1.degree, judged, p1.order)
+
+
+def _forms_checked(lam):
+    """The bare Lagrangian form, which fails the Lepage checks, then every constructor."""
+    yield lagrangian_form(lam)
+    yield from _constructors(lam)
+
+
+class TestJudgedP1:
+    """The Lepage checks build p1(d rho) off the omega^sigma alone, and report
+    what the full p1 gives."""
+
+    @staticmethod
+    def _assert_off_omega(rho):
+        judged = _p1_of_d(rho, euler_lagrange=False)
+        assert form_to_json(judged) == form_to_json(_off_omega(_p1_of_d(rho)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=_n_forms())
+    def test_generated_forms(self, rho):
+        self._assert_off_omega(rho)
+
+    @pytest.mark.parametrize("corpus", [first_order_corpus, second_order_corpus])
+    def test_constructors_over_the_corpora(self, corpus):
+        for lam in corpus():
+            for rho in _constructors(lam):
+                self._assert_off_omega(rho)
+
+    @pytest.mark.parametrize("corpus", [first_order_corpus, second_order_corpus])
+    def test_reports_are_those_of_the_full_p1(self, corpus):
+        for lam in corpus():
+            m = lam.ctx.m
+            for rho in _forms_checked(lam):
+                full = _p1_of_d(rho)
+                form = _judge(_lepage_conditions(full), DEFAULT_POLICY, "lepage-contact")
+                equivalent = _judge(_equivalence_conditions(rho, lam, full), DEFAULT_POLICY, "lepage-equivalent")
+                assert is_lepage_form(rho).describe(m) == form.describe(m)
+                assert is_lepage_equivalent(rho, lam).describe(m) == equivalent.describe(m)
+
+    def test_failing_reports_are_pinned(self):
+        lam = camassa_holm()
+        point = "at y1_1=1.37769, y1_2=1.03182, y1_12=-0.317714"
+        reports = [
+            is_lepage_form(lagrangian_form(lam)),
+            is_lepage_form(principal_lepage(lam, Convention.PLAIN)),
+            is_lepage_equivalent(caratheodory_second(lam, Convention.PLAIN), lam),
+        ]
+        assert [report.describe(1) for report in reports] == [
+            "FAIL lepage-contact: witness (1/2)*y_2^2 - (1/2)*y_1^(-2)*y_12^2: "
+            f"{point}: offending basis term dx1 ∧ dx2 ∧ w1_1",
+            "FAIL lepage-contact: witness -y_1^(-1)*y_12: at y1_1=1.37769, y1_12=1.03182: "
+            "offending basis term dx1 ∧ dx2 ∧ w1_12",
+            "FAIL lepage-contact: witness (-y_1^3*y_2^4*y_12 - 2*y_1*y_2^2*y_12^3 - y_1^(-1)*y_12^5)"
+            "/(y_12^4 + y_1^4*y_2^4 + 2*y_1^2*y_2^2*y_12^2): "
+            f"{point}: offending basis term dx1 ∧ dx2 ∧ w1_12",
+        ]
+
+    def test_no_omega_sigma_entry_is_formed(self, monkeypatch):
+        # the d_H of a term on omega^sigma and the partials by y^sigma land on
+        # omega^sigma, the Euler-Lagrange part, so the checks take neither
+        lams = [camassa_holm(), _parsed(2, 1, "y^2*y_1 + y*y_22^2")]
+        rhos = [(rho, lam) for lam in lams for rho in _forms_checked(lam)]
+        made = []
+        make_form = forms.make_form
+
+        def recording(ctx, degree, entries, order):
+            entries = list(entries)
+            made.extend(key for key, _ in entries)
+            return make_form(ctx, degree, entries, order)
+
+        for module in (forms, verification):
+            monkeypatch.setattr(module, "make_form", recording, raising=False)
+        for rho, lam in rhos:
+            is_lepage_form(rho)
+            is_lepage_equivalent(rho, lam)
+        contact = [el for key in made for el in key if isinstance(el, Omega)]
+        assert contact and all(el.jj for el in contact)
 
 
 @st.composite
