@@ -75,7 +75,6 @@ from .variational import (
     UndefinedFormError,
     caratheodory_first,
     caratheodory_second,
-    caratheodory_second_blocks,
     euler_lagrange_expressions,
     euler_lagrange_form,
     fundamental_coefficients,

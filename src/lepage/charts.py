@@ -108,7 +108,7 @@ class BaseVar(NamedTuple):
 
 
 class FiberVar(NamedTuple):
-    """The jet coordinate y^sigma_J (J sorted; J empty means y^sigma)."""
+    """The jet coordinate y^sigma_J (J a ``MultiIndex``; J empty means y^sigma)."""
 
     sigma: int
     jj: MultiIndex
@@ -118,12 +118,20 @@ JetVariable = Union[BaseVar, FiberVar]
 
 
 def checked_coordinate(v: JetVariable) -> JetVariable:
-    """v, if it is a BaseVar or FiberVar with int indices, else ChartError: a Dx
-    or Omega equals the coordinate of its indices, and True == 1, so either
-    would stand in for a coordinate and be printed in its place."""
-    if v.__class__ is not BaseVar and v.__class__ is not FiberVar:
+    """v, if it is a BaseVar with an int index or a FiberVar with an int sigma
+    and a MultiIndex J, else ChartError: a Dx or Omega equals the coordinate of
+    its indices, and True == 1, so either would stand in for a coordinate and
+    be printed in its place; only the MultiIndex constructor sorts J and
+    checks its entries, so an unsorted tuple would make a second coordinate."""
+    if v.__class__ is FiberVar:
+        if v.jj.__class__ is not MultiIndex:
+            raise ChartError(f"jet index must be a MultiIndex, got {v!r}")
+        index = v.sigma
+    elif v.__class__ is BaseVar:
+        index = v.i
+    else:
         raise ChartError(f"{v!r} is not a coordinate")
-    if any(type(j) is not int for j in (v if v.__class__ is BaseVar else (v.sigma, *v.jj))):
+    if index.__class__ is not int:
         raise ChartError(f"coordinate indices must be ints, got {v!r}")
     return v
 

@@ -76,7 +76,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .charts import (BaseVar, ChartError, FiberVar, JetVariable, MultiIndex, Record, checked_coordinate, jet_order,
+from .charts import (BaseVar, FiberVar, JetVariable, MultiIndex, Record, checked_coordinate, jet_order,
                      var_key)
 from .poly import (_ATOMS, _EMPTY_MONO, _FACTORS, _FN_IDS, _IDS, _KEYS, _RF, ExprError, Poly,
                    _den_expand, _den_mul, _den_poly, _grow_atoms, _intern, _p_atom, _p_partial,
@@ -605,9 +605,11 @@ def _partial(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
 
 def diff(e: ScalarExpr, v: JetVariable) -> ScalarExpr:
     """Plain coordinate partial, treating each sorted jet coordinate as independent."""
-    if v.__class__ is not BaseVar and v.__class__ is not FiberVar:
-        # refused before the memo, where a Dx or Omega would find the coordinate of its indices
-        raise ChartError(f"{v!r} is not a coordinate")
+    if not (v.__class__ is FiberVar and v.jj.__class__ is MultiIndex and v.sigma.__class__ is int
+            or v.__class__ is BaseVar and v.i.__class__ is int):
+        # refused before the memo, where a Dx, an Omega, a bool index or a
+        # tuple J would find the entry of a coordinate equal to it
+        checked_coordinate(v)
     return _memoized(e, v, _partial, e, v)
 
 

@@ -15,10 +15,11 @@ sort is the (-1)^pos of the rule, so no negated coefficient is built.
 One cached step, ``_normal_key``, checks a wedge tuple against a chart and
 an order and sorts it with its sign, once per distinct (tuple, n, m, order);
 make_form, ExteriorForm.coefficient and the JSON reader of lepage.serialize
-all go through it, behind the uncached class and int gate ``_coframe_tuple``.
-make_form sums the kernel quotients of each key's pieces in one step
-(``expr._summed``).  A form's terms are made (a form built directly is taken
-as made), so the operations that change only coefficients keep its keys.
+all go through it, behind the uncached degree, class and int gate
+``_coframe_tuple``.  make_form sums the kernel quotients of each key's pieces
+in one step (``expr._summed``).  A form's terms are made (a form built
+directly is taken as made), so the operations that change only coefficients
+keep its keys.
 Zero tests, negation and jet order are lepage.expr's.
 """
 from __future__ import annotations
@@ -87,7 +88,7 @@ class ExteriorForm(Record):
         return iter(sorted(self.terms.items(), key=lambda kv: tuple(map(var_key, kv[0]))))
 
     def coefficient(self, elements: Sequence[CoframeElement]) -> ScalarExpr:
-        normal = _normal_key(_coframe_tuple(elements), self.ctx.n, self.ctx.m, self.order)
+        normal = _normal_key(_coframe_tuple(elements, self.degree), self.ctx.n, self.ctx.m, self.order)
         coeff = None if normal is None else self.terms.get(normal[0])
         if coeff is None:
             return ZERO
@@ -150,11 +151,10 @@ def make_form(
     n, m = ctx.n, ctx.m
     acc: dict[tuple, list] = {}
     for elements, coeff in entries:
-        if len(elements) != degree:
-            raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
+        elements = _coframe_tuple(elements, degree)
         if coeff.__class__ is Rat and not coeff.value:
             continue
-        normal = _normal_key(_coframe_tuple(elements), n, m, order)
+        normal = _normal_key(elements, n, m, order)
         if normal is None:
             continue
         key, sign = normal
@@ -171,7 +171,7 @@ def make_form(
     return ExteriorForm(ctx.at_order(order), degree, terms, order)
 
 
-def _coframe_tuple(elements: Sequence) -> tuple:
+def _coframe_tuple(elements: Sequence, degree: int) -> tuple:
     # checked before the cache, whose keys compare by value: a BaseVar or
     # FiberVar equals the Dx or Omega of its indices, and True == 1
     for el in elements:
@@ -180,6 +180,8 @@ def _coframe_tuple(elements: Sequence) -> tuple:
             raise FormError(f"{el!r} is not a coframe element")
         if el[0].__class__ is not int:
             raise ChartError(f"coframe indices must be ints, got {el!r}")
+    if len(elements) != degree:
+        raise FormError(f"wedge tuple {elements!r} does not match degree {degree}")
     return tuple(elements)
 
 

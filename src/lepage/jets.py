@@ -90,6 +90,10 @@ def sym_partial(
     the same divided by the multiplicity of the sorted index.
     """
     index = tuple(index)
+    # refused before the memo, where True would find the entry of 1
+    for j in (sigma, *index):
+        if j.__class__ is not int:
+            raise ChartError(f"jet indices must be ints, got sigma {sigma!r} and index {index!r}")
     return _memoized(f, ("sym", sigma, index, convention), _sym, f, sigma, index, convention)
 
 

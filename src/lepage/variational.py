@@ -10,8 +10,7 @@ Lagrangians.
 The Lepage equivalents agree with Theta up to 2-contact terms, so they share
 one table of momenta, ``_momenta``: p_sigma^{Ji} = sum_l (-1)^l d_{p1}..d_{pl}
 dL/dy^sigma_{J p1..pl i} for |J| < r.  ``_theta_entries`` is the one writer
-of Theta's entries; both Caratheodory forms and the n = 2 blocks
-(A^sigma_j = p_sigma^j, B^sigma_{ij} = p_sigma^{ij}) read the table.
+of Theta's entries; both Caratheodory forms read the table.
 
 What one Lagrangian derives is kept in the memo of its L node by ``_kept``
 alone, under (name, chart at L's order, *args): ``"momenta"`` per convention,
@@ -23,11 +22,11 @@ None holds L, and a pickled L carries none.  With the unit operations of
 nodes for their 0- and 1-contact terms, so each partial and formal
 derivative of those terms is taken once.
 
-Over a 2-dimensional base, ``_second_order_n2`` appends to Theta's entries
-the 2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j, omega^s_i ^
-omega^n_j, fed coefficient functions by ``caratheodory_second_blocks`` and
-``fundamental_second_order_n2``; ``fundamental_coefficients`` writes each of
-P, Q^j and R^{ij} once with free indices.
+Over a 2-dimensional base, ``fundamental_second_order_n2`` writes its
+2-contact blocks omega^s ^ omega^n, omega^s ^ omega^n_j and omega^s_i ^
+omega^n_j into Theta's entries and makes Z_2 in one make_form;
+``fundamental_coefficients`` writes each of P, Q^j and R^{ij} once with free
+indices.
 """
 from __future__ import annotations
 
@@ -242,46 +241,6 @@ def caratheodory_second(
     return _caratheodory(lam, convention, policy)
 
 
-def _second_order_n2(lam: Lagrangian, momenta: dict, a, b, c) -> ExteriorForm:
-    """Theta over ``momenta`` plus the n = 2 blocks a(s, n) omega^s ^ omega^n +
-    b(s, n, j) omega^s ^ omega^n_j + c(s, n, j, i) omega^s_i ^ omega^n_j, at order 3."""
-    ctx = lam.ctx
-    empty = MultiIndex()
-    entries = _theta_entries(lam, momenta)
-    for sigma in ctx.fiber_indices:
-        w = Omega(sigma, empty)
-        for nu in ctx.fiber_indices:
-            entries.append(((w, Omega(nu, empty)), a(sigma, nu)))
-            for j in ctx.base_indices:
-                w_nu_j = Omega(nu, MultiIndex((j,)))
-                entries.append(((w, w_nu_j), b(sigma, nu, j)))
-                for i in ctx.base_indices:
-                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j), c(sigma, nu, j, i)))
-    return make_form(ctx, 2, entries, 3)
-
-
-def caratheodory_second_blocks(
-    lam: Lagrangian,
-    convention: Convention = DEFAULT_CONVENTION,
-    policy: ZeroPolicy = DEFAULT_POLICY,
-) -> ExteriorForm:
-    """The explicit n=2 decomposition: Theta plus the three 2-contact blocks,
-    with A^sigma_j = p_sigma^j and B^sigma_{ij} = p_sigma^{ij}."""
-    if lam.ctx.n != 2:
-        raise UndefinedFormError("explicit decomposition is for a 2-dimensional base")
-    _require_order(lam, 2)
-    _nonvanishing_guard(lam, policy)
-    inv_l = Pow(lam.L, -1)
-    p = _momenta(lam, convention)
-    return _second_order_n2(
-        lam, p,
-        lambda sigma, nu: inv_l * p[(sigma, (), 1)] * p[(nu, (), 2)],
-        lambda sigma, nu, j: inv_l * (p[(nu, (j,), 2)] * p[(sigma, (), 1)]
-                                      - p[(nu, (j,), 1)] * p[(sigma, (), 2)]),
-        lambda sigma, nu, j, i: inv_l * (p[(sigma, (i,), 1)] * p[(nu, (j,), 2)]),
-    )
-
-
 def fundamental_first_order(lam: Lagrangian) -> ExteriorForm:
     """The first-order fundamental (Krupka-Betounes) form.
 
@@ -347,6 +306,12 @@ class FundamentalCoefficients(Record):
         return -as_expr(self.R12[(sigma, nu)])
 
 
+def _require_n2_second_order(lam: Lagrangian) -> None:
+    if lam.ctx.n != 2:
+        raise UndefinedFormError("second-order fundamental form is for a 2-dimensional base")
+    _require_order(lam, 2)
+
+
 def fundamental_coefficients(
     lam: Lagrangian, convention: Convention = DEFAULT_CONVENTION
 ) -> FundamentalCoefficients:
@@ -357,7 +322,8 @@ def fundamental_coefficients(
       Q^j = eps_j (2 pp(s,j;n,12) - pp(n,j;s,12) - pp(n,k;s,jj) - 2 d_k' pp(s,12;n,12)),
       R^{12} = -2 pp(s,12;n,12).
     """
-    ctx = lam.ctx.at_order(2)
+    _require_n2_second_order(lam)
+    ctx = lam.ctx
     pp = second_partials(lam.L, convention)
     P: dict = {}
     Q: dict = {1: {}, 2: {}}
@@ -398,18 +364,23 @@ def fundamental_second_order_n2(
 
     if coeff_convention is None:
         coeff_convention = theta_convention
-    if lam.ctx.n != 2:
-        raise UndefinedFormError("second-order fundamental form is for a 2-dimensional base")
-    _require_order(lam, 2)
+    _require_n2_second_order(lam)
     report = order_reducible(lam, convention=theta_convention, policy=policy)
     if not report.passed:
         raise OrderReducibilityError(report)
     coeffs = fundamental_coefficients(lam, coeff_convention)
+    ctx = lam.ctx
     half = Fraction(1, 2)
-    z = _second_order_n2(
-        lam, _momenta(lam, theta_convention),
-        lambda sigma, nu: half * coeffs.P[(sigma, nu)],
-        lambda sigma, nu, j: coeffs.Q(j)[(sigma, nu)],
-        lambda sigma, nu, j, i: half * coeffs.R(i, j, sigma, nu),
-    )
-    return z, coeffs
+    empty = MultiIndex()
+    entries = _theta_entries(lam, _momenta(lam, theta_convention))
+    for sigma in ctx.fiber_indices:
+        w = Omega(sigma, empty)
+        for nu in ctx.fiber_indices:
+            entries.append(((w, Omega(nu, empty)), half * coeffs.P[(sigma, nu)]))
+            for j in ctx.base_indices:
+                w_nu_j = Omega(nu, MultiIndex((j,)))
+                entries.append(((w, w_nu_j), coeffs.Q(j)[(sigma, nu)]))
+                for i in ctx.base_indices:
+                    entries.append(((Omega(sigma, MultiIndex((i,))), w_nu_j),
+                                    half * coeffs.R(i, j, sigma, nu)))
+    return make_form(ctx, 2, entries, 3), coeffs

@@ -20,7 +20,6 @@ from lepage import (
     camassa_holm,
     caratheodory_first,
     caratheodory_second,
-    caratheodory_second_blocks,
     closure_check,
     combination_conditions,
     const,
@@ -47,6 +46,7 @@ from lepage import (
 from lepage.expr import is_zero_expr
 from lepage.forms import make_form, Dx
 from lepage.verification import _contract, random_polynomial
+from blocks_oracle import caratheodory_second_blocks
 from section_oracle import random_section_oracle
 
 POLICY = ZeroPolicy()  # 25 seeded samples, abs_tol 1e-9
@@ -189,7 +189,7 @@ def test_criterion_6_caratheodory_decomposition():
     for lam in members:
         assert not equals_zero(lam.L, POLICY).is_zero
         product = caratheodory_second(lam, policy=POLICY)
-        blocks = caratheodory_second_blocks(lam, policy=POLICY)
+        blocks = caratheodory_second_blocks(lam)
         assert form_is_zero(product - blocks, POLICY)
     _report("criterion 6: Caratheodory decomposition (n=2)", True, f"{len(members)} members")
 

@@ -26,7 +26,7 @@ PUBLIC_NAMES = """
     Rat SamplingFailure ScalarExpr UndefinedFormError Var X Y ZeroPolicy
     ZeroVerdict builtin_calibration_corpus calibrate_convention camassa_holm
     canonicalize caratheodory_first caratheodory_second
-    caratheodory_second_blocks closure_check combination_conditions const
+    closure_check combination_conditions const
     contact_component cos cut_derivative diff dirichlet dx
     el_expansion_crosscheck equals_zero euler_lagrange_expressions
     euler_lagrange_form eval_numeric exp expr_to_latex expr_to_text
@@ -117,6 +117,20 @@ FIELD_NAMES = {"_W", "_HALF", "_FIELD", "_SAFE"}
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_the_blocks_oracle_imports_public_names_only():
+    # criterion 6 compares Lambda_2 with this decomposition, which is only a
+    # second construction if it shares no private code with the runtime
+    imported = []
+    for node in ast.walk(_tree(ROOT / "tests" / "blocks_oracle.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+    from_lepage = [(module, name) for module, name in imported if module.split(".")[0] == "lepage"]
+    assert from_lepage
+    assert all(module == "lepage" and name in PUBLIC_NAMES for module, name in from_lepage), from_lepage
 
 
 def _names(path: Path) -> set:

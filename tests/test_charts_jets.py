@@ -19,6 +19,7 @@ from lepage import (
     Convention,
     Dx,
     FiberVar,
+    Lagrangian,
     MultiIndex,
     Omega,
     X,
@@ -30,6 +31,8 @@ from lepage import (
     equals_zero,
     eval_numeric,
     expr_to_text,
+    is_trivial,
+    substitute,
     sym_partial,
     total_derivative,
     variables,
@@ -112,9 +115,11 @@ class TestBoolIndices:
 
 class TestMemoKeysEqualToACoordinate:
     """A memo compares keys by value: Dx(1) == BaseVar(1), Omega(1, J) ==
-    FiberVar(1, J) and True == 1.  So each spelling that is not a coordinate
-    or an int index is refused before the memo, also once the equal entry is
-    kept."""
+    FiberVar(1, J), True == 1 and a tuple equals the MultiIndex of its
+    entries.  So each spelling that is not a coordinate, an int index or a
+    MultiIndex J is refused before the memo, also once the equal entry is
+    kept.  A tuple J is refused by Var too: only the MultiIndex constructor
+    sorts it, and an unsorted one would be a second coordinate."""
 
     def test_diff_refuses_a_coframe_element(self):
         f = canonicalize(X(1) ** 2 * Y(1, 1))
@@ -124,6 +129,39 @@ class TestMemoKeysEqualToACoordinate:
         for e, v in ((f, Dx(1)), (g, Omega(1, MultiIndex()))):
             with pytest.raises(ChartError, match="is not a coordinate"):
                 diff(e, v)
+
+    def test_diff_refuses_a_non_int_index_or_tuple_j_after_the_coordinate(self):
+        f = canonicalize(X(1) ** 2 * Y(1) * Y(1, 1))
+        assert expr_to_text(diff(f, BaseVar(1))) == "2*x1*y1*y1_1"
+        assert expr_to_text(diff(f, FiberVar(1, MultiIndex()))) == "x1^2*y1_1"
+        assert expr_to_text(diff(f, FiberVar(1, MultiIndex((1,))))) == "x1^2*y1"
+        for v in (BaseVar(True), FiberVar(True, MultiIndex()), FiberVar(1.0, MultiIndex())):
+            with pytest.raises(ChartError, match="coordinate indices must be ints"):
+                diff(f, v)
+        with pytest.raises(ChartError, match="jet index must be a MultiIndex"):
+            diff(f, FiberVar(1, (1,)))
+
+    def test_sym_partial_refuses_a_bool_index_after_the_int_one(self):
+        f = canonicalize(Y(1, 1) ** 2)
+        assert expr_to_text(sym_partial(f, 1, (1,))) == "2*y1_1"
+        for sigma, index in ((1, (True,)), (True, (1,))):
+            with pytest.raises(ChartError, match="jet indices must be ints"):
+                sym_partial(f, sigma, index)
+
+    @pytest.mark.parametrize("jj", [(2, 1), (1, 2)], ids=["unsorted", "sorted"])
+    def test_var_and_substitute_refuse_a_tuple_j(self, jj):
+        with pytest.raises(ChartError, match="jet index must be a MultiIndex"):
+            Var(FiberVar(1, jj))
+        with pytest.raises(ChartError, match="jet index must be a MultiIndex"):
+            substitute(Y(1, 1, 2), {FiberVar(1, jj): X(1)})
+
+    def test_an_unsorted_coordinate_gets_no_triviality_verdict(self):
+        # y_21 would be an atom apart from y_12, with no Euler-Lagrange term
+        ctx = ChartContext(2, 1, 2)
+        report = is_trivial(Lagrangian(ctx, 2, Y(1, 1, 2) ** 2))
+        assert not report.passed and expr_to_text(report.witness) == "2*y1_1122"
+        with pytest.raises(ChartError, match="jet index must be a MultiIndex"):
+            is_trivial(Lagrangian(ctx, 2, Var(FiberVar(1, (2, 1))) ** 2))
 
     def test_total_derivative_refuses_a_bool_index_after_the_int_one(self):
         ctx = ChartContext(2, 1, 1)

@@ -428,6 +428,7 @@ _MALFORMED_TUPLES = [
     ((Omega(1, MultiIndex((3,))),), 2, ChartError, "omega index (3,) out of range 1..2", "w1_3"),
     ((Omega(1, MultiIndex((1,))),), 1, FormError,
      "contact label omega^1_(1,) needs order 2, declared 1", "w1_1"),
+    ((Dx(1), Dx(2)), 1, FormError, "wedge tuple (Dx(i=1), Dx(i=2)) does not match degree 1", "dx1 dx2"),
 ]
 
 
@@ -437,7 +438,7 @@ class TestOneWedgeTuplePath:
 
     @pytest.mark.parametrize("elements, order, error, message, label", _MALFORMED_TUPLES,
                              ids=["bool-index", "coordinate", "dx-range", "omega-fiber", "omega-index",
-                                  "omega-order"])
+                                  "omega-order", "wrong-degree"])
     def test_every_path_refuses_alike(self, elements, order, error, message, label):
         ctx = ChartContext(2, 1, order)
         # dx1 is made first: True == 1 and BaseVar(1) == Dx(1), so the first
@@ -446,7 +447,7 @@ class TestOneWedgeTuplePath:
         builds = [lambda: make_form(ctx, 1, [(elements, X(1))], order), lambda: made.coefficient(elements)]
         if label is not None:
             doc = {"schema": SCHEMA_VERSION, "chart": {"n": 2, "m": 1, "order": order}, "degree": 1,
-                   "terms": [{"coeff": "x1", "basis": [label]}]}
+                   "terms": [{"coeff": "x1", "basis": label.split()}]}
             builds.append(lambda: form_from_json(json.dumps(doc)))
         for build in builds:
             with pytest.raises(error) as info:

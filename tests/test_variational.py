@@ -26,7 +26,6 @@ from lepage import (
     canonicalize,
     caratheodory_first,
     caratheodory_second,
-    caratheodory_second_blocks,
     const,
     contact_component,
     dirichlet,
@@ -61,6 +60,7 @@ from lepage import (
 )
 from lepage.expr import diff, is_zero_expr
 from lepage.verification import _contract, first_order_corpus, random_polynomial
+from blocks_oracle import caratheodory_second_blocks
 
 CTX21 = ChartContext(2, 1, 1)
 CTX22 = ChartContext(2, 1, 2)
@@ -398,11 +398,10 @@ class TestFundamentalSecondOrder:
         assert len(gap.terms) == 1
 
     @pytest.mark.parametrize("build", [
-        caratheodory_second_blocks,
         lambda lam: fundamental_second_order_n2(lam)[0],
-    ], ids=["caratheodory-blocks", "fundamental"])
+    ], ids=["fundamental"])
     def test_one_momentum_table_per_call(self, monkeypatch, build):
-        # Theta and the 2-contact blocks read one table of momenta
+        # Theta's entries and the 2-contact blocks are written from one table of momenta
         calls = []
         momenta = variational._momenta
         monkeypatch.setattr(variational, "_momenta", lambda *a: calls.append(a) or momenta(*a))
@@ -424,13 +423,18 @@ def test_results_over_two_denominators_are_canonical():
 
 @pytest.mark.parametrize("run, error, message", [
     (lambda: Lagrangian(CTX21, -1, Y(1)), ChartError, "negative order -1"),
-    (lambda: caratheodory_second_blocks(lag(3, 1, 2, Y(1, 1, 1) + 1)), UndefinedFormError,
-     "explicit decomposition is for a 2-dimensional base"),
     (lambda: fundamental_second_order_n2(lag(3, 1, 2, Y(1, 1, 1))), UndefinedFormError,
      "second-order fundamental form is for a 2-dimensional base"),
+    (lambda: fundamental_coefficients(lag(3, 1, 2, Y(1, 1, 1) * Y(1, 2, 2))), UndefinedFormError,
+     "second-order fundamental form is for a 2-dimensional base"),
+    (lambda: fundamental_coefficients(lag(1, 1, 2, Y(1, 1, 1) ** 2)), UndefinedFormError,
+     "second-order fundamental form is for a 2-dimensional base"),
+    (lambda: fundamental_coefficients(lag(2, 1, 3, Y(1, 1, 1, 1) * Y(1, 2))), UndefinedFormError,
+     "second-order constructor got order 3"),
     (lambda: fundamental_first_order(lag(5, 1, 1, Y(1, 1))), UndefinedFormError,
      "combinatorial guard: n <= 4, got 5"),
-], ids=["negative-order", "blocks-n3", "fundamental-second-n3", "fundamental-first-n5"])
+], ids=["negative-order", "fundamental-second-n3", "coefficients-n3", "coefficients-n1",
+        "coefficients-order-3", "fundamental-first-n5"])
 def test_constructor_refusal(run, error, message):
     with pytest.raises(error) as info:
         run()

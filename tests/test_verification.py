@@ -26,7 +26,6 @@ from lepage import (
     camassa_holm,
     caratheodory_first,
     caratheodory_second,
-    caratheodory_second_blocks,
     closure_check,
     combination_conditions,
     const,
@@ -60,6 +59,7 @@ from lepage import forms, verification
 from lepage.expr import Add, DEFAULT_POLICY, ZeroPolicy, canonicalize, is_zero_expr
 from lepage.jets import DEFAULT_CONVENTION, mixed_partial, sym_partial
 from lepage.serialize import expr_to_text
+from blocks_oracle import caratheodory_second_blocks
 from lepage.verification import (
     _Expansion,
     _contract,
